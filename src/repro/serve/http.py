@@ -71,9 +71,21 @@ MAX_WAIT_SEC = 600.0
 DRAIN_CEILING_BYTES = 64 * 1024 * 1024
 
 
+#: the zero-length chunk that ends a chunked (streamed) response
+_LAST_CHUNK = b"0\r\n\r\n"
+
+
+def _chunk(event: dict) -> bytes:
+    """One JSONL event framed as one HTTP/1.1 chunk."""
+    data = (json.dumps(event) + "\n").encode("utf-8")
+    return ("%X\r\n" % len(data)).encode("ascii") + data + b"\r\n"
+
+
 class _Handler(BaseHTTPRequestHandler):
     # the service instance is attached to the server object
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket: see _write
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> AnalysisService:
@@ -94,25 +106,55 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_body(
         self, code: int, body: bytes, content_type: str, headers: Optional[dict] = None
     ) -> None:
+        head = self._head(
+            code,
+            {"Content-Type": content_type, "Content-Length": len(body), **(headers or {})},
+        )
+        self._write(head + body)
+
+    def _head(self, code: int, headers: dict) -> bytes:
+        """The status line and headers of a response, rendered but not
+        sent: a head always leaves in the same write as its body (or, for
+        a stream, its first chunk).  ``send_response``/``send_header``
+        only buffer; the buffer is taken here instead of letting
+        ``end_headers`` send it on its own."""
         self._status_code = code
         self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
+        for name, value in headers.items():
             self.send_header(name, str(value))
-        self.end_headers()
+        self._headers_buffer.append(b"\r\n")
+        head = b"".join(self._headers_buffer)
+        self._headers_buffer = []
+        return head
+
+    def _write(self, data: bytes) -> bool:
+        """Every response byte leaves through here, in one ``sendall``.
+
+        Two small sends on one keep-alive connection stall: Nagle holds
+        the second until the client ACKs the first, and the client delays
+        that ACK (~40 ms on Linux).  So each response goes out whole, and
+        the handler also disables Nagle (``disable_nagle_algorithm``) for
+        the chunks of a stream, which are necessarily separate writes.
+
+        False once the client is gone (hangup, reset, socket timeout);
+        the job, if any, still completes.  The connection is then closed
+        so a half-sent response cannot poison a keep-alive connection.
+        The injected ``http.client.disconnect`` fault lands a prefix of
+        the write first, so the client sees a torn response.
+        """
         try:
-            if faults.check("http.client.disconnect") is not None:
+            fault = faults.check("http.client.disconnect")
+            if fault is not None:
+                self.wfile.write(data[: max(1, int(len(data) * fault.arg))])
                 raise BrokenPipeError(
                     "injected fault http.client.disconnect: peer reset mid-response"
                 )
-            self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            # client hung up; the job (if any) still completes.  Close the
-            # socket so a half-sent response (headers promised a body we
-            # never delivered) cannot poison a keep-alive connection.
+            self.wfile.write(data)
+            return True
+        except OSError:
             obs.incr("serve.http.client_disconnects")
             self.close_connection = True
+            return False
 
     def _read_body(self) -> Optional[dict]:
         try:
@@ -305,40 +347,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- streaming diagnostics -------------------------------------------------
 
-    def _begin_stream(self) -> None:
-        self._status_code = 200
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-
-    def _send_chunk(self, event: dict) -> bool:
-        """One JSONL event as one HTTP/1.1 chunk; False once the client
-        is gone (the job still completes server-side)."""
-        data = (json.dumps(event) + "\n").encode("utf-8")
-        frame = ("%X\r\n" % len(data)).encode("ascii") + data + b"\r\n"
-        try:
-            if faults.check("http.client.disconnect") is not None:
-                raise BrokenPipeError(
-                    "injected fault http.client.disconnect: peer reset mid-stream"
-                )
-            self.wfile.write(frame)
-            self.wfile.flush()
-            return True
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            obs.incr("serve.http.client_disconnects")
-            self.close_connection = True
-            return False
-
-    def _end_stream(self) -> None:
-        try:
-            self.wfile.write(b"0\r\n\r\n")
-            self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, OSError):
-            obs.incr("serve.http.client_disconnects")
-            self.close_connection = True
-
     def _stream_analyze(self, document: dict, request: AnalyzeRequest, span_ctx) -> None:
         """Incremental mode: the job's life as chunked JSONL events —
         ``admission`` then (cache miss) ``rung``/``progress``/
@@ -356,25 +364,36 @@ class _Handler(BaseHTTPRequestHandler):
             return
         obs.incr("serve.http.streams")
         base = {"trace": span_ctx.trace_id}
-        self._begin_stream()
+        head = self._head(
+            200,
+            {
+                "Content-Type": "application/x-ndjson",
+                "Transfer-Encoding": "chunked",
+                "Cache-Control": "no-store",
+            },
+        )
         if status == "hit":
-            if self._send_chunk({"event": "admission", "cache": "hit", **base}):
-                self._send_chunk({"event": "result", "result": payload, **base})
-            self._end_stream()
+            self._write(
+                head
+                + _chunk({"event": "admission", "cache": "hit", **base})
+                + _chunk({"event": "result", "result": payload, **base})
+                + _LAST_CHUNK
+            )
             return
         job = payload
-        if not self._send_chunk(
-            {"event": "admission", "cache": "miss", "job": job.id, **base}
+        if not self._write(
+            head + _chunk({"event": "admission", "cache": "miss", "job": job.id, **base})
         ):
             return
         deadline = time.monotonic() + self._wait_budget(document)
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                self._send_chunk(
-                    {"event": "timeout", "job": job.id, "state": job.state, **base}
+                self._write(
+                    _chunk({"event": "timeout", "job": job.id, "state": job.state, **base})
+                    + _LAST_CHUNK
                 )
-                break
+                return
             try:
                 event = subscriber.get(timeout=min(remaining, 0.25))
             except queue.Empty:
@@ -383,11 +402,11 @@ class _Handler(BaseHTTPRequestHandler):
                     event = {"event": "result", "job": job.id, "result": job.result}
                 else:
                     continue
-            if not self._send_chunk({**base, **event}):
-                return
             if event.get("event") == "result":
-                break
-        self._end_stream()
+                self._write(_chunk({**base, **event}) + _LAST_CHUNK)
+                return
+            if not self._write(_chunk({**base, **event})):
+                return
 
     def _handle_batch(self, document: dict) -> None:
         raw_items = document.get("programs")

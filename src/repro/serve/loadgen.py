@@ -15,15 +15,21 @@ is submitted (and completes) before the duplicate storm starts, so the
 duplicates measure steady-state cache behavior rather than racing the
 first analysis of their own key.  ``warm_first=False`` races everything
 concurrently instead, which additionally exercises request coalescing.
+
+Each worker thread holds one keep-alive connection for its whole share
+of the replay (reopened after a transport error), as real clients do:
+a connection per request would never exercise the keep-alive write
+path.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
 import threading
 import time
-import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Dict, List, Optional
 
@@ -41,25 +47,30 @@ def corpus_mix(count: int, duplicates: int, seed: int = 1337) -> List[str]:
     return mix
 
 
-def _post_json(url: str, document: dict, timeout: float = 120.0) -> Dict[str, object]:
+def _post_json(
+    connection: http.client.HTTPConnection, path: str, document: dict
+) -> Dict[str, object]:
+    """One POST over ``connection``; any transport error closes it, and
+    ``http.client`` reopens it on the next request."""
     body = json.dumps(document).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=body, headers={"Content-Type": "application/json"}, method="POST"
-    )
     start = time.perf_counter()
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            payload = json.loads(response.read().decode("utf-8"))
-            code = response.status
-    except urllib.error.HTTPError as exc:
-        try:
-            payload = json.loads(exc.read().decode("utf-8"))
-        except Exception:
-            payload = {}
-        code = exc.code
-    except (urllib.error.URLError, OSError, ValueError) as exc:
+        connection.request(
+            "POST", path, body=body, headers={"Content-Type": "application/json"}
+        )
+        response = connection.getresponse()
+        raw = response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        connection.close()
         return {"code": 0, "latency": time.perf_counter() - start, "error": str(exc)}
-    return {"code": code, "latency": time.perf_counter() - start, "payload": payload}
+    latency = time.perf_counter() - start
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:
+        if response.status < 400:
+            return {"code": 0, "latency": latency, "error": str(exc)}
+        payload = {}
+    return {"code": response.status, "latency": latency, "payload": payload}
 
 
 def _percentile(values: List[float], q: float) -> float:
@@ -94,24 +105,41 @@ def run_load(
     ``warm_distinct`` (the distinct program set) enables the warm-first
     phase.  Returns the metrics document the bench workload publishes.
     """
-    url = base_url.rstrip("/") + "/v1/analyze"
+    parts = urllib.parse.urlsplit(base_url)
+    path = parts.path.rstrip("/") + "/v1/analyze"
+
+    def connect() -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(parts.hostname, parts.port, timeout=120.0)
+
     if warm_distinct:
-        for source in warm_distinct:
-            _post_json(url, {"program": source, "deadline_sec": deadline_sec})
+        connection = connect()
+        try:
+            for source in warm_distinct:
+                _post_json(
+                    connection, path, {"program": source, "deadline_sec": deadline_sec}
+                )
+        finally:
+            connection.close()
     outcomes: List[Dict[str, object]] = []
     outcomes_lock = threading.Lock()
     work: List[str] = list(programs)
     work_lock = threading.Lock()
 
     def pump() -> None:
-        while True:
-            with work_lock:
-                if not work:
-                    return
-                source = work.pop()
-            outcome = _post_json(url, {"program": source, "deadline_sec": deadline_sec})
-            with outcomes_lock:
-                outcomes.append(outcome)
+        connection = connect()
+        try:
+            while True:
+                with work_lock:
+                    if not work:
+                        return
+                    source = work.pop()
+                outcome = _post_json(
+                    connection, path, {"program": source, "deadline_sec": deadline_sec}
+                )
+                with outcomes_lock:
+                    outcomes.append(outcome)
+        finally:
+            connection.close()
 
     start = time.perf_counter()
     threads = [threading.Thread(target=pump, daemon=True) for _ in range(max(1, concurrency))]

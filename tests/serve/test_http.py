@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
 from repro.corpus.generator import generate
+from repro.faults import plane
+from repro.faults.plane import FaultSchedule, PlannedFault
+from repro.obs import recorder as obs
 from repro.serve.daemon import AnalysisService, ServiceConfig
-from repro.serve.http import AnalysisHTTPServer
+from repro.serve.http import AnalysisHTTPServer, _Handler
 from repro.serve.retry import RetryPolicy
 
 
@@ -185,3 +194,160 @@ def test_batch_endpoint(server):
     assert caches == ["hit", "miss"]
     code, body, _ = _post(base, "/v1/batch", {"programs": []})
     assert code == 400
+
+
+# -- the write path: one send per response, Nagle off ---------------------------
+
+
+class _FakeConnection:
+    """Just enough of an accepted socket for the handler: the request
+    bytes to read, and a log of every ``sendall`` and ``setsockopt``."""
+
+    def __init__(self, request: bytes):
+        self._request = request
+        self.writes = []
+        self.options = {}
+
+    def makefile(self, mode, bufsize=-1):
+        return io.BytesIO(self._request)
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def setsockopt(self, level, name, value):
+        self.options[(level, name)] = value
+
+
+def _handle(request: bytes, service=None):
+    connection = _FakeConnection(request)
+    _Handler(connection, ("127.0.0.1", 40000), SimpleNamespace(service=service))
+    return connection
+
+
+@pytest.mark.parametrize(
+    "request_bytes, status",
+    [
+        (b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", b"200"),
+        (b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n", b"404"),
+        (b"POST /v1/analyze HTTP/1.1\r\nContent-Length: 5\r\n\r\n{nope", b"400"),
+    ],
+    ids=["healthz", "unknown-route", "bad-json"],
+)
+def test_send_json_is_one_socket_write(request_bytes, status):
+    connection = _handle(request_bytes)
+    assert connection.options == {(socket.IPPROTO_TCP, socket.TCP_NODELAY): True}
+    assert len(connection.writes) == 1
+    head, _, body = connection.writes[0].partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 " + status)
+    assert b"Content-Length: %d" % len(body) in head
+    json.loads(body)
+
+
+def test_streamed_hit_is_one_socket_write():
+    service = SimpleNamespace(
+        submit=lambda request, subscriber=None: ("hit", {"confidence": "exact"})
+    )
+    body = json.dumps({"program": "x = 1", "stream": True}).encode()
+    connection = _handle(
+        b"POST /v1/analyze HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body) + body,
+        service,
+    )
+    assert len(connection.writes) == 1
+    response = connection.writes[0]
+    assert b"Transfer-Encoding: chunked" in response
+    assert b'"event": "result"' in response
+    assert response.endswith(b"\r\n0\r\n\r\n")
+
+
+def test_injected_disconnect_tears_the_response():
+    """The fault lands a prefix of the one write, counts a client
+    disconnect, and closes the keep-alive connection: the pipelined
+    second request is never answered."""
+    request = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+    whole = _handle(request).writes[0]
+    schedule = FaultSchedule([PlannedFault("http.client.disconnect", arg=0.5)])
+    with plane.engaged(schedule), obs.recording() as recorder:
+        connection = _handle(request * 2)
+    assert len(connection.writes) == 1
+    torn = connection.writes[0]
+    assert 0 < len(torn) < len(whole) and whole.startswith(torn)
+    assert recorder.counters["serve.http.client_disconnects"] == 1
+
+
+def _median_ms(connection, method: str, path: str, document=None, rounds: int = 30):
+    """Median latency of ``rounds`` sequential requests over one
+    keep-alive connection (asserting it really stayed one connection)."""
+    body = json.dumps(document).encode() if document is not None else None
+    headers = {"Content-Type": "application/json"} if body is not None else {}
+    sock, samples = None, []
+    for _ in range(rounds):
+        start = time.perf_counter()
+        connection.request(method, path, body=body, headers=headers)
+        response = connection.getresponse()
+        payload = response.read()
+        samples.append((time.perf_counter() - start) * 1000.0)
+        assert response.status == 200, payload
+        sock = sock or connection.sock
+        assert connection.sock is sock
+    return statistics.median(samples), payload
+
+
+#: a delayed-ACK stall costs at least 40 ms per response on Linux; a
+#: whole keep-alive answer without it takes a few milliseconds
+STALL_FREE_MS = 20.0
+
+
+def test_keepalive_hits_and_health_do_not_stall(server):
+    base, _service = server
+    source = generate(44).source
+    assert _post(base, "/v1/analyze", {"program": source})[1]["cache"] == "miss"
+    connection = http.client.HTTPConnection(base[len("http://"):], timeout=30)
+    try:
+        hit_ms, payload = _median_ms(connection, "POST", "/v1/analyze", {"program": source})
+        assert json.loads(payload)["cache"] == "hit"
+        health_ms, _ = _median_ms(connection, "GET", "/healthz")
+    finally:
+        connection.close()
+    assert hit_ms < STALL_FREE_MS
+    assert health_ms < STALL_FREE_MS
+
+
+def test_keepalive_streamed_hits_do_not_stall(server):
+    base, _service = server
+    source = generate(45).source
+    assert _post(base, "/v1/analyze", {"program": source})[1]["cache"] == "miss"
+    connection = http.client.HTTPConnection(base[len("http://"):], timeout=30)
+    try:
+        stream_ms, payload = _median_ms(
+            connection, "POST", "/v1/analyze", {"program": source, "stream": True}
+        )
+    finally:
+        connection.close()
+    events = [json.loads(line) for line in payload.decode().splitlines()]
+    assert [event["event"] for event in events] == ["admission", "result"]
+    assert events[0]["cache"] == "hit"
+    assert stream_ms < STALL_FREE_MS
+
+
+def test_loadgen_reuses_one_connection_per_worker(server, monkeypatch):
+    from repro.serve.loadgen import corpus_mix, run_load
+
+    base, _service = server
+    accepted = []
+    original = AnalysisHTTPServer.process_request
+
+    def counting(self, request, client_address):
+        accepted.append(client_address)
+        return original(self, request, client_address)
+
+    monkeypatch.setattr(AnalysisHTTPServer, "process_request", counting)
+    report = run_load(
+        base,
+        corpus_mix(2, 4, seed=7),
+        concurrency=2,
+        warm_distinct=corpus_mix(2, 1, seed=7),
+    )
+    assert report["requests"] == 8 and report["errors"] == 0
+    assert report["cache_hits"] == 8
+    # one connection for the warm-up, one per worker thread
+    assert len(accepted) == 3
