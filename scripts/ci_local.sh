@@ -18,9 +18,6 @@
 #   explain-smoke> budget-trip a run under `repro explain --why-top`, require
 #                  the causal chain back to run_start, and schema-check the
 #                  exported Chrome trace
-#   parallel-smoke> sharded-engine equivalence tests, the 200-program
-#                  generated-corpus parallel slice, and a CLI `--jobs 2`
-#                  output diff against the serial run
 #   sweep-smoke -> differential corpus sweep over the pinned smoke manifest
 #                  (analyzer vs concrete interpreter; fails on divergence)
 #   serve-smoke -> start a real `repro serve` daemon, replay a duplicate-heavy
@@ -123,15 +120,6 @@ document = json.load(open(\"explain-trace.json\"))
 validate_chrome_trace(document)
 assert [e for e in document[\"traceEvents\"] if e[\"ph\"] == \"X\"]
 " && rm -f explain-trace.json'
-step "parallel-smoke: sharded engine tests" \
-  python -m pytest tests/core/test_shard.py tests/analyses/test_lattice_equivalence.py -q
-step "parallel-smoke: generated-corpus parallel slice" \
-  python -m pytest -m parallel_slow -q
-step "parallel-smoke: CLI --jobs 2 output matches serial" bash -c '
-  python -m repro mdcask_full --no-validate > .ci-serial.txt &&
-  python -m repro mdcask_full --no-validate --jobs 2 > .ci-parallel.txt &&
-  diff .ci-serial.txt .ci-parallel.txt &&
-  rm -f .ci-serial.txt .ci-parallel.txt'
 step "sweep-smoke: differential corpus sweep" bash -c '
   python -m repro sweep --tier smoke --seed 1337 --jobs 4 \
       --report sweep-smoke.jsonl &&

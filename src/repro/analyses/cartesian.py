@@ -356,12 +356,12 @@ def _range_size_poly(rng) -> Optional[Poly]:
 
 
 def analyze_cartesian(program_or_spec, client: Optional[CartesianClient] = None,
-                      limits=None, *, checkpointer=None, resume=None, jobs=1):
+                      limits=None, *, checkpointer=None, resume=None):
     """Run the Cartesian client; returns ``(result, cfg, client)``."""
     from repro.analyses.simple_symbolic import analyze_program
 
     client = client or CartesianClient()
     return analyze_program(
         program_or_spec, client, limits,
-        checkpointer=checkpointer, resume=resume, jobs=jobs,
+        checkpointer=checkpointer, resume=resume,
     )

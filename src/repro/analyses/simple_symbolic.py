@@ -1445,16 +1445,13 @@ def _pretty(text: str) -> str:
 
 
 def analyze_program(program_or_spec, client: Optional[SimpleSymbolicClient] = None,
-                    limits=None, *, checkpointer=None, resume=None, jobs=1):
+                    limits=None, *, checkpointer=None, resume=None):
     """Convenience wrapper: parse/build CFG, run the engine, return
     ``(result, cfg, client)``.
 
     ``checkpointer`` persists crash-safe snapshots during the run;
     ``resume`` warm-starts the engine from a snapshot object or file (see
-    :mod:`repro.core.checkpoint`).  ``jobs > 1`` runs the sharded
-    multi-process fixpoint (see :mod:`repro.core.shard`), which produces
-    lattice-equal results and transparently falls back to the serial
-    engine when the workload cannot be sharded.
+    :mod:`repro.core.checkpoint`).
     """
     from repro.core.engine import PCFGEngine
     from repro.lang.cfg import build_cfg
@@ -1465,14 +1462,7 @@ def analyze_program(program_or_spec, client: Optional[SimpleSymbolicClient] = No
         program = program_or_spec
     cfg = build_cfg(program)
     client = client or SimpleSymbolicClient()
-    if jobs and jobs > 1:
-        from repro.core.shard import ShardedEngine
-
-        engine = ShardedEngine(
-            cfg, client, limits, jobs=jobs, checkpointer=checkpointer
-        )
-    else:
-        engine = PCFGEngine(cfg, client, limits, checkpointer=checkpointer)
+    engine = PCFGEngine(cfg, client, limits, checkpointer=checkpointer)
     result = engine.run(resume=resume)
     return result, cfg, client
 

@@ -121,13 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
              "target's snapshot in the checkpoint directory (a missing or "
              "stale snapshot degrades to a cold start, never an error)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the analysis: shards the pCFG fixpoint "
-             "across N processes (results are lattice-equal to --jobs 1); "
-             "with --fallback, runs the ladder rungs speculatively in the "
-             "same pool instead",
-    )
     _add_log_level(parser)
     return parser
 
@@ -702,7 +695,7 @@ def build_faults_parser() -> argparse.ArgumentParser:
         prog="repro faults",
         description="Soundness-under-fault invariant sweep: run seeded "
                     "fault schedules against the full pipeline (service, "
-                    "sharded engine, HTTP) and machine-check that every "
+                    "checkpointer, HTTP, metrics) and machine-check that every "
                     "answer stays exact-or-accounted, sound, replayable, "
                     "and cache-clean. Any violation fails the sweep and "
                     "prints the REPRO_FAULT_SEED that replays it.",
@@ -820,8 +813,8 @@ def build_trace_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro trace",
         description="Stitch one request's per-process span shards (daemon, "
-                    "attempt workers, shard-pool workers) into a single "
-                    "Chrome trace loadable in chrome://tracing or "
+                    "attempt workers) into a single Chrome trace loadable "
+                    "in chrome://tracing or "
                     "ui.perfetto.dev. Trace ids come back in every service "
                     "response and streaming admission event.",
     )
@@ -946,8 +939,7 @@ def _main(argv=None) -> int:
 
     if args.fallback:
         report = analyze_with_fallback(
-            program, limits=limits, checkpointer=checkpointer, resume=resume,
-            jobs=args.jobs,
+            program, limits=limits, checkpointer=checkpointer, resume=resume
         )
         for outcome in report.rungs:
             print(f"rung {outcome.describe()}")
@@ -964,7 +956,7 @@ def _main(argv=None) -> int:
     else:
         result, cfg, client = analyze_program(
             program, CartesianClient(), limits,
-            checkpointer=checkpointer, resume=resume, jobs=args.jobs,
+            checkpointer=checkpointer, resume=resume,
         )
         if result.confidence != diagnostics.EXACT:
             _print_degraded(result)

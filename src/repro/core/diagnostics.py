@@ -57,14 +57,6 @@ CHECKPOINT_MISMATCH = "CHECKPOINT_MISMATCH"
 #: directory vanished); the analysis continued without crash-safety for
 #: that snapshot instead of crashing on the OSError
 CHECKPOINT_IO = "CHECKPOINT_IO"
-#: a sharded-fixpoint worker process died mid-round (killed, OOM, crash);
-#: the parent drained the remaining work in-process and the result is a
-#: sound partial/complete answer, never a hang
-SHARD_WORKER_LOST = "SHARD_WORKER_LOST"
-#: the sharded executor could not ship states across process boundaries
-#: (no registered codecs / unpicklable payload) and fell back to the
-#: single-process engine; informational only
-SHARD_FALLBACK = "SHARD_FALLBACK"
 
 ALL_CODES = (
     GIVEUP_NO_MATCH,
@@ -77,8 +69,6 @@ ALL_CODES = (
     CHECKPOINT_CORRUPT,
     CHECKPOINT_MISMATCH,
     CHECKPOINT_IO,
-    SHARD_WORKER_LOST,
-    SHARD_FALLBACK,
 )
 
 #: the resource-budget codes: a budget trip cuts the run short without making

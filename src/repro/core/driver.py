@@ -20,6 +20,10 @@ wider analyses until one produces an ``exact`` answer:
 The first rung whose result is ``exact`` wins; if none is, the baseline
 rung is chosen (it always completes), and the report keeps every attempted
 rung's outcome so callers can still inspect the sharper partial results.
+
+One program's ladder always climbs in one process.  Parallelism is per
+program: :func:`analyze_batch` and the corpus sweep fan whole programs
+out over :func:`pool_map`, the package's one process pool.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core import diagnostics
 from repro.core import progress as progress_hooks
@@ -212,85 +217,6 @@ def _carryable_snapshot(result: AnalysisResult):
     return None
 
 
-def _pool_context():
-    """fork where available (cheap, no re-import), else the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _rung_worker(task: tuple) -> tuple:
-    """Run one ladder rung in a worker process; returns its outcome plus a
-    counter snapshot so the parent recorder keeps the rung's obs counts."""
-    program, index, runner, limits, capture = task
-    if capture:
-        with obs.recording() as recorder:
-            result, cfg, client = runner(program, limits)
-        return index, result, cfg, client, dict(recorder.counters)
-    result, cfg, client = runner(program, limits)
-    return index, result, cfg, client, None
-
-
-def _parallel_rungs(program, rungs: List[Rung], jobs: int) -> Optional[FallbackReport]:
-    """Speculatively run every rung concurrently; pick the first exact one
-    in ladder order.
-
-    Unlike the serial climb, all rungs run (their results are all kept in
-    the report) and budget-trip snapshots cannot warm-start the next rung
-    — speculation trades that for wall-clock.  Returns None when the
-    program or ladder cannot cross a process boundary; the caller then
-    climbs serially.
-    """
-    try:
-        pickle.dumps((program, rungs), protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        obs.incr("driver.rung.parallel_fallbacks")
-        slog.info("driver.rungs_fallback", reason=str(exc))
-        return None
-    capture = obs.enabled()
-    report = FallbackReport()
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(rungs)), mp_context=_pool_context()
-    ) as pool:
-        futures = [
-            pool.submit(_rung_worker, (program, i, rung.run, rung.limits, capture))
-            for i, rung in enumerate(rungs)
-        ]
-        for rung, future in zip(rungs, futures):
-            try:
-                _, result, cfg, client, counters = future.result()
-            except Exception as exc:
-                # a dead or broken worker costs us one rung, not the run
-                obs.incr("driver.rung.worker_lost")
-                slog.warning(
-                    "driver.rung_worker_lost", name=rung.name, error=str(exc)
-                )
-                with obs.span(f"driver.rung.{rung.name}"):
-                    result, cfg, client = rung.run(program, rung.limits)
-                counters = None
-            obs.merge_counters(counters)
-            outcome = RungOutcome(rung.name, result, cfg, client)
-            report.rungs.append(outcome)
-            obs.incr(f"driver.rung.{rung.name}.{result.confidence}")
-            slog.info(
-                "driver.rung",
-                name=rung.name,
-                confidence=result.confidence,
-                matches=len(result.matches),
-                diagnostics=diagnostics.summarize(result.diagnostics),
-                resumed_from=None,
-            )
-    report.chosen = next(
-        (o for o in report.rungs if o.confidence == diagnostics.EXACT),
-        report.rungs[-1],
-    )
-    slog.info(
-        "driver.chosen",
-        name=report.chosen.name,
-        confidence=report.chosen.confidence,
-    )
-    return report
-
-
 def analyze_with_fallback(
     program_or_spec,
     limits: Optional[EngineLimits] = None,
@@ -298,7 +224,6 @@ def analyze_with_fallback(
     *,
     checkpointer=None,
     resume=None,
-    jobs: int = 1,
     progress=None,
 ) -> FallbackReport:
     """Climb the fallback ladder until a rung answers exactly.
@@ -316,25 +241,16 @@ def analyze_with_fallback(
     class differs from the snapshot's is detected by the engine and falls
     back to a cold start.
 
-    ``jobs > 1`` runs the rungs *speculatively* in a process pool (see
-    :func:`_parallel_rungs`); checkpointing/resume forces the serial
-    climb, whose warm-start carry speculation cannot reproduce.
-
     ``progress`` (a callable of one event dict) receives a ``rung``
-    event as each rung starts, plus the engine/shard heartbeats emitted
-    below it (installed ambiently via :mod:`repro.core.progress`, so
-    rung runners need no signature change).  Streaming forces the serial
-    climb: speculation would interleave rungs' events meaninglessly.
+    event as each rung starts, plus the engine heartbeats emitted below
+    it (installed ambiently via :mod:`repro.core.progress`, so rung
+    runners need no signature change).
     """
     if hasattr(program_or_spec, "parse"):
         program = program_or_spec.parse()
     else:
         program = program_or_spec
     rungs = ladder if ladder is not None else default_ladder(limits)
-    if jobs > 1 and checkpointer is None and resume is None and progress is None:
-        report = _parallel_rungs(program, rungs, jobs)
-        if report is not None:
-            return report
     report = FallbackReport()
     carry = resume
     for rung in rungs:
@@ -384,14 +300,81 @@ def analyze_with_fallback(
     return report
 
 
-def _batch_worker(task: tuple) -> tuple:
-    """Analyze one batch item in a worker process."""
-    item, limits, ladder, capture = task
-    if capture:
-        with obs.recording() as recorder:
-            report = analyze_with_fallback(item, limits=limits, ladder=ladder)
-        return report, dict(recorder.counters)
-    return analyze_with_fallback(item, limits=limits, ladder=ladder), None
+
+
+# -- whole-program parallelism -------------------------------------------------
+
+
+def fork_context():
+    """The multiprocessing context of every worker process this package
+    starts: fork where available (cheap, no re-import), else the
+    platform default."""
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else None)
+
+
+def _pool_call(task: tuple) -> tuple:
+    """One pooled call in a worker process.  With ``capture`` (the parent
+    is recording) the call runs under a private recorder and its counter
+    snapshot travels home with the value: a forked worker's incrs would
+    otherwise land in its inherited copy of the parent recorder and be
+    lost."""
+    fn, item, capture = task
+    if not capture:
+        return fn(item), None
+    with obs.recording() as recorder:
+        value = fn(item)
+    return value, dict(recorder.counters)
+
+
+def pool_map(fn: Callable, items: Iterable, jobs: int = 1) -> Iterator[tuple]:
+    """Yield ``(item, fn(item))`` for every item, in input order.
+
+    The one process pool of the package: batch analysis and the corpus
+    sweep both run on it.  ``jobs <= 1`` (or a single item) calls ``fn``
+    in this process, lazily.  Otherwise the items are materialized and
+    fanned out over ``jobs`` forked workers, and the pool
+
+    * merges each worker's obs-counter snapshot into the parent recorder
+      as its value is yielded, so counts survive the process boundary;
+    * recomputes in this process every item whose worker was lost (a
+      SIGKILLed or crashed worker breaks the pool, so all items still
+      pending fail over too) — the map always completes;
+    * degrades to the serial loop when ``fn`` or the items cannot be
+      pickled (``fn`` must be a module-level function or a partial of
+      one).
+    """
+    if jobs > 1:
+        items = list(items)
+        try:
+            pickle.dumps((fn, items), protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            obs.incr("driver.pool.serial_fallbacks")
+            slog.info("driver.pool_serial_fallback", reason=str(exc))
+            jobs = 1
+    if jobs <= 1 or len(items) <= 1:
+        for item in items:
+            yield item, fn(item)
+        return
+    capture = obs.enabled()
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(items)), mp_context=fork_context()
+    ) as pool:
+        futures = [pool.submit(_pool_call, (fn, item, capture)) for item in items]
+        for item, future in zip(items, futures):
+            try:
+                value, counters = future.result()
+            except Exception as exc:
+                obs.incr("driver.pool.worker_lost")
+                slog.warning("driver.pool_worker_lost", error=str(exc))
+                value, counters = fn(item), None
+            obs.merge_counters(counters)
+            yield item, value
+
+
+def _analyze_item(item, limits=None, ladder=None) -> FallbackReport:
+    with obs.span("driver.batch.program"):
+        return analyze_with_fallback(item, limits=limits, ladder=ladder)
 
 
 def analyze_batch(
@@ -403,58 +386,18 @@ def analyze_batch(
     """Run the fallback ladder over many programs.
 
     Yields ``(item, FallbackReport)`` pairs in input order.  This is the
-    batch entry point the corpus sweep's in-process path and the future
-    analysis-service batch endpoint share: one ladder configuration,
-    many programs, per-program isolation (one program's failure cannot
-    abort the batch — ``analyze_with_fallback`` never raises for
-    analysis-level failures, and the ladder's baseline rung is total).
+    batch entry point the analysis service's batch endpoint uses: one
+    ladder configuration, many programs, per-program isolation (one
+    program's failure cannot abort the batch — ``analyze_with_fallback``
+    never raises for analysis-level failures, and the ladder's baseline
+    rung is total).
 
-    ``jobs > 1`` fans the programs out over a process pool (whole-program
-    parallelism: each worker climbs the full ladder for its item) and
-    merges each worker's obs-counter snapshot back into the parent
-    recorder.  The input is materialized up front in that mode; items are
-    still yielded in input order as their results arrive.  An unpicklable
-    program/ladder degrades to the serial loop; a worker that dies is
-    retried in-process, so the batch always completes.
+    ``jobs > 1`` fans the programs out over :func:`pool_map` (whole-
+    program parallelism: each worker climbs the full ladder for its
+    item); a lost worker's items are retried in-process, so the batch
+    always completes.
     """
-    if jobs <= 1:
-        for item in programs_or_specs:
-            with obs.span("driver.batch.program"):
-                report = analyze_with_fallback(item, limits=limits, ladder=ladder)
-            obs.incr(f"driver.batch.{report.result.confidence}")
-            yield item, report
-        return
-    items = list(programs_or_specs)
-    try:
-        pickle.dumps((items, limits, ladder), protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception as exc:
-        obs.incr("driver.batch.parallel_fallbacks")
-        slog.info("driver.batch_fallback", reason=str(exc))
-        for item in items:
-            with obs.span("driver.batch.program"):
-                report = analyze_with_fallback(item, limits=limits, ladder=ladder)
-            obs.incr(f"driver.batch.{report.result.confidence}")
-            yield item, report
-        return
-    capture = obs.enabled()
-    with ProcessPoolExecutor(
-        max_workers=jobs, mp_context=_pool_context()
-    ) as pool:
-        futures = [
-            pool.submit(_batch_worker, (item, limits, ladder, capture))
-            for item in items
-        ]
-        for item, future in zip(items, futures):
-            try:
-                report, counters = future.result()
-            except Exception as exc:
-                obs.incr("driver.batch.worker_lost")
-                slog.warning("driver.batch_worker_lost", error=str(exc))
-                with obs.span("driver.batch.program"):
-                    report = analyze_with_fallback(
-                        item, limits=limits, ladder=ladder
-                    )
-                counters = None
-            obs.merge_counters(counters)
-            obs.incr(f"driver.batch.{report.result.confidence}")
-            yield item, report
+    analyze = partial(_analyze_item, limits=limits, ladder=ladder)
+    for item, report in pool_map(analyze, programs_or_specs, jobs):
+        obs.incr(f"driver.batch.{report.result.confidence}")
+        yield item, report

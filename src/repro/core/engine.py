@@ -91,10 +91,6 @@ from repro.lang.cfg import CFG
 from repro.obs import provenance, slog
 from repro.obs import recorder as obs
 
-#: exceptions the run loop localizes to a ``T`` at one pCFG node
-#: (re-exported from :mod:`repro.core.step` for backward compatibility)
-_RECOVERABLE = RECOVERABLE
-
 #: recoverable-failure type -> provenance event kind / slog event name
 _FAILURE_KINDS = {
     ClientFault: "client_fault",
@@ -330,7 +326,7 @@ class PCFGEngine(StepCore):
         else:
             try:
                 initial = self._call("initial", client.initial)
-            except _RECOVERABLE as failure:
+            except RECOVERABLE as failure:
                 self._degrade(result, None, failure)
                 self._finalize(result, aborted=True)
                 return result
@@ -339,7 +335,7 @@ class PCFGEngine(StepCore):
                     states, visits, None, [self.cfg.entry], initial, "entry", "",
                     result,
                 )
-            except _RECOVERABLE as failure:
+            except RECOVERABLE as failure:
                 # a client raising from is_empty/merge_psets/join on the very
                 # first state must yield a gave_up result, not a traceback
                 self._degrade(result, None, failure)
@@ -415,7 +411,7 @@ class PCFGEngine(StepCore):
                 try:
                     with obs.span("engine.step"):
                         successors = self._step(key, state, result)
-                except _RECOVERABLE as failure:
+                except RECOVERABLE as failure:
                     if self._degrade(result, key, failure):
                         continue
                     aborted = True
@@ -426,7 +422,7 @@ class PCFGEngine(StepCore):
                             states, visits, key, locs, succ_state, kind, detail,
                             result,
                         )
-                    except _RECOVERABLE as failure:
+                    except RECOVERABLE as failure:
                         # poison the producing node: this successor is lost,
                         # siblings already enqueued stay valid
                         if self._degrade(result, key, failure):

@@ -1,20 +1,19 @@
 """Ambient progress-hook switchboard for live streaming diagnostics.
 
 The streaming job endpoint needs heartbeats from deep inside the
-analysis — engine step counts, sharded-round boundaries, ladder rung
-starts — but the engines are constructed many layers below the code
-that owns the event sink (the daemon's job runner), inside rung runner
-functions whose signatures the analyses own.  Threading a callback
+analysis — engine step counts and ladder rung starts — but the engines
+are constructed many layers below the code that owns the event sink
+(the daemon's job runner), inside rung runner functions whose
+signatures the analyses own.  Threading a callback
 through every one of those layers would turn a diagnostic feature into
 an API migration.
 
 Instead, the hook is *ambient per thread*, mirroring how
 :func:`repro.obs.recorder.job_recording` isolates per-job counters: the
 driver installs the job's callback with :func:`installed` around each
-rung, and :class:`~repro.core.engine.PCFGEngine` /
-:class:`~repro.core.shard.ShardedEngine` capture :func:`current` at
-construction.  Analyses stay untouched; concurrent service jobs cannot
-see each other's hooks.
+rung, and :class:`~repro.core.engine.PCFGEngine` captures
+:func:`current` at construction.  Analyses stay untouched; concurrent
+service jobs cannot see each other's hooks.
 
 Discipline for emitters:
 

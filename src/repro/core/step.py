@@ -3,37 +3,23 @@
 This module is the *functional core* of the fixpoint: everything that
 happens to **one configuration** — send-receive matching, CFG transitions,
 branch splits, send buffering, canonicalization, and the join/widen lattice
-operations — with no knowledge of worklists, budgets, checkpoints or
-process pools.  :class:`StepCore` is written as a mixin so the two
-schedulers layered on top pay zero dispatch overhead:
-
-* :class:`repro.core.engine.PCFGEngine` — the single-process priority
-  worklist orchestrator (the reference semantics);
-* :class:`repro.core.shard.ShardedEngine` and its worker loop — the
-  multi-process sharded executor, which runs the same per-step functions
-  inside worker processes and reconciles shard boundaries with the same
-  ``_absorb`` join/widen path in the parent.
-
-The split matters for the parallel executor's soundness story: a worker
-stepping a configuration uses *exactly* the code the single-process engine
-uses, so any divergence between the two modes can only come from
-scheduling (the order joins are applied in), never from a second
-implementation of the transfer/match semantics.
+operations — with no knowledge of worklists, budgets or checkpoints.
+:class:`StepCore` is a mixin; :class:`repro.core.engine.PCFGEngine`, the
+single-process priority worklist orchestrator (the paper's Fig. 4
+chaotic iteration), layers the scheduling on top of it at zero dispatch
+overhead.
 
 Canonicalization is deliberately factored in two:
 
 ``_canonical_form(locs, state)``
     the *pure* part — prune empty process sets, fold sets that reached the
     same CFG node, sort positions — returning the pCFG node key and the
-    canonical state without touching any state table.  Workers use it to
-    name successor configurations that belong to *other* shards (boundary
-    facts) without joining them.
+    canonical state without touching any state table.
 
 ``_absorb(states, visits, key, state, ...)``
     the *merging* part — intern, first-visit insert, join, visit-counted
-    widening, fixed-point detection — against whichever state table the
-    caller owns: the engine's global table, a worker's shard-local table,
-    or the parent's reconciliation table at a shard boundary.
+    widening, fixed-point detection — against the state table the caller
+    passes in.
 """
 
 from __future__ import annotations

@@ -33,13 +33,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.driver import analyze_with_fallback
+from repro.core.driver import analyze_with_fallback, pool_map
 from repro.core.engine import EngineLimits
 from repro.corpus.generator import (
     GRAMMAR_VERSION,
@@ -124,11 +124,6 @@ class SweepRecord:
     fault: Optional[str] = None
     error: str = ""
     elapsed: float = 0.0
-    #: obs counter snapshot captured in a pool worker (None when the sweep
-    #: ran in-process or observability was disabled) — merged into the
-    #: parent recorder by :func:`_ingest` so ``engine.*`` counts survive
-    #: the process boundary
-    counters: Optional[Dict[str, int]] = None
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -493,22 +488,6 @@ class SweepSummary:
         return "\n".join(lines)
 
 
-def _worker(
-    task: Tuple[int, Optional[EngineLimits], Optional[str], bool]
-) -> SweepRecord:
-    """One pool task.  When ``capture`` is set (the parent has an active
-    recorder and this runs in a forked worker, where incrs would land in
-    the child's inherited copy and be lost), the work runs under a private
-    recorder and the counter snapshot travels home on the record."""
-    seed, limits, fault, capture = task
-    if not capture:
-        return run_one(seed, limits=limits, fault=fault)
-    with obs.recording() as recorder:
-        record = run_one(seed, limits=limits, fault=fault)
-    record.counters = dict(recorder.counters)
-    return record
-
-
 def seeds_for_tier(tier: str, base_seed: int) -> List[int]:
     """The seed list a (non-manifest) tier derives from its base seed."""
     if tier not in TIER_SIZES:
@@ -537,8 +516,6 @@ def run_sweep(
         grammar_version=GRAMMAR_VERSION,
         jobs=max(1, jobs),
     )
-    pooled = summary.jobs > 1 and len(seeds) > 1
-    tasks = [(seed, limits, fault, pooled and obs.enabled()) for seed in seeds]
     records: List[SweepRecord] = []
 
     report_file = None
@@ -546,18 +523,11 @@ def run_sweep(
         Path(report_path).parent.mkdir(parents=True, exist_ok=True)
         report_file = open(report_path, "w")
     try:
+        check = partial(run_one, limits=limits, fault=fault)
         with obs.span("sweep.run"):
-            if pooled:
-                with multiprocessing.Pool(summary.jobs) as pool:
-                    iterator = pool.imap(_worker, tasks)
-                    for record in iterator:
-                        records.append(record)
-                        _ingest(summary, record, report_file, on_record)
-            else:
-                for task in tasks:
-                    record = _worker(task)
-                    records.append(record)
-                    _ingest(summary, record, report_file, on_record)
+            for _seed, record in pool_map(check, seeds, summary.jobs):
+                records.append(record)
+                _ingest(summary, record, report_file, on_record)
 
         if shrink:
             for record in records:
@@ -589,7 +559,6 @@ def _ingest(
     on_record: Optional[Callable[[SweepRecord], None]],
 ) -> None:
     summary.total += 1
-    obs.merge_counters(record.counters)
     summary.counts[record.outcome] = summary.counts.get(record.outcome, 0) + 1
     if record.topology:
         summary.by_topology[record.topology] = (

@@ -2,8 +2,8 @@
 
 One seeded fault schedule (:class:`~repro.faults.plane.FaultSchedule`)
 plus one generated program set, driven through a real slice of the
-pipeline (HTTP server → daemon → driver → sharded engine → checkpoint
-→ journal → cache), with every answer machine-checked against the
+pipeline (HTTP server → daemon → driver → engine → checkpoint →
+journal → cache), with every answer machine-checked against the
 invariants the service claims to hold *under faults*:
 
 ``service-answers``
@@ -65,10 +65,6 @@ WAIT_SEC = 20.0
 #: programs driven through the service per case (distinct corpus seeds)
 PROGRAMS_PER_CASE = 2
 
-#: fault points exercised through the sharded-engine channel rather
-#: than the single-process inline service
-SHARD_POINTS = frozenset({"shard.boundary.corrupt", "shard.worker.kill"})
-
 #: fault points exercised through a real HTTP round-trip
 HTTP_POINTS = frozenset({"http.client.disconnect"})
 
@@ -90,7 +86,7 @@ class CaseResult:
     case: int
     label: str
     focus: str
-    channel: str  # "service" | "shard" | "http" | "ckpt" | "metrics"
+    channel: str  # "service" | "http" | "ckpt" | "metrics"
     ok: bool = True
     violations: List[str] = field(default_factory=list)
     coverage: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -344,58 +340,6 @@ def _check_replay(state_dir: Path, case: CaseResult) -> None:
         case.fail("journal-replay", f"recovery raised {exc!r}")
 
 
-def _run_shard_case(state_dir: Path, programs, case: CaseResult) -> None:
-    """Sharded-engine channel: the fault points that live in the
-    multi-process fixpoint need a ShardedEngine run to be reachable.
-
-    The reference here is the *serial engine*, not the dynamic oracle:
-    a bare engine+client answer may legitimately under-approximate
-    (GIVEUP_NO_MATCH — the driver ladder's mpi-cfg rung is what restores
-    the superset guarantee), so the shard invariant is the equivalence
-    gate — a faulted sharded run either reproduces the serial answer
-    exactly, or gives up with the loss accounted in a diagnostic."""
-    from repro.analyses.simple_symbolic import SimpleSymbolicClient
-    from repro.core.engine import EngineLimits, PCFGEngine
-    from repro.core.shard import ShardedEngine
-    from repro.lang.cfg import build_cfg
-
-    generated = programs[0]
-    limits = EngineLimits(deadline_sec=WAIT_SEC)
-    try:
-        result = ShardedEngine(
-            build_cfg(generated.parse()),
-            SimpleSymbolicClient(),
-            limits,
-            jobs=2,
-        ).run()
-    except Exception as exc:
-        case.fail("service-answers", f"sharded run raised {exc!r}")
-        return
-    accounted = bool(result.diagnostics)
-    # serial reference run: touches no instrumented boundary (no
-    # checkpointer, no workers), so the live plane cannot perturb it
-    serial = PCFGEngine(
-        build_cfg(generated.parse()), SimpleSymbolicClient(), limits
-    ).run()
-    if set(result.matches) == set(serial.matches):
-        return
-    if not accounted:
-        case.fail(
-            "soundness",
-            f"{generated.corpus_id}: faulted sharded answer diverges from "
-            "serial with no diagnostic accounting for the loss",
-        )
-    elif not result.gave_up:
-        case.fail(
-            "soundness",
-            f"{generated.corpus_id}: faulted sharded {result.confidence} "
-            f"answer differs from serial "
-            f"(missing {len(set(serial.matches) - set(result.matches))}, "
-            f"extra {len(set(result.matches) - set(serial.matches))}) "
-            "without giving up",
-        )
-
-
 def _run_ckpt_case(state_dir: Path, programs, case: CaseResult) -> None:
     """Checkpointer channel: an engine run writing a snapshot every step
     while the disk fails underneath it.  The invariants are the atomic-
@@ -451,7 +395,9 @@ _HTTP_TRIES = 4
 
 def _http_get(base: str, path: str, timeout: float = WAIT_SEC):
     """GET returning (status, document); (0, {}) only if every attempt
-    was torn by an injected disconnect."""
+    was torn by an injected disconnect.  A cut inside the headers can
+    drop ``Content-Length``, so a torn body may also read as short,
+    undecodable JSON rather than ``IncompleteRead``."""
     for _ in range(_HTTP_TRIES):
         try:
             with urllib.request.urlopen(base + path, timeout=timeout) as resp:
@@ -461,7 +407,7 @@ def _http_get(base: str, path: str, timeout: float = WAIT_SEC):
             if body_doc is None:
                 continue  # error body itself torn mid-send
             return exc.code, body_doc
-        except (OSError, http.client.HTTPException):
+        except (OSError, ValueError, http.client.HTTPException):
             continue
     return 0, {}
 
@@ -490,7 +436,7 @@ def _http_post(base: str, path: str, body: bytes, timeout: float = WAIT_SEC):
             if body_doc is None:
                 continue
             return exc.code, body_doc
-        except (OSError, http.client.HTTPException):
+        except (OSError, ValueError, http.client.HTTPException):
             continue
     return 0, {}
 
@@ -634,8 +580,6 @@ def _run_metrics_case(state_dir: Path, programs, case: CaseResult) -> None:
 
 
 def _channel_for(schedule: FaultSchedule) -> str:
-    if schedule.focus in SHARD_POINTS:
-        return "shard"
     if schedule.focus in HTTP_POINTS:
         return "http"
     if schedule.focus in CKPT_POINTS:
@@ -662,9 +606,7 @@ def run_case(base_seed: int, case_index: int, state_root: Path) -> CaseResult:
     reset_state()
     plane.install(schedule)
     try:
-        if case.channel == "shard":
-            _run_shard_case(state_dir, programs, case)
-        elif case.channel == "http":
+        if case.channel == "http":
             _run_http_case(state_dir, programs, case)
         elif case.channel == "ckpt":
             _run_ckpt_case(state_dir, programs, case)

@@ -1,19 +1,19 @@
 """Deterministic, seeded cross-layer fault plane.
 
 Every prior robustness mechanism injects faults into *one* layer: the
-chaos suite perturbs the engine, the crash suite SIGKILLs the daemon,
-the shard tests kill one worker.  This module is the shared switchboard
-those layers (and everything between them) register with, so one seeded
-schedule can misbehave anywhere in the pipeline and the invariant
-harness (:mod:`repro.faults.invariants`) can check the end-to-end answer
-stays sound.
+chaos suite perturbs the engine, the crash suite SIGKILLs the daemon.
+This module is the shared switchboard those layers (and everything
+between them) register with, so one seeded schedule can misbehave
+anywhere in the pipeline and the invariant harness
+(:mod:`repro.faults.invariants`) can check the end-to-end answer stays
+sound.
 
 Design, mirroring :mod:`repro.obs.provenance`:
 
 * **Named injection points** (:data:`CATALOG`) live at trust boundaries:
-  disk writes in the checkpointer/cache/journal, cache reads, shard
-  boundary-fact codecs, worker processes, the daemon queue and clock,
-  and the HTTP response path.  Instrumented code calls
+  disk writes in the checkpointer/cache/journal, cache reads, the
+  daemon's attempt worker, queue and clock, the HTTP response path, and
+  the ``/metrics`` render.  Instrumented code calls
   :func:`check(point) <check>`; the call answers ``None`` ("behave") or
   a :class:`PlannedFault` ("misbehave now, like this").
 * **Zero cost when disabled**: the process-global plane is ``None`` by
@@ -60,8 +60,6 @@ CATALOG: "Dict[str, str]" = {
     "cache.read.corrupt": "result-cache entry read returns bit-flipped bytes",
     "journal.append.enospc": "journal append fails with ENOSPC before writing",
     "journal.append.torn": "journal append crashes mid-line (torn tail)",
-    "shard.boundary.corrupt": "a shard boundary fact decodes as garbage",
-    "shard.worker.kill": "one shard worker process is SIGKILLed mid-round",
     "daemon.worker.kill": "the daemon's attempt worker dies mid-attempt",
     "daemon.clock.pressure": "the attempt deadline collapses to near zero",
     "daemon.queue.overflow": "the admission queue reports full",

@@ -251,10 +251,10 @@ class Recorder:
     def merge_counters(self, counters: Dict[str, int]) -> None:
         """Fold a counter snapshot from another process into this recorder.
 
-        Worker processes (the sharded engine, sweep/batch pool workers)
-        cannot share the parent's recorder; they enable a private one,
-        return ``dict(recorder.counters)`` with their result, and the
-        parent merges it here so ``engine.*``/``sweep.*`` counts survive
+        Worker processes (:func:`repro.core.driver.pool_map` workers, the
+        daemon's attempt children) cannot share the parent's recorder;
+        they enable a private one, return ``dict(recorder.counters)`` with
+        their result, and the parent merges it here so ``engine.*``/``sweep.*`` counts survive
         the pool.  Service job threads use the same pattern through
         :func:`job_recording`.  Spans and histograms are deliberately not
         merged: their wall-clock attribution is only meaningful within

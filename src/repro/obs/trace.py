@@ -1,9 +1,8 @@
 """Cross-process request tracing: trace-context propagation + span shards.
 
-One analysis request crosses four process/thread boundaries before it is
-answered: the HTTP handler thread, the daemon's job worker thread, the
-process-isolated attempt child, and (for large programs) the sharded
-engine's pool workers.  This module gives that request one identity — a
+One analysis request crosses three process/thread boundaries before it
+is answered: the HTTP handler thread, the daemon's job worker thread,
+and the process-isolated attempt child.  This module gives that request one identity — a
 ``trace_id`` minted at admission — and records what each process did on
 its behalf as *span shards*: per-process JSONL files of completed spans,
 stitched back into a single Chrome trace by :func:`stitch` (the
@@ -14,9 +13,9 @@ Design points:
 * **Context is thread-local and explicit across processes.**
   :func:`activate` installs a :class:`TraceContext` for the current
   thread; anything shipped to another process carries
-  ``ctx.to_dict()`` in its payload (journal record, pipe message, shard
-  task) and re-activates it on the far side.  Nothing is ambient magic:
-  a process that was not handed a context records nothing.
+  ``ctx.to_dict()`` in its payload (journal record, pipe message) and
+  re-activates it on the far side.  Nothing is ambient magic: a process
+  that was not handed a context records nothing.
 * **Disabled mode is two attribute reads.**  With no active context or
   no configured sink, :func:`span` yields without allocating a child
   context and writes nothing — the engine's tier-1 timings stay flat.

@@ -44,7 +44,6 @@ records stay addressable, and the journal is compacted.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import queue
 import random
@@ -62,6 +61,7 @@ from repro.core.driver import (
     analyze_with_fallback,
     baseline_ladder,
     default_ladder,
+    fork_context,
 )
 from repro.core.engine import EngineLimits
 from repro.faults import plane as faults
@@ -303,13 +303,6 @@ class _null_context:
 
     def __exit__(self, *exc):
         return False
-
-
-def _fork_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX
-        return multiprocessing.get_context()
 
 
 # -- the service ---------------------------------------------------------------
@@ -761,7 +754,7 @@ class AnalysisService:
         timeout = self._attempt_timeout(limits, ladder_kind)
         span_ctx = trace.current()
         sink = trace.sink()
-        ctx = _fork_context()
+        ctx = fork_context()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_attempt_child,

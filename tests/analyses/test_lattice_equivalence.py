@@ -1,47 +1,28 @@
 """The optimized lattice is observably identical to the pre-overhaul one.
 
-Every corpus program is analyzed twice: once with the full PR-2 machinery
-(COW graphs, closure/equivalence memos, priority worklist, interned states)
-and once with every optimization disabled (``naive_copy`` client, interning
-off).  The observable analysis outcome — convergence, the match relation,
-and the blocked/vacuous diagnostics — must be identical.
-
-The same oracle gates the sharded executor: at every worker count the
-multi-process engine must report the identical observable outcome, so any
-speedup it buys can never come from changing answers.
+Every registered program is analyzed twice with the client its spec
+names (``CartesianClient`` for ``client="cartesian"``, else
+``SimpleSymbolicClient``): once with the full PR-2 machinery (COW graphs,
+closure/equivalence memos, priority worklist, interned states) and once
+with every optimization disabled (``naive_copy`` client, interning off).
+The observable analysis outcome — convergence, the match relation, and
+the blocked/vacuous diagnostics — must be identical.
 """
 
 import pytest
 
+from repro.analyses.cartesian import CartesianClient
 from repro.analyses.simple_symbolic import SimpleSymbolicClient
 from repro.core.engine import PCFGEngine
-from repro.core.shard import ShardedEngine
 from repro.lang import build_cfg, programs
 
-CORPUS = [
-    "pingpong",
-    "broadcast_fanout",
-    "gather_to_root",
-    "scatter_from_root",
-    "exchange_with_root",
-    "shift_right",
-    "pipeline_stages",
-    "ring_shift_nowrap",
-    "master_worker",
-    "mdcask_full",
-    "neighbor_exchange_1d",
-    "sequential_only",
-]
 
-
-def _observe(name: str, optimized: bool, jobs: int = 1):
-    cfg = build_cfg(programs.get(name).parse())
-    client = SimpleSymbolicClient(naive_copy=not optimized)
-    if jobs > 1:
-        engine = ShardedEngine(cfg, client, jobs=jobs, intern_states=optimized)
-    else:
-        engine = PCFGEngine(cfg, client, intern_states=optimized)
-    result = engine.run()
+def _observe(name: str, optimized: bool):
+    spec = programs.get(name)
+    client_class = CartesianClient if spec.client == "cartesian" else SimpleSymbolicClient
+    cfg = build_cfg(spec.parse())
+    client = client_class(naive_copy=not optimized)
+    result = PCFGEngine(cfg, client, intern_states=optimized).run()
     return {
         "gave_up": result.gave_up,
         "matches": frozenset(result.matches),
@@ -50,15 +31,6 @@ def _observe(name: str, optimized: bool, jobs: int = 1):
     }
 
 
-@pytest.mark.parametrize("name", CORPUS)
+@pytest.mark.parametrize("name", programs.names())
 def test_optimized_lattice_matches_naive(name):
     assert _observe(name, optimized=True) == _observe(name, optimized=False)
-
-
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_sharded_lattice_matches_serial(jobs):
-    """Worker count never changes the observable outcome (whole corpus)."""
-    for name in CORPUS:
-        serial = _observe(name, optimized=True)
-        sharded = _observe(name, optimized=True, jobs=jobs)
-        assert sharded == serial, f"jobs={jobs} program={name}: {sharded} != {serial}"

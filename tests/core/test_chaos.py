@@ -26,7 +26,6 @@ from repro.analyses.simple_symbolic import SimpleSymbolicClient
 from repro.core import diagnostics
 from repro.core.diagnostics import CLIENT_FAULT
 from repro.core.engine import EngineLimits, PCFGEngine
-from repro.core.shard import ShardedEngine
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
 from repro.obs import provenance
@@ -68,37 +67,25 @@ def clean_run(name):
     return _CLEAN_CACHE[name]
 
 
-def chaos_run(name, seed, fault_rate=0.08, strict=False, only=None, jobs=1):
+def chaos_run(name, seed, fault_rate=0.08, strict=False, only=None):
     program = programs.get(name).parse()
     cfg = build_cfg(program)
     client = ChaosClient(
         SimpleSymbolicClient(), seed=seed, fault_rate=fault_rate, only=only
     )
     limits = EngineLimits(max_steps=2_000, strict=strict)
-    if jobs > 1:
-        result = ShardedEngine(cfg, client, limits, jobs=jobs).run()
-    else:
-        result = PCFGEngine(cfg, client, limits).run()
+    result = PCFGEngine(cfg, client, limits).run()
     return result, client
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_chaos_seed_sweep_never_crashes(jobs):
-    """No (program, seed, worker count) combination makes run() raise — ever.
-
-    With ``jobs > 1`` the faults fire inside pool workers (each worker's
-    ChaosClient replays its own schedule) and the parent must contain
-    whatever comes back — including states the codec refuses to ship.
-    The parent's ``client.log`` stays empty in that case (the injections
-    happened in other processes), so the admits-its-faults assertion only
-    applies to the in-process run.
-    """
+def test_chaos_seed_sweep_never_crashes():
+    """No (program, seed) combination makes run() raise — ever."""
     crashes = []
     for name in CORPUS:
         for offset in range(8):
             seed = CHAOS_SEED + offset
             try:
-                result, client = chaos_run(name, seed, jobs=jobs)
+                result, client = chaos_run(name, seed)
             except BaseException as exc:  # noqa: BLE001 - the point of the test
                 crashes.append((name, seed, repr(exc)))
                 continue
@@ -106,15 +93,15 @@ def test_chaos_seed_sweep_never_crashes(jobs):
                 diagnostics.EXACT,
                 diagnostics.PARTIAL,
                 diagnostics.GAVE_UP,
-            ), f"CHAOS_SEED={seed} program={name} jobs={jobs}: bad confidence"
-            if jobs == 1 and client.log:
+            ), f"CHAOS_SEED={seed} program={name}: bad confidence"
+            if client.log:
                 # at least one injected fault: the result must admit it
                 assert result.diagnostics, (
                     f"CHAOS_SEED={seed} program={name}: faults injected "
                     f"{client.log} but result claims no diagnostics"
                 )
     assert not crashes, (
-        f"engine crashed (CHAOS_SEED base {CHAOS_SEED}, jobs={jobs}): {crashes}"
+        f"engine crashed (CHAOS_SEED base {CHAOS_SEED}): {crashes}"
     )
 
 

@@ -1,17 +1,33 @@
-"""The precision-fallback ladder (`repro.core.driver`)."""
+"""The precision-fallback ladder and the batch pool (`repro.core.driver`)."""
 
 from __future__ import annotations
 
-from repro.core import diagnostics
+import os
+import signal
+
+from repro.core import diagnostics, driver
 from repro.core.driver import (
+    analyze_batch,
     analyze_with_fallback,
     default_ladder,
     escalate,
+    pool_map,
 )
 from repro.core.engine import EngineLimits
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
+from repro.obs import recorder as obs
 from repro.runtime import run_program
+
+SMALL_CORPUS = ["pingpong", "shift_right", "master_worker", "mdcask_full"]
+
+#: the test process; pool workers are forks of it with other pids
+_PARENT = os.getpid()
+
+
+def _kill_this_worker() -> None:
+    assert os.getpid() != _PARENT
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def test_first_rung_exact_wins_and_stops():
@@ -97,3 +113,68 @@ def test_report_describe_names_the_answering_rung():
     text = report.describe()
     assert "answer from rung: mpi-cfg" in text
     assert "cartesian: partial" in text
+
+
+# -- the pool: batch analysis -----------------------------------------------------
+
+
+def _digest(pairs):
+    return [
+        (
+            getattr(item, "name", "?"),
+            report.rung_name,
+            report.result.confidence,
+            frozenset(report.result.matches),
+        )
+        for item, report in pairs
+    ]
+
+
+def test_parallel_batch_matches_serial_in_order():
+    items = [programs.get(name) for name in SMALL_CORPUS]
+    serial = _digest(analyze_batch(items))
+    parallel = _digest(analyze_batch(items, jobs=2))
+    assert parallel == serial  # same answers, input order preserved
+
+
+def test_parallel_batch_merges_worker_counters():
+    items = [programs.get(name) for name in SMALL_CORPUS]
+    with obs.recording() as recorder:
+        list(analyze_batch(items, jobs=2))
+    assert recorder.counters.get("engine.steps", 0) > 0
+
+
+def _square_or_die(n: int) -> int:
+    if n == 3 and os.getpid() != _PARENT:
+        _kill_this_worker()
+    return n * n
+
+
+def test_pool_map_retries_a_killed_worker_in_process():
+    with obs.recording() as recorder:
+        pairs = list(pool_map(_square_or_die, range(8), jobs=2))
+    assert pairs == [(n, n * n) for n in range(8)]
+    assert recorder.counters.get("driver.pool.worker_lost", 0) >= 1
+
+
+def test_pool_map_unpicklable_fn_runs_serially():
+    offset = 10
+    pairs = list(pool_map(lambda n: n + offset, [1, 2, 3], jobs=2))
+    assert pairs == [(1, 11), (2, 12), (3, 13)]
+
+
+def test_batch_survives_a_killed_worker(monkeypatch):
+    items = [programs.get(name) for name in SMALL_CORPUS]
+    serial = _digest(analyze_batch(items))
+    analyze = driver.analyze_with_fallback
+
+    def analyze_or_die(item, **kwargs):
+        if item.name == "master_worker" and os.getpid() != _PARENT:
+            _kill_this_worker()
+        return analyze(item, **kwargs)
+
+    monkeypatch.setattr(driver, "analyze_with_fallback", analyze_or_die)
+    with obs.recording() as recorder:
+        parallel = _digest(analyze_batch(items, jobs=2))
+    assert parallel == serial
+    assert recorder.counters.get("driver.pool.worker_lost", 0) >= 1

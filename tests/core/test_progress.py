@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 
 from repro.core import progress
-from repro.core.driver import analyze_with_fallback
+from repro.core.driver import analyze_with_fallback, default_ladder
 from repro.lang import programs
 
 
@@ -60,16 +60,15 @@ class TestDriverEvents:
         assert beats[0]["steps"] == 1
         assert "worklist" in beats[0]
 
-    def test_progress_forces_serial_climb(self):
-        # a progress hook disables rung speculation: events arrive in
-        # ladder order even with jobs > 1
+    def test_rung_events_arrive_in_ladder_order(self):
+        # ring_modular climbs the whole ladder: one rung event per rung,
+        # in ladder order
         events = []
         analyze_with_fallback(
-            programs.get("pingpong").parse(), jobs=2, progress=events.append
+            programs.get("ring_modular").parse(), progress=events.append
         )
         rungs = [e["rung"] for e in events if e["event"] == "rung"]
-        assert rungs == sorted(rungs, key=rungs.index)  # stable serial order
-        assert rungs[0] == "cartesian"
+        assert rungs == [rung.name for rung in default_ladder()]
 
     def test_throwing_hook_does_not_abort_analysis(self):
         calls = []

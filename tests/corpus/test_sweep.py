@@ -4,6 +4,11 @@ manifest drift detection, and the JSONL report format."""
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,7 @@ from repro.corpus.sweep import (
 from repro.obs import recorder as obs
 
 MANIFEST = Path(__file__).resolve().parents[2] / "corpus" / "manifest_smoke.json"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def first_communicating_seed(start: int = 0) -> int:
@@ -137,7 +143,6 @@ class TestSweepDriver:
             pooled = run_sweep(seeds, tier="smoke", base_seed=SMOKE_SEED, jobs=2)
         assert pooled.counts == serial.counts
         assert recorder.counters.get("engine.steps", 0) == serial_steps
-        # per-record snapshots also survive in the JSONL payload
         assert recorder.counters.get("sweep.programs", 0) == len(seeds)
 
     def test_pool_counters_skipped_when_not_recording(self):
@@ -149,5 +154,60 @@ class TestSweepDriver:
             on_record=captured.append,
         )
         assert summary.total == 2
-        # observability disabled: workers must not pay for a recorder
-        assert all(record.counters is None for record in captured)
+        # observability disabled: nothing is captured, nothing merged home,
+        # and the JSONL records carry no counter payload
+        assert not obs.enabled()
+        assert all(
+            "counters" not in json.loads(record.to_json()) for record in captured
+        )
+
+    def test_killed_pool_worker_neither_hangs_nor_changes_answers(self):
+        """SIGKILL one forked sweep worker: the sweep must still finish,
+        with the serial records in input order.  Runs in a subprocess
+        under a timeout, so a pool that never notices the lost task fails
+        the test instead of hanging the suite."""
+        script = textwrap.dedent(
+            """
+            import json, os, signal, sys
+            from repro.corpus import sweep
+
+            seeds = [int(arg) for arg in sys.argv[1:]]
+            parent = os.getpid()
+            generate = sweep.generate
+
+            def generate_or_die(seed):
+                if seed == seeds[2] and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return generate(seed)
+
+            def answers(jobs):
+                records = []
+                sweep.run_sweep(seeds, jobs=jobs, on_record=records.append)
+                return [
+                    [r.corpus_id, r.outcome, r.rung, r.claimed_edges,
+                     r.diagnostic_codes]
+                    for r in records
+                ]
+
+            serial = answers(1)
+            sweep.generate = generate_or_die
+            print(json.dumps({"serial": serial, "pooled": answers(2)}))
+            """
+        )
+        seeds = [g.seed for g in load_manifest(MANIFEST)[:6]]
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, *map(str, seeds)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env, start_new_session=True,
+        )
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)  # the pool's workers too
+            child.communicate()
+            pytest.fail("run_sweep hung after a pool worker was SIGKILLed")
+        assert child.returncode == 0, err
+        result = json.loads(out)
+        assert len(result["serial"]) == len(seeds)
+        assert result["pooled"] == result["serial"]

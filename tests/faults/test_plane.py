@@ -77,17 +77,17 @@ def test_from_env_never_raises(monkeypatch, bad):
 
 def test_plane_counts_arrivals_and_firings():
     schedule = FaultSchedule(
-        plans=(PlannedFault("shard.worker.kill", hit=2),), label="t"
+        plans=(PlannedFault("daemon.worker.kill", hit=2),), label="t"
     )
     fault_plane = FaultPlane(schedule)
-    assert fault_plane.check("shard.worker.kill") is None  # arrival 1
-    assert fault_plane.check("shard.worker.kill") is not None  # arrival 2
-    assert fault_plane.check("shard.worker.kill") is None  # arrival 3
+    assert fault_plane.check("daemon.worker.kill") is None  # arrival 1
+    assert fault_plane.check("daemon.worker.kill") is not None  # arrival 2
+    assert fault_plane.check("daemon.worker.kill") is None  # arrival 3
     coverage = fault_plane.coverage()
-    assert coverage["shard.worker.kill"] == {"hits": 3, "fired": 1}
+    assert coverage["daemon.worker.kill"] == {"hits": 3, "fired": 1}
     # zero-filled over the whole catalog, so "never exercised" is visible
     assert set(coverage) == set(CATALOG)
-    assert fault_plane.fired_points() == ["shard.worker.kill"]
+    assert fault_plane.fired_points() == ["daemon.worker.kill"]
 
 
 def test_unknown_point_counts_but_never_fires():

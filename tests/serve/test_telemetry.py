@@ -235,36 +235,3 @@ class TestTraceStitching:
                 assert node not in seen
                 seen.add(node)
                 node = parent_of[node]
-
-    def test_sharded_pool_workers_write_shards(self, tmp_path):
-        """ShardedEngine pool workers receive the context in their task
-        payloads and contribute their own span shards."""
-        from repro.analyses.simple_symbolic import SimpleSymbolicClient
-        from repro.core.engine import EngineLimits
-        from repro.core.shard import ShardedEngine
-        from repro.lang.cfg import build_cfg
-
-        sink = tmp_path / "traces"
-        trace.configure_sink(sink, "parent")
-        ctx = trace.mint()
-        program = generate(69).parse()
-        with trace.activate(ctx):
-            with trace.span("test.root"):
-                result = ShardedEngine(
-                    build_cfg(program),
-                    SimpleSymbolicClient(),
-                    EngineLimits(deadline_sec=20.0),
-                    jobs=2,
-                ).run()
-        assert result.steps > 0
-        records = trace.load_spans(sink, ctx.trace_id)
-        names = {record["name"] for record in records}
-        assert "test.root" in names
-        assert "engine.shard.run" in names
-        worker_pids = {
-            record["pid"] for record in records
-            if record["name"] == "engine.shard.run"
-        }
-        assert worker_pids, "pool workers recorded no spans"
-        document = trace.stitch(sink, ctx.trace_id)
-        assert len({e["pid"] for e in document["traceEvents"]}) >= 2
