@@ -37,12 +37,10 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core import diagnostics
-from repro.core import progress as progress_hooks
 from repro.core.engine import AnalysisResult, EngineLimits
 from repro.core.topology import MatchRecord, StaticTopology
+from repro.obs import context, slog
 from repro.obs import recorder as obs
-from repro.obs import slog
-from repro.obs import trace
 
 RungRunner = Callable[[object, EngineLimits], Tuple[AnalysisResult, object, object]]
 
@@ -243,8 +241,8 @@ def analyze_with_fallback(
 
     ``progress`` (a callable of one event dict) receives a ``rung``
     event as each rung starts, plus the engine heartbeats emitted below
-    it (installed ambiently via :mod:`repro.core.progress`, so rung
-    runners need no signature change).
+    it: each rung binds it into the thread's :mod:`repro.obs.context`,
+    so rung runners need no signature change.
     """
     if hasattr(program_or_spec, "parse"):
         program = program_or_spec.parse()
@@ -254,15 +252,9 @@ def analyze_with_fallback(
     report = FallbackReport()
     carry = resume
     for rung in rungs:
-        if progress is not None:
-            try:
-                progress({"event": "rung", "rung": rung.name})
-            except Exception:  # a throwing subscriber must not abort the climb
-                progress = None
         wants_ckpt = (checkpointer is not None or carry is not None)
-        with obs.span(f"driver.rung.{rung.name}"), trace.span(
-            f"driver.rung.{rung.name}"
-        ), progress_hooks.installed(progress):
+        with context.bound(progress=progress), obs.span(f"driver.rung.{rung.name}"):
+            context.emit({"event": "rung", "rung": rung.name})
             if wants_ckpt and _supports_checkpointing(rung.run):
                 result, cfg, client = rung.run(
                     program, rung.limits, checkpointer=checkpointer, resume=carry
@@ -322,7 +314,8 @@ def _pool_call(task: tuple) -> tuple:
     fn, item, capture = task
     if not capture:
         return fn(item), None
-    with obs.recording() as recorder:
+    recorder = obs.Recorder()
+    with context.bound(recorder=recorder):
         value = fn(item)
     return value, dict(recorder.counters)
 

@@ -80,7 +80,6 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core import checkpoint as checkpoint_mod
 from repro.core import diagnostics
-from repro.core import progress as progress_hooks
 from repro.core.client import ClientAnalysis, ClientState
 from repro.core.diagnostics import EXACT, Diagnostic
 from repro.core.errors import ClientFault, GiveUp, MalformedCFG
@@ -88,8 +87,13 @@ from repro.core.pcfg import ExploredPCFG, PCFGNodeKey
 from repro.core.step import RECOVERABLE, StepCore
 from repro.core.topology import MatchRecord, StaticTopology
 from repro.lang.cfg import CFG
-from repro.obs import provenance, slog
+from repro.obs import context, provenance, slog
 from repro.obs import recorder as obs
+
+#: engine steps between progress heartbeats: coarse enough that a
+#: 20k-step budget emits at most ~80 events (each may cross a pipe and an
+#: HTTP chunk), fine enough to watch convergence
+HEARTBEAT_EVERY_STEPS = 256
 
 #: recoverable-failure type -> provenance event kind / slog event name
 _FAILURE_KINDS = {
@@ -187,7 +191,6 @@ class PCFGEngine(StepCore):
         limits: Optional[EngineLimits] = None,
         intern_states: bool = True,
         checkpointer: Optional["checkpoint_mod.Checkpointer"] = None,
-        progress: Optional[progress_hooks.ProgressHook] = None,
     ):
         self.cfg = cfg
         self.client = client
@@ -195,9 +198,9 @@ class PCFGEngine(StepCore):
         self.intern_states = intern_states
         #: on-disk checkpoint sink (None: budget-trip snapshots stay in memory)
         self.checkpointer = checkpointer
-        #: live streaming heartbeat sink — explicit argument wins, else the
-        #: ambient per-thread hook installed by the driver around each rung
-        self._progress = progress if progress is not None else progress_hooks.current()
+        #: live streaming heartbeat sink: the progress hook of the thread's
+        #: observability context (the driver binds it around each rung)
+        self._progress = context.current().progress
         #: per-run hash-consing table: state fingerprint -> canonical state
         self._intern: Dict[Any, ClientState] = {}
         #: live fixpoint state while a run is in flight (the atexit hook's view)
@@ -361,7 +364,7 @@ class PCFGEngine(StepCore):
                 obs.observe("engine.worklist.length", len(worklist))
                 if self._progress is not None and (
                     result.steps == 1
-                    or result.steps % progress_hooks.HEARTBEAT_EVERY_STEPS == 0
+                    or result.steps % HEARTBEAT_EVERY_STEPS == 0
                 ):
                     try:
                         self._progress({

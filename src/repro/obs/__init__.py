@@ -19,13 +19,24 @@ or profile a whole run in one call::
 
 The CLI equivalent is ``python -m repro profile <program>``.
 
-Two sibling subsystems share the module: :mod:`repro.obs.provenance` (the
-causal flight recorder behind ``repro explain`` and the Chrome-trace
-export of :mod:`repro.obs.export`) and :mod:`repro.obs.slog` (structured
-JSON logging to stderr, the ``--log-level`` / ``REPRO_LOG`` knob).
+:func:`span` is the only span call.  Where it reports is decided by the
+thread's :mod:`repro.obs.context`, one per-thread context carrying the
+trace ids, the job's private recorder and the progress hook, bound once
+at each boundary a request crosses (HTTP admission, the daemon job
+thread, the attempt child, the driver rung).  Request-level spans
+(``http.*``, ``serve.*``, ``driver.rung.*``) under a trace also land in
+per-process span shards, which :mod:`repro.obs.trace` stitches back into
+one Chrome trace.
+
+Two sinks stand on their own: :mod:`repro.obs.provenance` (the causal
+flight recorder behind ``repro explain``) and :mod:`repro.obs.slog`
+(structured JSON logging to stderr, the ``--log-level`` / ``REPRO_LOG``
+knob, which stamps lines with the context's trace ids).  Both Chrome
+traces, ``repro explain --trace`` and ``repro trace``, come from the one
+writer in :mod:`repro.obs.export`.
 """
 
-from repro.obs import export, metrics, provenance, slog, trace
+from repro.obs import context, export, metrics, provenance, slog, trace
 from repro.obs.profile import SPAN_CATEGORIES, Profile, build_profile, profile_program
 from repro.obs.provenance import ProvenanceEvent, ProvenanceRecorder
 from repro.obs.recorder import (
@@ -55,6 +66,7 @@ __all__ = [
     "SpanStats",
     "active_recorder",
     "build_profile",
+    "context",
     "disable",
     "enable",
     "enabled",

@@ -14,6 +14,8 @@ derivation DAG:
   archival/streaming form (also what the ring buffer spills on overflow,
   so the two are concatenable).
 
+:func:`chrome_trace` is the one Chrome-trace writer: it also builds the
+stitched request traces of :func:`repro.obs.trace.stitch`.
 :func:`validate_chrome_trace` is the structural schema check used by the
 tests and the ``explain-smoke`` CI job — no Chrome required.
 """
@@ -21,8 +23,9 @@ tests and the ``explain-smoke`` CI job — no Chrome required.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Dict, Iterable, List, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.obs.provenance import ProvenanceEvent, ProvenanceRecorder
 
@@ -69,55 +72,59 @@ def _events_of(source: _EventsSource) -> List[ProvenanceEvent]:
     return list(source)
 
 
+def chrome_trace(
+    processes: Dict[int, tuple], slices: Iterable[tuple], other_data: Optional[dict] = None
+) -> dict:
+    """Build a Chrome Trace Event Format document: the one writer behind
+    :func:`to_chrome_trace` and :func:`repro.obs.trace.stitch`.
+
+    ``processes`` maps each Chrome pid to ``(process name, thread names)``
+    with the thread names in tid order; ``slices`` yields ``(pid, tid,
+    name, category, ts, dur, args)`` complete events with times in
+    seconds.  Trace Event times are microseconds, and zero durations
+    render invisibly, so instants get a 1us floor.
+    """
+    trace: List[dict] = []
+    for pid, (process_name, threads) in processes.items():
+        trace.append(
+            {"ph": "M", "pid": pid, "tid": 0, "name": "process_name",
+             "args": {"name": process_name}}
+        )
+        trace.extend(
+            {"ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
+             "args": {"name": thread}}
+            for tid, thread in enumerate(threads)
+        )
+    for pid, tid, name, category, ts, dur, args in slices:
+        trace.append(
+            {"ph": "X", "pid": pid, "tid": tid, "name": name, "cat": category,
+             "ts": ts * 1e6, "dur": max(dur * 1e6, 1.0), "args": args}
+        )
+    document = {"displayTimeUnit": "ms", "traceEvents": trace}
+    if other_data:
+        document["otherData"] = other_data
+    return document
+
+
 def to_chrome_trace(source: _EventsSource, process_name: str = "repro") -> dict:
-    """Render events as a Chrome Trace Event Format document (a dict)."""
-    events = _events_of(source)
+    """Render provenance events as a Chrome trace, one track per kind."""
     tids = {name: index for index, name in enumerate(TRACK_ORDER)}
-    trace: List[dict] = [
-        {
-            "ph": "M",
-            "pid": 1,
-            "tid": 0,
-            "name": "process_name",
-            "args": {"name": process_name},
-        }
-    ]
-    for name, tid in sorted(tids.items(), key=lambda item: item[1]):
-        trace.append(
-            {
-                "ph": "M",
-                "pid": 1,
-                "tid": tid,
-                "name": "thread_name",
-                "args": {"name": name},
-            }
-        )
-    for event in events:
-        track = KIND_TRACKS.get(event.kind, "other")
-        args: Dict[str, object] = {"id": event.event_id, "step": event.step}
-        if event.parents:
-            args["parents"] = list(event.parents)
-        if event.node_key is not None:
-            args["node"] = [list(part) for part in event.node_key]
-        if event.detail:
-            args["detail"] = event.detail
-        if event.data is not None:
-            args["data"] = event.data
-        trace.append(
-            {
-                "ph": "X",
-                "pid": 1,
-                "tid": tids[track],
-                "name": event.kind,
-                "cat": track,
-                # Trace Event timestamps/durations are microseconds; zero
-                # durations render invisibly, so instants get a 1us floor
-                "ts": event.ts * 1e6,
-                "dur": max(event.dur * 1e6, 1.0),
-                "args": args,
-            }
-        )
-    return {"displayTimeUnit": "ms", "traceEvents": trace}
+
+    def slices():
+        for event in _events_of(source):
+            track = KIND_TRACKS.get(event.kind, "other")
+            args: Dict[str, object] = {"id": event.event_id, "step": event.step}
+            if event.parents:
+                args["parents"] = list(event.parents)
+            if event.node_key is not None:
+                args["node"] = [list(part) for part in event.node_key]
+            if event.detail:
+                args["detail"] = event.detail
+            if event.data is not None:
+                args["data"] = event.data
+            yield 1, tids[track], event.kind, track, event.ts, event.dur, args
+
+    return chrome_trace({1: (process_name, TRACK_ORDER)}, slices())
 
 
 def write_chrome_trace(
@@ -135,7 +142,7 @@ def validate_chrome_trace(document: object) -> None:
 
     Raises ``ValueError`` naming the first violation; returning means the
     document is loadable by ``chrome://tracing`` / Perfetto (JSON object
-    form, complete/metadata phases, numeric non-negative timestamps).
+    form, complete/metadata phases, finite non-negative timestamps).
     """
     if not isinstance(document, dict):
         raise ValueError("trace document must be a JSON object")
@@ -157,7 +164,7 @@ def validate_chrome_trace(document: object) -> None:
         if phase == "X":
             for key in ("ts", "dur"):
                 value = event.get(key)
-                if not isinstance(value, (int, float)) or value != value:
+                if not isinstance(value, (int, float)) or not math.isfinite(value):
                     raise ValueError(f"{where} has non-numeric {key!r}")
                 if value < 0:
                     raise ValueError(f"{where} has negative {key!r}")
@@ -200,7 +207,13 @@ def read_journal(path) -> List[ProvenanceEvent]:
         if not line.strip():
             continue
         try:
-            events.append(ProvenanceEvent.from_dict(json.loads(line)))
+            document = json.loads(line)
+        except ValueError:
+            continue
+        if not isinstance(document, dict):
+            continue
+        try:
+            events.append(ProvenanceEvent.from_dict(document))
         except (ValueError, KeyError):
             continue
     return events

@@ -6,8 +6,8 @@ without importing any client library:
 
 * **obs recorder counters** become per-name counter families
   (``engine.steps`` -> ``repro_engine_steps_total``), so the worker
-  counters the daemon merges home via ``counter_snapshot`` /
-  ``merge_counters`` are scrapeable instead of dying with the worker;
+  counters the daemon merges home via ``merge_counters`` are
+  scrapeable instead of dying with the worker;
 * **obs recorder histograms** become summary families (quantiles from
   the shared nearest-rank :func:`repro.obs.recorder.percentile`, plus
   ``_count``/``_sum``).  Names carrying a trailing dimension — the

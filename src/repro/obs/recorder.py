@@ -21,25 +21,49 @@ The default recorder is process-global and unlocked, matching the
 single-threaded analysis engine.  The analysis *service* runs concurrent
 jobs in worker threads, which needs two extra pieces:
 
-* **per-job isolation** (the fast path): :func:`job_recording` installs a
-  private recorder for the current thread only — the same snapshot/merge
-  pattern the PR 7 process pools use, so a job's counters never race with
-  another job's and are folded into the shared recorder in one locked
-  :func:`merge_counters` call at job end;
+* **per-job isolation** (the fast path): a job binds a private recorder
+  into its thread's :mod:`~repro.obs.context` (``bound(recorder=...)``),
+  which shadows the process-global one for that thread only, so a job's
+  counters never race with another job's and are folded into the shared
+  recorder in one locked :func:`merge_counters` call at job end;
 * **a locked fallback**: ``Recorder(locked=True)`` serializes counter and
   histogram updates (and keeps a per-thread span stack), so the *shared*
   recorder that absorbs those merges — and any stray unisolated
   ``incr`` from a service thread — stays consistent under concurrency.
+
+Span shards
+-----------
+
+:func:`span` is the only span call.  Besides aggregating, a
+request-level span (:data:`~repro.obs.context.REQUEST_LAYERS`) under a
+bound trace appends one record to this process's shard file when a sink
+is configured (:func:`configure_sink`; the daemon uses
+``<state_dir>/traces``)::
+
+    <sink>/<trace_id>-<os_pid>.jsonl
+    {"trace": ..., "span": ..., "parent": ..., "name": "serve.job",
+     "ts": 1723.4, "dur": 0.12, "pid": 4711, "tid": 139..., "proc":
+     "daemon", "data": {...}}
+
+:func:`repro.obs.trace.stitch` reads them back.  Writes never raise: a
+full disk degrades tracing, not analysis (``trace.write_errors``).
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import threading
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Union
+
+from repro.obs import context
+from repro.obs.context import REQUEST_LAYERS, TraceContext, mint_id
 
 
 class _NullSpan:
@@ -255,8 +279,8 @@ class Recorder:
         daemon's attempt children) cannot share the parent's recorder;
         they enable a private one, return ``dict(recorder.counters)`` with
         their result, and the parent merges it here so ``engine.*``/``sweep.*`` counts survive
-        the pool.  Service job threads use the same pattern through
-        :func:`job_recording`.  Spans and histograms are deliberately not
+        the pool.  Service job threads use the same pattern with a
+        recorder bound into their context.  Spans and histograms are deliberately not
         merged: their wall-clock attribution is only meaningful within
         one process.
         """
@@ -329,20 +353,26 @@ AnyRecorder = Union[Recorder, NullRecorder]
 _NULL = NullRecorder()
 _active: AnyRecorder = _NULL
 
-#: per-thread recorder override (see :func:`job_recording`); checked before
-#: the process-global recorder so concurrent jobs stay isolated
-_tls = threading.local()
+#: process-global span-shard sink (a directory) and the human-readable
+#: role this process plays in stitched traces ("daemon", "worker", ...)
+_sink: Optional[Path] = None
+_process_name = "repro"
+
+#: the context's thread-local, read directly: :func:`span` and
+#: :func:`incr` sit on the engine's hot path, where a ``current()`` call
+#: per event would show in the disabled-mode overhead gate
+_ctx_local = context._local
 
 
 def active_recorder() -> AnyRecorder:
     """The currently installed recorder (Null when disabled).
 
-    A thread-local override installed by :func:`job_recording` shadows
-    the process-global recorder for the current thread.
+    A recorder bound into the current thread's context shadows the
+    process-global recorder for that thread.
     """
-    override = getattr(_tls, "override", None)
-    if override is not None:
-        return override
+    ctx = getattr(_ctx_local, "ctx", None)
+    if ctx is not None and ctx.recorder is not None:
+        return ctx.recorder
     return _active
 
 
@@ -376,13 +406,13 @@ def disable() -> None:
 def reset() -> None:
     """Disable and drop all collected data: the pristine default state.
 
-    Also clears the *current thread's* job-recording override, so test
-    isolation fixtures return this thread to the global recorder."""
+    Also drops the *current thread's* context, so test isolation
+    fixtures return this thread to the global recorder."""
     global _active
     if isinstance(_active, Recorder):
         _active.reset()
     _active = _NULL
-    _tls.override = None
+    context.reset()
 
 
 @contextmanager
@@ -390,8 +420,8 @@ def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
     """Temporarily install ``recorder`` (default: a fresh one), restoring
     the previous state on exit.  This is how profiling drivers isolate
     their measurements from the global recorder.  The swap is
-    process-global; concurrent job threads should use
-    :func:`job_recording` instead."""
+    process-global; concurrent job threads bind a recorder into their
+    context instead."""
     global _active
     previous = _active
     installed = recorder if recorder is not None else Recorder()
@@ -402,29 +432,76 @@ def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
         _active = previous
 
 
-@contextmanager
-def job_recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
-    """Install a private recorder for the *current thread only*.
+def configure_sink(path, process_name: str = "repro") -> Optional[Path]:
+    """Point span-shard writes at a directory (None disables).
 
-    The per-request isolation the analysis service uses: each concurrent
-    job records into its own recorder (no locks on the hot path, no
-    cross-job races), and the caller folds ``dict(recorder.counters)``
-    into the shared recorder with one :func:`merge_counters` call when
-    the job finishes — the same snapshot/merge pattern the PR 7 process
-    pools established.  Nesting restores the previous override on exit.
+    The daemon configures ``<state_dir>/traces`` before accepting work;
+    forked attempt children inherit the setting.
     """
-    installed = recorder if recorder is not None else Recorder()
-    previous = getattr(_tls, "override", None)
-    _tls.override = installed
+    global _sink, _process_name
+    _process_name = str(process_name) if process_name else "repro"
+    if path is None:
+        _sink = None
+        return None
+    _sink = Path(path)
     try:
-        yield installed
+        _sink.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        incr("trace.write_errors")
+        _sink = None
+    return _sink
+
+
+def sink() -> Optional[Path]:
+    return _sink
+
+
+def span(name: str, **data):
+    """Time a region: ``with obs.span("engine.step"): ...``
+
+    Aggregates into the active recorder.  A request-level span under a
+    bound trace, in a process with a shard sink, also runs as a child
+    span of that trace (nested spans and slog lines parent under it) and
+    appends one shard record carrying ``data`` on exit.
+    """
+    ctx = getattr(_ctx_local, "ctx", None)
+    if ctx is None:
+        return _active.span(name)
+    recorder = ctx.recorder if ctx.recorder is not None else _active
+    if ctx.trace is None or _sink is None or not name.startswith(REQUEST_LAYERS):
+        return recorder.span(name)
+    return _shard_span(recorder.span(name), ctx, name, data)
+
+
+@contextmanager
+def _shard_span(timed, ctx: context.Context, name: str, data: dict) -> Iterator[None]:
+    parent = ctx.trace
+    child = TraceContext(parent.trace_id, mint_id(), parent.span_id)
+    _ctx_local.ctx = replace(ctx, trace=child)
+    start = time.time()
+    try:
+        with timed:
+            yield
     finally:
-        _tls.override = previous
-
-
-def span(name: str):
-    """Time a region: ``with obs.span("engine.step"): ...``"""
-    return active_recorder().span(name)
+        _ctx_local.ctx = ctx
+        record = {
+            "trace": child.trace_id,
+            "span": child.span_id,
+            "parent": child.parent_id,
+            "name": name,
+            "ts": start,
+            "dur": max(time.time() - start, 0.0),
+            "pid": os.getpid(),
+            "tid": threading.get_ident(),
+            "proc": _process_name,
+            "data": {k: v for k, v in data.items() if v is not None},
+        }
+        try:
+            with open(_sink / f"{child.trace_id}-{os.getpid()}.jsonl", "a",
+                      encoding="utf-8") as handle:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        except (OSError, ValueError, TypeError):
+            incr("trace.write_errors")
 
 
 def incr(name: str, amount: int = 1) -> None:
@@ -442,12 +519,3 @@ def merge_counters(counters: Optional[Dict[str, int]]) -> None:
     when disabled or when the snapshot is None/empty)."""
     if counters:
         active_recorder().merge_counters(counters)
-
-
-def counter_snapshot() -> Optional[Dict[str, int]]:
-    """A plain-dict copy of the active recorder's counters for shipping
-    across a process boundary, or None when observability is disabled."""
-    recorder = active_recorder()
-    if isinstance(recorder, Recorder):
-        return dict(recorder.counters)
-    return None

@@ -9,7 +9,9 @@ object per line, machine-parseable by any log pipeline::
 
 Levels are the conventional ``debug < info < warning < error``.  Disabled
 (the default) costs one integer comparison per call site; callers emitting
-expensive payloads should pre-check :func:`enabled_for`.
+expensive payloads should pre-check :func:`enabled_for`.  A line written
+under a bound trace (:mod:`repro.obs.context`) carries its ``trace`` and
+``span`` ids; explicit fields win on clash.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import sys
 import time
 from typing import Any, Optional
 
+from repro.obs import context
+
 LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
 #: disabled sentinel: above every real level
@@ -29,19 +33,6 @@ _threshold = _OFF
 
 #: environment knob mirrored by the CLI's ``--log-level``
 ENV_VAR = "REPRO_LOG"
-
-#: optional callable returning ambient fields (e.g. the active trace/span
-#: ids) folded into every emitted record; explicit fields win on clash.
-#: Registered by :mod:`repro.obs.trace` at import — slog itself stays
-#: dependency-free.
-_context_provider = None
-
-
-def set_context_provider(provider) -> None:
-    """Install a zero-arg callable whose dict result (or None) is merged
-    into every record that clears the threshold."""
-    global _context_provider
-    _context_provider = provider
 
 
 def configure(level: Optional[str]) -> None:
@@ -82,13 +73,10 @@ def log(level: str, event: str, **fields: Any) -> None:
     if LEVELS.get(level, _OFF) < _threshold:
         return
     record = {"ts": round(time.time(), 6), "level": level, "event": event}
-    if _context_provider is not None:
-        try:
-            context = _context_provider()
-        except Exception:
-            context = None
-        if context:
-            record.update(context)
+    trace = context.current().trace
+    if trace is not None:
+        record["trace"] = trace.trace_id
+        record["span"] = trace.span_id
     for key, value in fields.items():
         if value is not None:
             record[key] = value

@@ -68,9 +68,8 @@ from repro.faults import plane as faults
 from repro.lang import parse
 from repro.lang.cfg import build_cfg
 from repro.lang.parser import ParseError
+from repro.obs import context, slog
 from repro.obs import recorder as obs
-from repro.obs import slog
-from repro.obs import trace
 from repro.serve.cache import ResultCache, compute_key, render_report
 from repro.serve.journal import JobJournal
 from repro.serve.retry import CircuitBreaker, RetryPolicy, TransientJobError
@@ -260,8 +259,8 @@ def _attempt_child(
     try:
         _apply_test_fault(fault)
         if trace_sink:
-            trace.configure_sink(trace_sink, "worker")
-        span_ctx = trace.TraceContext.from_dict(trace_ctx) if trace_ctx else None
+            obs.configure_sink(trace_sink, "worker")
+        recorder = obs.Recorder() if capture else None
         progress = None
         if stream:
             def progress(event, _conn=conn):
@@ -269,21 +268,22 @@ def _attempt_child(
                     _conn.send(("progress", dict(event)))
                 except Exception:  # a dead pipe must not kill the attempt
                     pass
-        with trace.activate(span_ctx), trace.span("serve.attempt", ladder=ladder_kind):
-            with obs.recording() if capture else _null_context() as _:
-                program = parse(source)
-                ladder = (
-                    baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
-                )
-                resume = Snapshot(payload=resume_payload) if resume_payload else None
-                report = analyze_with_fallback(
-                    program, limits=limits, ladder=ladder, resume=resume,
-                    progress=progress,
-                )
-                rendered = render_report(report)
-                snap = getattr(report.result, "snapshot", None)
-                snapshot_payload = snap.payload if snap is not None else None
-                counters = obs.counter_snapshot() if capture else None
+        with context.bound(
+            trace=context.TraceContext.from_dict(trace_ctx), recorder=recorder
+        ), obs.span("serve.attempt", ladder=ladder_kind):
+            program = parse(source)
+            ladder = (
+                baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
+            )
+            resume = Snapshot(payload=resume_payload) if resume_payload else None
+            report = analyze_with_fallback(
+                program, limits=limits, ladder=ladder, resume=resume,
+                progress=progress,
+            )
+            rendered = render_report(report)
+            snap = getattr(report.result, "snapshot", None)
+            snapshot_payload = snap.payload if snap is not None else None
+            counters = dict(recorder.counters) if capture else None
         conn.send(("ok", rendered, snapshot_payload, counters))
     except BaseException as exc:  # the reply channel must never go silent
         try:
@@ -295,14 +295,6 @@ def _attempt_child(
             conn.close()
         except Exception:
             pass
-
-
-class _null_context:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 # -- the service ---------------------------------------------------------------
@@ -345,7 +337,7 @@ class AnalysisService:
         """
         if not obs.enabled():
             obs.enable(obs.Recorder(locked=True))
-        trace.configure_sink(self.state_dir / "traces", "daemon")
+        obs.configure_sink(self.state_dir / "traces", "daemon")
         self.started_at = time.time()
         self._recover()
         for index in range(max(1, self.config.workers)):
@@ -492,11 +484,11 @@ class AnalysisService:
         ``subscriber`` (a queue) is attached to the job *at admission*,
         inside the lock, so a streaming client observes every event the
         execution emits — subscribing after submit would race the worker.
-        The thread's active trace context (if any) becomes the job's.
+        The trace bound to the calling thread (if any) becomes the job's.
         """
         if request.test_fault is not None and not self.config.allow_test_faults:
             request = replace(request, test_fault=None)
-        span_ctx = trace.current()
+        span_ctx = context.current().trace
         try:
             key, cfg_fp, limits = self._admission_identity(request)
         except ParseError as exc:
@@ -581,7 +573,7 @@ class AnalysisService:
                 misses.append(request)
         if not misses:
             return "hit", {"results": prelim}
-        span_ctx = trace.current()
+        span_ctx = context.current().trace
         job = Job(
             id=uuid.uuid4().hex[:12], kind="batch", batch=misses,
             trace=span_ctx.to_dict() if span_ctx is not None else None,
@@ -626,10 +618,9 @@ class AnalysisService:
             except queue.Empty:
                 continue
             try:
-                span_ctx = trace.TraceContext.from_dict(job.trace) if job.trace else None
-                with trace.activate(span_ctx), obs.span("serve.job"), trace.span(
-                    "serve.job", job=job.id, kind=job.kind
-                ):
+                with context.bound(
+                    trace=context.TraceContext.from_dict(job.trace)
+                ), obs.span("serve.job", job=job.id, kind=job.kind):
                     if job.kind == "batch":
                         self._run_batch_job(job)
                     else:
@@ -752,8 +743,8 @@ class AnalysisService:
                 request, limits, ladder_kind, warm, fault, progress=progress
             )
         timeout = self._attempt_timeout(limits, ladder_kind)
-        span_ctx = trace.current()
-        sink = trace.sink()
+        span_ctx = context.current().trace
+        sink = obs.sink()
         ctx = fork_context()
         parent_conn, child_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
@@ -813,15 +804,16 @@ class AnalysisService:
         return payload, snapshot_payload
 
     def _execute_inline(self, request, limits, ladder_kind, warm, fault, progress=None):
-        """In-thread attempt (tests / bench): per-job recorder isolation
-        via ``job_recording`` keeps concurrent jobs' counters separate."""
+        """In-thread attempt (tests / bench): a recorder bound into the job
+        thread's context keeps concurrent jobs' counters separate."""
         if fault and fault.get("kind") == "crash":
             raise TransientJobError("injected crash")
         if fault and fault.get("kind") == "sleep":
             time.sleep(float(fault.get("sec", 0.1)))
         program = parse(request.program)
         ladder = baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
-        with trace.span("serve.attempt", ladder=ladder_kind), obs.job_recording() as recorder:
+        recorder = obs.Recorder()
+        with obs.span("serve.attempt", ladder=ladder_kind), context.bound(recorder=recorder):
             report = analyze_with_fallback(
                 program, limits=limits, ladder=ladder, resume=warm,
                 progress=progress,
@@ -850,7 +842,8 @@ class AnalysisService:
                 programs.append(None)
                 errors.append(f"parse error: {exc}")
         parsed = [program for program in programs if program is not None]
-        with obs.job_recording() as recorder:
+        recorder = obs.Recorder()
+        with context.bound(recorder=recorder):
             # analyze_batch yields in input order, so reports line up with
             # the parsed sublist positionally
             reports = [

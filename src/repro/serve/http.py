@@ -50,10 +50,8 @@ from typing import Optional, Tuple
 
 from repro.core.checkpoint import atomic_write_text
 from repro.faults import plane as faults
-from repro.obs import metrics
+from repro.obs import context, metrics, slog
 from repro.obs import recorder as obs
-from repro.obs import slog
-from repro.obs import trace
 from repro.serve.daemon import AnalysisService, AnalyzeRequest, ServiceConfig
 
 #: request bodies above this are rejected outright (413) — an admission
@@ -307,13 +305,13 @@ class _Handler(BaseHTTPRequestHandler):
             return
         # one trace per admitted request; a client-supplied X-Repro-Trace
         # id wins so callers can correlate with their own systems
-        span_ctx = trace.mint(self.headers.get("X-Repro-Trace"))
-        with trace.activate(span_ctx):
+        span_ctx = context.mint(self.headers.get("X-Repro-Trace"))
+        with context.bound(trace=span_ctx):
             if document.get("stream"):
                 self._stream_analyze(document, request, span_ctx)
                 return
             wait = bool(document.get("wait", True))
-            with trace.span("http.analyze"):
+            with obs.span("http.analyze"):
                 status, payload = self.service.submit(request)
             if status == "hit":
                 self._send_json(
@@ -354,7 +352,7 @@ class _Handler(BaseHTTPRequestHandler):
         (or ``timeout`` once the wait budget is spent; the job id in the
         timeout event still polls via ``/v1/jobs/<id>``)."""
         subscriber: "queue.Queue" = queue.Queue()
-        with trace.span("http.analyze", stream=True):
+        with obs.span("http.analyze", stream=True):
             status, payload = self.service.submit(request, subscriber=subscriber)
         if status == "rejected":
             self._send_json(400, {"error": payload})
@@ -425,9 +423,9 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError as exc:
             self._send_json(400, {"error": str(exc)})
             return
-        span_ctx = trace.mint(self.headers.get("X-Repro-Trace"))
-        with trace.activate(span_ctx):
-            with trace.span("http.batch", items=len(requests)):
+        span_ctx = context.mint(self.headers.get("X-Repro-Trace"))
+        with context.bound(trace=span_ctx):
+            with obs.span("http.batch", items=len(requests)):
                 status, payload = self.service.submit_batch(requests)
             if status == "hit":
                 self._send_json(200, payload)

@@ -17,7 +17,7 @@ def reset_state() -> None:
     from repro.cgraph.constraint_graph import clear_closure_caches
     from repro.cgraph.stats import reset_global_stats
     from repro.faults import plane as fault_plane
-    from repro.obs import provenance, slog, trace
+    from repro.obs import provenance, slog
     from repro.obs import recorder as obs_recorder
 
     reset_global_stats()
@@ -26,7 +26,7 @@ def reset_state() -> None:
     provenance.reset()
     fault_plane.reset()
     slog.configure(None)
-    trace.configure_sink(None)
+    obs_recorder.configure_sink(None)
 
 
 def observability_fixture():

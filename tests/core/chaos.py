@@ -25,16 +25,20 @@ import random
 from typing import List, Optional
 
 from repro.core.client import ClientAnalysis
+from repro.faults.plane import SEED_ENV
 
 
 def default_seed() -> int:
-    """The harness-wide base seed: ``CHAOS_SEED`` env var, default 1337.
+    """The harness-wide base seed: the base of ``REPRO_FAULT_SEED``
+    (``<base>[:<case>]``, the fault plane's replay convention), default 1337.
 
     Reading the environment at call time (not import time) lets a test
     process tighten the seed mid-session, matching the reproduction
     instructions CI prints on failure.
     """
-    return int(os.environ.get("CHAOS_SEED", "1337"))
+    base = os.environ.get(SEED_ENV, "").strip().partition(":")[0]
+    return int(base) if base else 1337
+
 
 #: callbacks the engine routes through its fault guard; chaos can hit any
 FAULTABLE = (

@@ -2,9 +2,10 @@
 
 Run explicitly with ``pytest tests/core/test_chaos.py -m chaos``; the
 ``chaos`` marker keeps these out of the default tier-1 run.  The fault
-schedule is fully determined by ``CHAOS_SEED`` (env var, default 1337) —
-every assertion message carries the offending seed so CI failures
-reproduce locally with ``CHAOS_SEED=<seed> pytest ... -m chaos``.
+schedule is fully determined by the base of ``REPRO_FAULT_SEED`` (env var,
+``<base>[:<case>]``, default 1337) — every assertion message carries the
+offending seed so CI failures reproduce locally with
+``REPRO_FAULT_SEED=<seed> pytest ... -m chaos``.
 
 Soundness under faults: an injected fault can only *remove* behavior from
 the exploration (a node falls to ``T`` instead of producing successors),
@@ -33,7 +34,7 @@ from tests.core.chaos import ChaosClient, default_seed
 
 pytestmark = pytest.mark.chaos
 
-CHAOS_SEED = default_seed()
+BASE_SEED = default_seed()
 
 #: full corpus: every program must survive chaos without an exception
 CORPUS = [spec.name for spec in programs.all_specs()]
@@ -83,7 +84,7 @@ def test_chaos_seed_sweep_never_crashes():
     crashes = []
     for name in CORPUS:
         for offset in range(8):
-            seed = CHAOS_SEED + offset
+            seed = BASE_SEED + offset
             try:
                 result, client = chaos_run(name, seed)
             except BaseException as exc:  # noqa: BLE001 - the point of the test
@@ -93,15 +94,15 @@ def test_chaos_seed_sweep_never_crashes():
                 diagnostics.EXACT,
                 diagnostics.PARTIAL,
                 diagnostics.GAVE_UP,
-            ), f"CHAOS_SEED={seed} program={name}: bad confidence"
+            ), f"REPRO_FAULT_SEED={seed} program={name}: bad confidence"
             if client.log:
                 # at least one injected fault: the result must admit it
                 assert result.diagnostics, (
-                    f"CHAOS_SEED={seed} program={name}: faults injected "
+                    f"REPRO_FAULT_SEED={seed} program={name}: faults injected "
                     f"{client.log} but result claims no diagnostics"
                 )
     assert not crashes, (
-        f"engine crashed (CHAOS_SEED base {CHAOS_SEED}): {crashes}"
+        f"engine crashed (REPRO_FAULT_SEED base {BASE_SEED}): {crashes}"
     )
 
 
@@ -109,14 +110,14 @@ def test_chaos_faults_become_client_fault_diagnostics():
     """Raised injections surface as CLIENT_FAULT with the callback named."""
     seen_callbacks = set()
     for offset in range(16):
-        seed = CHAOS_SEED + offset
+        seed = BASE_SEED + offset
         result, client = chaos_run("exchange_with_root", seed, fault_rate=0.2)
         raised = [cb for cb, kind in client.log]
         if not raised:
             continue
         faults = [d for d in result.diagnostics if d.code == CLIENT_FAULT]
         assert faults, (
-            f"CHAOS_SEED={seed}: injected {client.log} but no "
+            f"REPRO_FAULT_SEED={seed}: injected {client.log} but no "
             f"CLIENT_FAULT diagnostic"
         )
         seen_callbacks.update(d.callback for d in faults if d.callback)
@@ -142,7 +143,7 @@ def test_chaos_matches_subset_of_clean(seed, name):
     )
     result, client = chaos_run(name, seed)
     assert set(result.matches) <= set(clean.matches), (
-        f"CHAOS_SEED={seed} program={name}: degraded run invented matches "
+        f"REPRO_FAULT_SEED={seed} program={name}: degraded run invented matches "
         f"{set(result.matches) - set(clean.matches)} (faults: {client.log})"
     )
     if not client.log:
@@ -155,12 +156,12 @@ def test_chaos_fault_in_initial_gives_up_cleanly():
     """A fault on the very first callback yields gave_up, not a traceback."""
     hit = False
     for offset in range(64):
-        seed = CHAOS_SEED + offset
+        seed = BASE_SEED + offset
         result, client = chaos_run(
             "pingpong", seed, fault_rate=1.0, only=["initial"]
         )
         assert result.confidence == diagnostics.GAVE_UP, (
-            f"CHAOS_SEED={seed}: expected gave_up, got {result.confidence}"
+            f"REPRO_FAULT_SEED={seed}: expected gave_up, got {result.confidence}"
         )
         assert result.gave_up
         assert result.diagnostics
@@ -172,7 +173,7 @@ def test_chaos_fault_in_initial_gives_up_cleanly():
 def test_chaos_strict_mode_aborts_on_first_fault():
     """strict=True turns the first injected fault into a global abort."""
     for offset in range(32):
-        seed = CHAOS_SEED + offset
+        seed = BASE_SEED + offset
         result, client = chaos_run(
             "exchange_with_root", seed, fault_rate=0.3, strict=True
         )
@@ -180,7 +181,7 @@ def test_chaos_strict_mode_aborts_on_first_fault():
             assert result.confidence == diagnostics.EXACT
             continue
         assert result.confidence == diagnostics.GAVE_UP, (
-            f"CHAOS_SEED={seed}: strict run degraded instead of aborting"
+            f"REPRO_FAULT_SEED={seed}: strict run degraded instead of aborting"
         )
         # abort-on-first: exactly one diagnostic, nothing localized
         assert len(result.diagnostics) == 1
@@ -203,26 +204,26 @@ def test_chaos_diagnostics_carry_resolvable_provenance():
     checked = 0
     for name in ("exchange_with_root", "pingpong", "ring_modular"):
         for offset in range(8):
-            seed = CHAOS_SEED + offset
+            seed = BASE_SEED + offset
             with provenance.recording() as prov:
                 result, client = chaos_run(name, seed, fault_rate=0.2)
             for diag in result.diagnostics:
                 assert diag.provenance_id is not None, (
-                    f"CHAOS_SEED={seed} program={name}: diagnostic "
+                    f"REPRO_FAULT_SEED={seed} program={name}: diagnostic "
                     f"{diag.code} has no provenance_id (faults: {client.log})"
                 )
                 event = prov.get(diag.provenance_id)
                 assert event is not None, (
-                    f"CHAOS_SEED={seed} program={name}: provenance_id "
+                    f"REPRO_FAULT_SEED={seed} program={name}: provenance_id "
                     f"{diag.provenance_id} does not resolve"
                 )
                 assert event.kind in degradation_kinds, (
-                    f"CHAOS_SEED={seed} program={name}: {diag.code} links "
+                    f"REPRO_FAULT_SEED={seed} program={name}: {diag.code} links "
                     f"to a {event.kind!r} event"
                 )
                 chain = prov.chain(event.event_id)
                 assert chain[0].kind == "run_start", (
-                    f"CHAOS_SEED={seed} program={name}: causal chain of "
+                    f"REPRO_FAULT_SEED={seed} program={name}: causal chain of "
                     f"{diag.code} does not reach run_start"
                 )
                 checked += 1
@@ -233,13 +234,13 @@ def test_chaos_corrupted_state_is_contained():
     """CorruptedState damage surfaces later but still lands in diagnostics."""
     corrupted_seen = False
     for offset in range(64):
-        seed = CHAOS_SEED + offset
+        seed = BASE_SEED + offset
         result, client = chaos_run(
             "exchange_with_root", seed, fault_rate=0.15
         )
         if any(kind == "corrupt" for _, kind in client.log):
             corrupted_seen = True
             assert result.diagnostics, (
-                f"CHAOS_SEED={seed}: corruption injected but no diagnostics"
+                f"REPRO_FAULT_SEED={seed}: corruption injected but no diagnostics"
             )
     assert corrupted_seen, "no corruption injected across the sweep"

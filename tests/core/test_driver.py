@@ -16,6 +16,7 @@ from repro.core.driver import (
 from repro.core.engine import EngineLimits
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
+from repro.obs import context
 from repro.obs import recorder as obs
 from repro.runtime import run_program
 
@@ -140,6 +141,17 @@ def test_parallel_batch_matches_serial_in_order():
 def test_parallel_batch_merges_worker_counters():
     items = [programs.get(name) for name in SMALL_CORPUS]
     with obs.recording() as recorder:
+        list(analyze_batch(items, jobs=2))
+    assert recorder.counters.get("engine.steps", 0) > 0
+
+
+def test_parallel_batch_merges_worker_counters_into_a_job_recorder():
+    # a daemon batch job binds a private recorder into its thread; pool
+    # workers forked from that thread inherit the binding, so they must
+    # bind their own recorder for the counters to travel home
+    items = [programs.get(name) for name in SMALL_CORPUS]
+    recorder = obs.Recorder()
+    with context.bound(recorder=recorder):
         list(analyze_batch(items, jobs=2))
     assert recorder.counters.get("engine.steps", 0) > 0
 

@@ -1,44 +1,46 @@
-"""The ambient progress-hook switchboard and the engine heartbeats."""
+"""The progress channel of the observability context and the engine
+heartbeats that reach it through the precision ladder."""
 
 from __future__ import annotations
 
 import threading
 
-from repro.core import progress
 from repro.core.driver import analyze_with_fallback, default_ladder
 from repro.lang import programs
+from repro.obs import context
 
 
 class TestSwitchboard:
     def test_default_is_none(self):
-        assert progress.current() is None
+        assert context.current().progress is None
 
     def test_installed_is_scoped(self):
         events = []
-        with progress.installed(events.append):
-            assert progress.current() is not None
-            progress.emit({"event": "x"})
-        assert progress.current() is None
+        with context.bound(progress=events.append):
+            assert context.current().progress is not None
+            context.emit({"event": "x"})
+        assert context.current().progress is None
         assert events == [{"event": "x"}]
 
     def test_installed_none_is_noop(self):
-        with progress.installed(None):
-            assert progress.current() is None
+        with context.bound(progress=None):
+            assert context.current().progress is None
+        context.emit({"event": "x"})  # nothing bound: dropped, no error
 
     def test_emit_swallows_subscriber_errors(self):
         def bomb(event):
             raise RuntimeError("subscriber bug")
 
-        with progress.installed(bomb):
-            progress.emit({"event": "x"})  # must not raise
+        with context.bound(progress=bomb):
+            context.emit({"event": "x"})  # must not raise
 
     def test_hooks_are_thread_local(self):
         seen = {}
 
         def other_thread():
-            seen["other"] = progress.current()
+            seen["other"] = context.current().progress
 
-        with progress.installed(lambda e: None):
+        with context.bound(progress=lambda e: None):
             worker = threading.Thread(target=other_thread)
             worker.start()
             worker.join()

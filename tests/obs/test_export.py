@@ -102,6 +102,8 @@ class TestValidateChromeTrace:
                                "ts": "soon", "dur": 1.0}]}, "non-numeric"),
             ({"traceEvents": [{"ph": "M", "name": "n", "pid": 1, "tid": 0,
                                "args": 5}]}, "args"),
+            ({"traceEvents": [{"ph": "X", "name": "n", "pid": 1, "tid": 0,
+                               "ts": 0.0, "dur": float("inf")}]}, "non-numeric"),
         ],
     )
     def test_rejects_malformed_documents(self, document, message):
@@ -124,7 +126,7 @@ class TestJournal:
         path = tmp_path / "journal.jsonl"
         good = ProvenanceEvent(event_id=1, kind="transfer")
         path.write_text(
-            json.dumps(good.to_dict()) + "\nnot json\n{\"kind\": \"x\"}\n\n"
+            json.dumps(good.to_dict()) + "\nnot json\n{\"kind\": \"x\"}\n\n[1, 2]\n"
         )
         assert read_journal(path) == [good]
 

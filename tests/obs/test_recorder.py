@@ -2,6 +2,7 @@
 
 import time
 
+from repro.obs import context
 from repro.obs import recorder as obs
 from repro.obs.recorder import NullRecorder, Recorder
 
@@ -271,11 +272,13 @@ class TestLockedRecorder:
 
 
 class TestJobRecording:
-    """Per-thread recorder isolation for concurrent service jobs."""
+    """Per-thread recorder isolation for concurrent service jobs: a
+    recorder bound into the thread's context."""
 
     def test_override_shadows_the_global_recorder(self):
         shared = obs.enable(Recorder(locked=True))
-        with obs.job_recording() as mine:
+        mine = Recorder()
+        with context.bound(recorder=mine):
             obs.incr("job.events")
             assert obs.active_recorder() is mine
         assert obs.active_recorder() is shared
@@ -284,7 +287,8 @@ class TestJobRecording:
 
     def test_merge_after_job_lands_in_shared(self):
         shared = obs.enable(Recorder(locked=True))
-        with obs.job_recording() as mine:
+        mine = Recorder()
+        with context.bound(recorder=mine):
             obs.incr("job.events", 3)
             counters = dict(mine.counters)
         obs.merge_counters(counters)
@@ -297,7 +301,8 @@ class TestJobRecording:
         seen = {}
 
         def job(name, amount):
-            with obs.job_recording() as mine:
+            mine = Recorder()
+            with context.bound(recorder=mine):
                 for _ in range(amount):
                     obs.incr("work")
                 seen[name] = dict(mine.counters)
@@ -317,8 +322,9 @@ class TestJobRecording:
         assert shared.counters["work"] == 1500
 
     def test_nested_job_recording_restores_previous(self):
-        with obs.job_recording() as outer:
-            with obs.job_recording() as inner:
+        outer, inner = Recorder(), Recorder()
+        with context.bound(recorder=outer):
+            with context.bound(recorder=inner):
                 obs.incr("deep")
                 assert obs.active_recorder() is inner
             assert obs.active_recorder() is outer
@@ -327,10 +333,8 @@ class TestJobRecording:
         assert outer.counters == {"shallow": 1}
 
     def test_reset_clears_the_thread_override(self):
-        from repro.obs.recorder import _tls
-
         obs.enable()
-        _tls.override = Recorder()
+        context._local.ctx = context.Context(recorder=Recorder())
         obs.reset()
-        assert getattr(_tls, "override", None) is None
+        assert getattr(context._local, "ctx", None) is None
         assert not obs.enabled()

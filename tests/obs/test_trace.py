@@ -1,4 +1,4 @@
-"""Trace-context propagation and span-shard stitching."""
+"""Trace identity in the observability context, span shards and stitching."""
 
 from __future__ import annotations
 
@@ -7,87 +7,92 @@ import os
 
 import pytest
 
-from repro.obs import trace
+from repro.obs import context, trace
+from repro.obs import recorder as obs
 from repro.obs.export import validate_chrome_trace
 
 
 class TestTraceContext:
     def test_mint_is_fresh(self):
-        a, b = trace.mint(), trace.mint()
+        a, b = context.mint(), context.mint()
         assert a.trace_id != b.trace_id
         assert a.span_id != b.span_id
         assert a.parent_id is None
 
     def test_mint_honors_client_id(self):
-        ctx = trace.mint("client-req-42")
+        ctx = context.mint("client-req-42")
         assert ctx.trace_id == "client-req-42"
 
     def test_mint_sanitizes_hostile_client_id(self):
-        ctx = trace.mint("../../etc/passwd\n<script>")
+        ctx = context.mint("../../etc/passwd\n<script>")
         assert "/" not in ctx.trace_id
         assert "\n" not in ctx.trace_id
         assert "<" not in ctx.trace_id
         # an id reduced to nothing falls back to a minted one
-        assert trace.mint("///...\\\\").trace_id.replace(".", "") != ""
+        assert context.mint("///...\\\\").trace_id.replace(".", "") != ""
 
     def test_roundtrip_dict(self):
-        ctx = trace.mint()
-        assert trace.TraceContext.from_dict(ctx.to_dict()) == ctx
+        ctx = context.mint()
+        assert context.TraceContext.from_dict(ctx.to_dict()) == ctx
 
     @pytest.mark.parametrize(
         "document",
         [None, "x", 42, {}, {"trace": ""}, {"trace": "t"}, {"trace": 1, "span": "s"}],
     )
     def test_from_dict_rejects_malformed(self, document):
-        assert trace.TraceContext.from_dict(document) is None
+        assert context.TraceContext.from_dict(document) is None
 
-    def test_activate_is_scoped(self):
-        assert trace.current() is None
-        ctx = trace.mint()
-        with trace.activate(ctx):
-            assert trace.current() is ctx
+    def test_bound_trace_is_scoped(self):
+        assert context.current().trace is None
+        ctx = context.mint()
+        with context.bound(trace=ctx):
+            assert context.current().trace is ctx
             assert trace.current_trace_id() == ctx.trace_id
-        assert trace.current() is None
+        assert context.current().trace is None
 
-    def test_activate_none_is_noop(self):
-        with trace.activate(None):
-            assert trace.current() is None
+    def test_binding_what_is_bound_installs_nothing(self):
+        with context.bound(trace=None, progress=None):
+            assert getattr(context._local, "ctx", None) is None
 
 
 class TestSpanShards:
     def test_span_without_sink_writes_nothing(self, tmp_path):
-        with trace.activate(trace.mint()):
-            with trace.span("orphan"):
+        with context.bound(trace=context.mint()):
+            with obs.span("serve.orphan"):
                 pass
         assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_span_without_context_writes_nothing(self, tmp_path):
-        trace.configure_sink(tmp_path, "test")
-        with trace.span("orphan"):
+        obs.configure_sink(tmp_path, "test")
+        with obs.span("serve.orphan"):
             pass
         assert list(tmp_path.glob("*.jsonl")) == []
 
     def test_span_records_nested_parentage(self, tmp_path):
-        trace.configure_sink(tmp_path, "test")
-        ctx = trace.mint()
-        with trace.activate(ctx):
-            with trace.span("outer") as outer:
-                with trace.span("inner", detail=7):
-                    pass
+        obs.configure_sink(tmp_path, "test")
+        ctx = context.mint()
+        with obs.recording() as recorder, context.bound(trace=ctx):
+            with obs.span("serve.outer"):
+                outer = context.current().trace
+                with obs.span("engine.step"):  # not a request layer
+                    with obs.span("driver.rung.inner", detail=7):
+                        pass
         records = trace.load_spans(tmp_path, ctx.trace_id)
         by_name = {r["name"]: r for r in records}
-        assert set(by_name) == {"outer", "inner"}
-        assert by_name["inner"]["parent"] == by_name["outer"]["span"]
-        assert by_name["outer"]["parent"] == ctx.span_id
-        assert by_name["inner"]["data"] == {"detail": 7}
-        assert by_name["outer"]["pid"] == os.getpid()
+        assert set(by_name) == {"serve.outer", "driver.rung.inner"}
+        assert by_name["driver.rung.inner"]["parent"] == by_name["serve.outer"]["span"]
+        assert by_name["serve.outer"]["parent"] == ctx.span_id
+        assert by_name["driver.rung.inner"]["data"] == {"detail": 7}
+        assert by_name["serve.outer"]["pid"] == os.getpid()
         assert outer.trace_id == ctx.trace_id
+        # one call both aggregates and shards
+        assert set(recorder.spans) == {"serve.outer", "engine.step", "driver.rung.inner"}
 
     def test_load_spans_skips_torn_lines(self, tmp_path):
-        trace.configure_sink(tmp_path, "test")
-        ctx = trace.mint()
-        with trace.activate(ctx):
-            with trace.span("good"):
+        obs.configure_sink(tmp_path, "test")
+        ctx = context.mint()
+        with context.bound(trace=ctx):
+            with obs.span("serve.good"):
                 pass
         shard = next(tmp_path.glob(f"{ctx.trace_id}-*.jsonl"))
         with open(shard, "a") as handle:
@@ -95,24 +100,19 @@ class TestSpanShards:
             handle.write("\nnot json at all\n")
             handle.write(json.dumps({"trace": ctx.trace_id, "name": "bad-ts",
                                      "ts": "yesterday", "dur": 0}) + "\n")
+            # json.dumps writes Infinity, which is not JSON
+            handle.write(json.dumps({"trace": ctx.trace_id, "name": "inf-dur",
+                                     "ts": 1.0, "dur": float("inf")}) + "\n")
         records = trace.load_spans(tmp_path, ctx.trace_id)
-        assert [r["name"] for r in records] == ["good"]
-
-    def test_event_is_zero_duration(self, tmp_path):
-        trace.configure_sink(tmp_path, "test")
-        ctx = trace.mint()
-        with trace.activate(ctx):
-            trace.event("marker", kind="x")
-        (record,) = trace.load_spans(tmp_path, ctx.trace_id)
-        assert record["dur"] == 0.0
+        assert [r["name"] for r in records] == ["serve.good"]
 
     def test_unwritable_sink_degrades_silently(self, tmp_path):
         # a file where the directory should be: mkdir fails, tracing off
         blocker = tmp_path / "blocked"
         blocker.write_text("x")
-        assert trace.configure_sink(blocker / "sub") is None
-        with trace.activate(trace.mint()):
-            with trace.span("dropped"):
+        assert obs.configure_sink(blocker / "sub") is None
+        with context.bound(trace=context.mint()):
+            with obs.span("serve.dropped"):
                 pass  # must not raise
 
 
@@ -120,7 +120,7 @@ class TestStitch:
     def test_stitch_multiprocess_shards(self, tmp_path):
         """Shards from distinct OS pids become distinct Chrome pids,
         ordered by first span start, and the result validates."""
-        ctx = trace.mint()
+        ctx = context.mint()
         base = 1000.0
         for fake_pid, offset, name, proc in [
             (4711, 0.0, "serve.job", "daemon"),
@@ -128,7 +128,7 @@ class TestStitch:
         ]:
             shard = tmp_path / f"{ctx.trace_id}-{fake_pid}.jsonl"
             shard.write_text(json.dumps({
-                "trace": ctx.trace_id, "span": trace.mint_id(),
+                "trace": ctx.trace_id, "span": context.mint_id(),
                 "parent": ctx.span_id, "name": name, "ts": base + offset,
                 "dur": 0.005, "pid": fake_pid, "tid": 1, "proc": proc,
                 "data": {},
@@ -153,12 +153,12 @@ class TestStitch:
             trace.stitch(tmp_path, "nope")
 
     def test_stitch_nesting_is_acyclic(self, tmp_path):
-        trace.configure_sink(tmp_path, "test")
-        ctx = trace.mint()
-        with trace.activate(ctx):
-            with trace.span("a"):
-                with trace.span("b"):
-                    with trace.span("c"):
+        obs.configure_sink(tmp_path, "test")
+        ctx = context.mint()
+        with context.bound(trace=ctx):
+            with obs.span("http.a"):
+                with obs.span("serve.b"):
+                    with obs.span("driver.rung.c"):
                         pass
         document = trace.stitch(tmp_path, ctx.trace_id)
         spans = [e for e in document["traceEvents"] if e.get("ph") == "X"]
@@ -179,8 +179,8 @@ class TestSlogCorrelation:
         from repro.obs import slog
 
         slog.configure("info")
-        ctx = trace.mint()
-        with trace.activate(ctx):
+        ctx = context.mint()
+        with context.bound(trace=ctx):
             slog.info("test.correlated", extra=1)
         slog.configure(None)
         line = capsys.readouterr().err.strip().splitlines()[-1]

@@ -227,6 +227,12 @@ class TestTraceStitching:
         names = {e["name"] for e in spans}
         assert "serve.job" in names
         assert "serve.attempt" in names
+        # only request-level layers reach shards; engine-internal spans
+        # stay in the recorder
+        assert all(n.startswith(("http.", "serve.", "driver.rung.")) for n in names), names
+        assert not any(
+            n.startswith(("engine.", "client.", "cgraph.", "hsm.")) for n in names
+        ), names
         # acyclic parentage, spans reachable across the process boundary
         parent_of = {e["args"]["span"]: e["args"].get("parent") for e in spans}
         for start in parent_of:
