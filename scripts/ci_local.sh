@@ -20,7 +20,9 @@
 #                  the causal chain back to run_start, and schema-check the
 #                  exported Chrome trace
 #   sweep-smoke -> differential corpus sweep over the pinned smoke manifest
-#                  (analyzer vs concrete interpreter; fails on divergence)
+#                  (analyzer vs concrete interpreter; fails on divergence),
+#                  then the routed-ladder differential (`-m ladder_slow`:
+#                  the routed fallback ladder must answer like a full climb)
 #   serve-smoke -> start a real `repro serve` daemon, replay a duplicate-heavy
 #                  corpus through scripts/loadgen.py (cache-hit-rate >= 0.9,
 #                  zero errors), SIGTERM-drain it, then run the SIGKILL
@@ -124,6 +126,8 @@ step "sweep-smoke: differential corpus sweep" bash -c '
   python -m repro sweep --tier smoke --seed 1337 --jobs 4 \
       --report sweep-smoke.jsonl &&
   rm -f sweep-smoke.jsonl'
+step "sweep-smoke: routed ladder vs full climb" \
+  python -m pytest tests/core/test_ladder_routing.py -m ladder_slow -q
 step "serve-smoke: daemon serves, caches, and drains" bash -c '
   rm -rf .ci-serve &&
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &

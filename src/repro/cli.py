@@ -941,8 +941,8 @@ def _main(argv=None) -> int:
         report = analyze_with_fallback(
             program, limits=limits, checkpointer=checkpointer, resume=resume
         )
-        for outcome in report.rungs:
-            print(f"rung {outcome.describe()}")
+        for entry in report.ladder:
+            print(f"rung {entry.describe()}")
         print(f"answer from rung: {report.rung_name}")
         result, cfg = report.result, report.cfg
         if result.confidence != diagnostics.EXACT:

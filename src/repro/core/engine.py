@@ -158,6 +158,13 @@ class AnalysisResult:
     snapshot: Optional[object] = field(default=None, repr=False, compare=False)
     #: where this run warm-started from ("" = cold start)
     resumed_from: str = ""
+    #: the run's first non-INFO diagnostic was a ``GIVEUP_NO_MATCH`` that
+    #: fired before the first widening, in a cold run.  Up to that give-up
+    #: no precision knob had mattered (no widening, no split past
+    #: ``max_psets``, no step trip), so a rerun with each knob at least as
+    #: large replays the same steps to the same give-up; the fallback
+    #: ladder skips such reruns (see :mod:`repro.core.driver`)
+    giveup_before_widening: bool = False
     #: last checkpoint file written during this run, if any
     checkpoint_path: Optional[str] = None
 
@@ -213,6 +220,8 @@ class PCFGEngine(StepCore):
         self._prov: Optional[provenance.ProvenanceRecorder] = None
         #: provenance id of the current run's root event
         self._run_event: Optional[int] = None
+        #: whether the current run has entered a widening yet
+        self._widened = False
 
     # -- driving -----------------------------------------------------------------
 
@@ -254,6 +263,7 @@ class PCFGEngine(StepCore):
         states: Dict[PCFGNodeKey, ClientState] = {}
         visits: Dict[PCFGNodeKey, int] = {}
         self._intern = {}
+        self._widened = False
 
         # Priority worklist: process configurations in reverse-postorder of
         # their CFG locations so predecessors stabilize before successors.
@@ -656,6 +666,9 @@ class PCFGEngine(StepCore):
                 provenance_id=event_id,
             )
             result.blocked_at_giveup.extend(failure.blocked)
+        if not result.gave_up and not result.resumed_from and not self._widened:
+            # the run's first non-INFO diagnostic (gave_up is still unset)
+            result.giveup_before_widening = diag.code == diagnostics.GIVEUP_NO_MATCH
         result.diagnostics.append(diag)
         slog.warning(
             "engine.degrade",

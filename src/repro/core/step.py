@@ -51,7 +51,8 @@ class StepCore:
     Hosts are expected to provide the attributes ``cfg``, ``client``,
     ``limits``, ``intern_states``, ``_intern`` (the hash-consing table),
     ``_rpo`` (CFG node id -> reverse-postorder rank), ``_prov`` (the active
-    provenance recorder or None) and ``_run_event``.
+    provenance recorder or None), ``_run_event`` and ``_widened`` (set
+    here at the run's first widening).
     """
 
     # -- client-callback guard ---------------------------------------------------
@@ -361,6 +362,7 @@ class StepCore:
             )
         widened_here = False
         if visits.get(key, 0) >= self.limits.widen_after:
+            self._widened = True
             with obs.span("engine.widen"):
                 widened = self._call("widen", self.client.widen, old, combined)
             obs.incr("engine.widenings")

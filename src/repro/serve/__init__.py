@@ -7,7 +7,7 @@ Layering (each module testable without the ones above it):
 * :mod:`repro.serve.journal` — crash-safe append-only job journal
   (journal-first admission, replay-on-restart recovery);
 * :mod:`repro.serve.retry` — retry policy (backoff + jitter) and
-  per-rung circuit breaker;
+  per-rung circuit breaker (reported, never used to skip a rung);
 * :mod:`repro.serve.daemon` — the scheduler: admission control, tenant
   QoS budgets, worker-process isolation, degraded-mode answers, drain;
 * :mod:`repro.serve.http` — the stdlib HTTP surface;

@@ -25,10 +25,12 @@ Life of a job
    a crashed or hung attempt can never take the daemon down or wedge a
    worker thread.  Transient faults (worker lost, watchdog fired) are
    retried with exponential backoff + full jitter, bounded by the retry
-   policy.  Per-rung circuit breakers skip a rung that keeps failing
-   (the baseline rung is never skipped).  When the queue is above the
-   pressure threshold, new executions run only the cheap baseline rung:
-   a degraded-but-sound answer beats a timeout.
+   policy.  Per-rung circuit breakers track rungs that keep failing; their
+   state is reported in ``/stats`` and ``/metrics`` only and never skips
+   a rung, so an answer never depends on the history of earlier jobs.
+   When the queue is above the pressure threshold, new executions run
+   only the cheap baseline rung: a degraded-but-sound answer beats a
+   timeout.
 3. **Completion**: the rendered result is journaled (``done``), stored
    in the result cache (only clean, non-degraded results), and every
    waiter — including coalesced duplicates — is released.  If retries
@@ -242,6 +244,11 @@ def _apply_test_fault(fault: Optional[dict]) -> None:
         time.sleep(float(fault.get("sec", 0.1)))
 
 
+def _ladder(ladder_kind: str, limits: EngineLimits):
+    """The rungs an attempt of ``ladder_kind`` may climb."""
+    return baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
+
+
 def _attempt_child(
     conn, source, limits, ladder_kind, resume_payload, capture, fault,
     trace_ctx=None, trace_sink=None, stream=False,
@@ -272,9 +279,7 @@ def _attempt_child(
             trace=context.TraceContext.from_dict(trace_ctx), recorder=recorder
         ), obs.span("serve.attempt", ladder=ladder_kind):
             program = parse(source)
-            ladder = (
-                baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
-            )
+            ladder = _ladder(ladder_kind, limits)
             resume = Snapshot(payload=resume_payload) if resume_payload else None
             report = analyze_with_fallback(
                 program, limits=limits, ladder=ladder, resume=resume,
@@ -645,7 +650,7 @@ class AnalysisService:
         if self.config.job_timeout_sec is not None:
             return self.config.job_timeout_sec
         per_rung = limits.deadline_sec or 30.0
-        rungs = 1 if ladder_kind == "baseline" else 4
+        rungs = len(_ladder(ladder_kind, limits))
         return per_rung * rungs + self.config.timeout_grace_sec
 
     def _run_job(self, job: Job) -> None:
@@ -811,7 +816,7 @@ class AnalysisService:
         if fault and fault.get("kind") == "sleep":
             time.sleep(float(fault.get("sec", 0.1)))
         program = parse(request.program)
-        ladder = baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
+        ladder = _ladder(ladder_kind, limits)
         recorder = obs.Recorder()
         with obs.span("serve.attempt", ladder=ladder_kind), context.bound(recorder=recorder):
             report = analyze_with_fallback(

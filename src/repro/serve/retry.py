@@ -11,10 +11,14 @@ Two distinct failure domains get two distinct mechanisms:
 * **Rung-level faults** — a precision rung of the fallback ladder
   repeatedly giving up or throwing client faults — are *systemic*: a
   per-rung ``CircuitBreaker`` opens after ``threshold`` consecutive
-  failures and the scheduler skips that rung (the ladder's cheaper
-  rungs still answer), half-opens after ``cooldown_sec`` to probe once,
-  and closes again on a probe success.  The final baseline rung is
-  never breaker-filtered — the service always has a total answer.
+  failures and closes again on a success.  The breaker is a health
+  report, not a scheduler input: its state appears in ``/stats`` and
+  ``/metrics``, and the scheduler skips no rung because of it, since
+  history-dependent rung skipping would make a cached answer depend on
+  the timing of earlier jobs.  (:meth:`CircuitBreaker.allows`, with its
+  half-open probe after ``cooldown_sec``, is for a caller that gates on
+  the breaker; the scheduler does not.)  The baseline rung is not
+  tracked.
 """
 
 from __future__ import annotations

@@ -55,12 +55,12 @@ def test_escalated_limits_rescue_a_budget_starved_run():
 
 
 def test_unanalyzable_program_falls_to_the_baseline():
+    # rung 1 gives up before any widening: the escalated rung would replay
+    # that give-up and simple-symbolic is dominated, so neither runs
     report = analyze_with_fallback(programs.get("ring_modular"))
     assert report.rung_name == "mpi-cfg"
     assert [outcome.name for outcome in report.rungs] == [
         "cartesian",
-        "cartesian-escalated",
-        "simple-symbolic",
         "mpi-cfg",
     ]
     # the baseline always answers, marked partial (over-approximate)

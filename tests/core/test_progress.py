@@ -63,14 +63,18 @@ class TestDriverEvents:
         assert "worklist" in beats[0]
 
     def test_rung_events_arrive_in_ladder_order(self):
-        # ring_modular climbs the whole ladder: one rung event per rung,
-        # in ladder order
+        # ring_modular's rung-1 give-up routes it straight to the baseline:
+        # one rung event per attempted rung, in ladder order, none for the
+        # skipped ones
         events = []
-        analyze_with_fallback(
+        report = analyze_with_fallback(
             programs.get("ring_modular").parse(), progress=events.append
         )
         rungs = [e["rung"] for e in events if e["event"] == "rung"]
-        assert rungs == [rung.name for rung in default_ladder()]
+        assert rungs == ["cartesian", "mpi-cfg"]
+        assert rungs == [outcome.name for outcome in report.rungs]
+        order = [rung.name for rung in default_ladder()]
+        assert rungs == sorted(rungs, key=order.index)
 
     def test_throwing_hook_does_not_abort_analysis(self):
         calls = []

@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+from repro.core.driver import default_ladder
+from repro.core.engine import EngineLimits
 from repro.corpus.generator import generate
 from repro.obs import recorder as obs
 from repro.serve.daemon import (
@@ -218,6 +220,13 @@ class TestDegradedModes:
             assert _counters().get("serve.degraded.terminal", 0) == 1
         finally:
             service.stop()
+
+    def test_attempt_watchdog_covers_every_rung_of_the_ladder(self, service):
+        limits = EngineLimits(deadline_sec=2.0)
+        grace = service.config.timeout_grace_sec
+        rungs = len(default_ladder(limits))
+        assert service._attempt_timeout(limits, "default") == 2.0 * rungs + grace
+        assert service._attempt_timeout(limits, "baseline") == 2.0 + grace
 
     def test_faults_require_opt_in(self, tmp_path):
         service = _service(tmp_path)

@@ -71,6 +71,7 @@ class TestResilienceFlags:
         out = capsys.readouterr().out
         assert "answer from rung: mpi-cfg" in out
         assert "rung cartesian: partial" in out
+        assert "rung cartesian-escalated: skipped (replay)" in out
 
     def test_fallback_on_exact_program_exits_zero(self, capsys):
         assert main(["exchange_with_root", "--no-validate", "--fallback"]) == 0
