@@ -12,7 +12,7 @@ import pytest
 
 from repro.testing import observability_fixture
 
-#: isolate benchmarks from each other's closure stats, memo tables, and
+#: isolate benchmarks from each other's closure stats and
 #: recorder state (shared with tests/)
 _reset_observability = observability_fixture()
 

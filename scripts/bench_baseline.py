@@ -25,16 +25,15 @@ The JSON schema (``repro-bench/1``)::
       "schema": "repro-bench/1",
       "benches":  {"<name>": {"median_s": float, "runs_s": [float, ...]}},
       "counters": {"<name>": {"<obs counter>": int, ...}},
-      "counters_warm": { ... same shape, second run with warm memo tables ... },
+      "counters_warm": { ... same shape, second run in the same process ... },
       "pre_overhaul": { ... an older document's "benches"/"counters" ... }
     }
 
-``counters`` is a cold run (every memo table cleared first) — the fair
-baseline for the timed medians, which are also cold.  ``counters_warm`` is
-an immediately repeated run with the process-wide closure/equivalence
-memos left hot, the steady state of a long-lived analysis process: the
-``cgraph.closure.cache_hits`` counter replaces essentially all closure
-executions there.
+``counters`` is a cold run — the fair baseline for the timed medians,
+which are also cold.  ``counters_warm`` is an immediately repeated run in
+the same process.  Documents up to ``BENCH_pr10.json`` recorded it with
+process-wide closure/equivalence memos left hot (its
+``cgraph.closure.cache_hits``); those memos are gone, so it is history.
 
 ``--out`` documents additionally record ``"checkpoint_overhead"``: the two
 checkpoint-capable workloads re-timed with a periodic
@@ -91,7 +90,6 @@ if str(SRC) not in sys.path:
 
 from repro import analyze, programs  # noqa: E402
 from repro.analyses.constprop import propagate_constants  # noqa: E402
-from repro.cgraph import constraint_graph  # noqa: E402
 from repro.cgraph.stats import reset_global_stats  # noqa: E402
 from repro.core.checkpoint import Checkpointer  # noqa: E402
 from repro.core.driver import analyze_batch  # noqa: E402
@@ -110,7 +108,6 @@ TRACKED_COUNTERS = (
     "engine.intern.hits",
     "cgraph.cow.shares",
     "cgraph.cow.materializations",
-    "cgraph.closure.cache_hits",
     "cgraph.closure.full.calls",
     "cgraph.closure.incremental.calls",
     "hsm.prove.cache_hits",
@@ -121,13 +118,10 @@ TIMED_RUNS = 5
 
 
 def _reset() -> None:
-    """Per-run isolation: closure stats, obs recorder, and engine caches."""
+    """Per-run isolation: closure stats, obs recorder, and provenance."""
     reset_global_stats()
     obs_recorder.reset()
     provenance.reset()
-    clear = getattr(constraint_graph, "clear_closure_caches", None)
-    if clear is not None:
-        clear()
     # collect garbage left by the previous run so a collection triggered by
     # an earlier workload's debris never lands inside a timed window
     gc.collect()
@@ -724,8 +718,8 @@ def measure() -> dict:
         }
         _reset()
         counters[name] = _instrumented(workload)
-        # second run without clearing the process-wide memo tables: the
-        # steady state of a warm analysis process
+        # second run in the same process: the steady state of a warm
+        # analysis process
         counters_warm[name] = _instrumented(workload)
         _reset()
     return {

@@ -21,8 +21,11 @@
 #                  exported Chrome trace
 #   sweep-smoke -> differential corpus sweep over the pinned smoke manifest
 #                  (analyzer vs concrete interpreter; fails on divergence),
-#                  then the routed-ladder differential (`-m ladder_slow`:
-#                  the routed fallback ladder must answer like a full climb)
+#                  then the routed-ladder differential and the engine
+#                  behaviour lock (`-m ladder_slow`: the routed fallback
+#                  ladder must answer like a full climb, and every answer,
+#                  step count and explored pCFG size must match
+#                  tests/data/engine_lock.json)
 #   serve-smoke -> start a real `repro serve` daemon, replay a duplicate-heavy
 #                  corpus through scripts/loadgen.py (cache-hit-rate >= 0.9,
 #                  zero errors), SIGTERM-drain it, then run the SIGKILL
@@ -126,8 +129,9 @@ step "sweep-smoke: differential corpus sweep" bash -c '
   python -m repro sweep --tier smoke --seed 1337 --jobs 4 \
       --report sweep-smoke.jsonl &&
   rm -f sweep-smoke.jsonl'
-step "sweep-smoke: routed ladder vs full climb" \
-  python -m pytest tests/core/test_ladder_routing.py -m ladder_slow -q
+step "sweep-smoke: routed ladder vs full climb, engine behaviour lock" \
+  python -m pytest tests/core/test_ladder_routing.py tests/core/test_engine_lock.py \
+      -m ladder_slow -q
 step "serve-smoke: daemon serves, caches, and drains" bash -c '
   rm -rf .ci-serve &&
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &

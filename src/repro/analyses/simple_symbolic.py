@@ -155,8 +155,6 @@ class SimpleSymbolicClient(ClientAnalysis):
         self.naive_copy = naive_copy
         #: node_id -> set of printed constant values (None marks "unknown")
         self.print_observations: Dict[int, Set[Optional[int]]] = {}
-        #: (graph fingerprint, ranges) -> enriched ProcSet (see ``_enrich``)
-        self._enrich_memo: Dict[tuple, ProcSet] = {}
         #: provenance narration of the current ``try_match`` call: one
         #: record per candidate pair examined.  None whenever the flight
         #: recorder is disabled, so matching stays trace-free by default.
@@ -330,12 +328,12 @@ class SimpleSymbolicClient(ClientAnalysis):
 
         def repair_bound(bound: Bound) -> Bound:
             keep = {e for e in bound.exprs if not e.mentions(target)}
-            vocabulary = state.cg.variables()
-            for expr in bound.exprs:
-                if expr.mentions(target):
-                    for alt in state.cg.equivalents(expr, vocabulary):
-                        if not alt.mentions(target):
-                            keep.add(alt)
+            stale = [e for e in bound.exprs if e.mentions(target)]
+            keep |= {
+                alt
+                for alt in state.cg.equivalents_union(stale)
+                if not alt.mentions(target)
+            }
             if not keep:
                 raise GiveUp(
                     f"process-set bound lost its last expression when "
@@ -496,7 +494,7 @@ class SimpleSymbolicClient(ClientAnalysis):
 
     def _partition_range(self, rng: SymRange, op: str, threshold: LinearExpr, cg):
         """Partition one range by ``id <op> threshold``; None when unknown."""
-        point = Bound(cg.equivalents(threshold, cg.variables()) | {threshold})
+        point = Bound(cg.equivalents(threshold))
         point_range = SymRange(point, point)
 
         def eq_partition():
@@ -597,33 +595,18 @@ class SimpleSymbolicClient(ClientAnalysis):
         """Drop provably-empty ranges, then extend every bound with all
         provably-equal expressions.
 
-        Memoized on ``(graph fingerprint, ranges)``: enrichment is pure in
-        the graph's semantics, and the same (state, pset) pairs recur at
-        every re-visit of a pCFG node until its fixed point.
+        A bound's expressions are all equal, so they usually form one
+        equality class, and :meth:`ConstraintGraph.equivalents_union` asks
+        the graph once per class rather than once per expression.
         """
-        key = None
-        if not (self.naive_closure or self.naive_copy):
-            key = (cg.fingerprint(), pset.ranges)
-            hit = self._enrich_memo.get(key)
-            if hit is not None:
-                return hit
-        vocabulary = frozenset(cg.variables())
         pset = pset.prune_empty(cg)
 
         def enrich_bound(bound: Bound) -> Bound:
-            exprs = set(bound.exprs)
-            for expr in bound.exprs:
-                exprs |= cg.equivalents(expr, vocabulary)
-            return Bound(exprs)
+            return Bound(cg.equivalents_union(bound.exprs))
 
-        result = ProcSet(
+        return ProcSet(
             [SymRange(enrich_bound(r.lb), enrich_bound(r.ub)) for r in pset.ranges]
         )
-        if key is not None:
-            if len(self._enrich_memo) >= 4096:
-                self._enrich_memo.clear()
-            self._enrich_memo[key] = result
-        return result
 
     # ------------------------------------------------------------------ matching
 
@@ -1006,14 +989,7 @@ class SimpleSymbolicClient(ClientAnalysis):
         dest = Bound(
             {s_expr.substitute({id_s: e}) for e in s_rng.lb.exprs}
         )
-        dest = Bound(
-            set(dest.exprs)
-            | {
-                alt
-                for e in dest.exprs
-                for alt in cg.equivalents(e, cg.variables())
-            }
-        )
+        dest = Bound(cg.equivalents_union(dest.exprs))
         target = SymRange(dest, dest)
         inside_lo = r_rng.lb.leq(dest, cg)
         inside_hi = dest.leq(r_rng.ub, cg)
@@ -1036,14 +1012,7 @@ class SimpleSymbolicClient(ClientAnalysis):
         self, cg, s_rng, s_expr, id_s, s_shift, r_rng, r_expr, id_r
     ):
         origin = Bound({r_expr.substitute({id_r: e}) for e in r_rng.lb.exprs})
-        origin = Bound(
-            set(origin.exprs)
-            | {
-                alt
-                for e in origin.exprs
-                for alt in cg.equivalents(e, cg.variables())
-            }
-        )
+        origin = Bound(cg.equivalents_union(origin.exprs))
         source = SymRange(origin, origin)
         inside_lo = s_rng.lb.leq(origin, cg)
         inside_hi = origin.leq(s_rng.ub, cg)
@@ -1150,20 +1119,17 @@ class SimpleSymbolicClient(ClientAnalysis):
         """
         prefixes = tuple(f"ps{uid}::" for uid in doomed_uids)
         cg = state.cg
-        vocabulary = cg.variables()
 
         def doomed(expr: LinearExpr) -> bool:
             return any(name.startswith(prefixes) for name in expr.variables())
 
         def fix_bound(bound: Bound) -> Bound:
             exprs = {e for e in bound.exprs if not doomed(e)}
-            for expr in bound.exprs:
-                if doomed(expr):
-                    exprs |= {
-                        alt
-                        for alt in cg.equivalents(expr, vocabulary)
-                        if not doomed(alt)
-                    }
+            exprs |= {
+                alt
+                for alt in cg.equivalents_union(e for e in bound.exprs if doomed(e))
+                if not doomed(alt)
+            }
             if not exprs:
                 raise GiveUp(
                     "a process-set bound could not be re-expressed when its "
@@ -1180,7 +1146,7 @@ class SimpleSymbolicClient(ClientAnalysis):
         def fix_expr(expr: Optional[LinearExpr]) -> Optional[LinearExpr]:
             if expr is None or not doomed(expr):
                 return expr
-            for alt in cg.equivalents(expr, vocabulary):
+            for alt in cg.equivalents(expr):
                 if not doomed(alt):
                     return alt
             return expr  # left dangling: comparisons on it stay unknown

@@ -11,19 +11,21 @@ by an incremental single-constraint update (O(n^2)); both are instrumented
 through :mod:`repro.cgraph.stats` because reproducing the paper's Section IX
 profile requires counting exactly these operations.
 
-Representation sharing (PR 2).  The bound matrix is **copy-on-write**:
+Representation sharing.  The bound matrix is **copy-on-write**:
 :meth:`ConstraintGraph.copy` shares the underlying dict-of-dicts between
 parent and clone, and the first in-place mutation of either materializes a
 private copy (``cgraph.cow.shares`` / ``cgraph.cow.materializations``
 counters).  Closed graphs cache a canonical *fingerprint* of their
 constraint set, so :meth:`equivalent_to` is a hash comparison instead of a
-matrix walk, and both closure algorithms are memoized in a process-wide
-table — the full closure keyed by the unclosed constraint set, the
-incremental closure keyed by ``(fingerprint, added constraint)`` — with
-hits reported as ``cgraph.closure.cache_hits``.  The ``naive_copy`` flag
-restores the pre-PR-2 eager-copy, cache-free behavior for A/B property
-tests, and ``naive_closure`` (the Section IX ablation) also bypasses every
-cache so the paper's prototype cost profile stays reproducible.
+matrix walk, and COW siblings share one equality-pair index for
+:meth:`equivalents`.  Nothing is memoized across graphs: a process-wide
+closure memo hit 0.4% of closures on the 18 paper programs while sorting
+the full edge list of every closure for its key, and the process-wide
+memos held a warm 120-program batch at 309 MiB of peak RSS against 43 MiB
+without them.  The ``naive_copy`` flag
+restores the eager-copy, memo-free behavior for A/B property tests, and
+``naive_closure`` (the Section IX ablation) also bypasses the equality
+index so the paper's prototype cost profile stays reproducible.
 """
 
 from __future__ import annotations
@@ -48,37 +50,11 @@ ZERO = "__0__"
 #: absence of a constraint (y - x unbounded above)
 INF = None
 
-#: memoized closure results: key -> (bound matrix, infeasible, fingerprint).
-#: Cached matrices are adopted copy-on-write and must never be mutated in
-#: place (every adopter holds them with ``_shared = True``).
-_CLOSURE_CACHE: Dict[tuple, Tuple[Dict[str, Dict[str, int]], bool, tuple]] = {}
-
-#: crude epoch eviction: when the table fills up it is dropped wholesale,
-#: which keeps behavior deterministic and bounds memory
-_CLOSURE_CACHE_MAX = 4096
-
-
-#: shared equivalence memos: semantic fingerprint -> {(expr, vocab): frozenset}.
-#: Graphs adopt the dict matching their semantics, so enrichment work
-#: survives copies, joins, and re-derivations of the same constraint system.
-_EQUIV_REGISTRY: Dict[tuple, dict] = {}
-
-#: sentinel key inside an equivalence memo dict holding the graph's
-#: precomputed equality-pair structure (see :meth:`_equality_pairs`);
-#: never collides with the ``(expr, vocab)`` tuple keys of real entries
-_EQUIV_PAIRS_KEY = "__equality_pairs__"
-
-
 def clear_closure_caches() -> None:
-    """Drop all memoized closure results (test/benchmark isolation)."""
-    _CLOSURE_CACHE.clear()
-    _EQUIV_REGISTRY.clear()
+    """No-op: constraint graphs keep no process-wide memo.
 
-
-def _cache_store(key: tuple, value) -> None:
-    if len(_CLOSURE_CACHE) >= _CLOSURE_CACHE_MAX:
-        _CLOSURE_CACHE.clear()
-    _CLOSURE_CACHE[key] = value
+    Kept because the frozen benchmark harness still imports it.
+    """
 
 
 class ConstraintGraph:
@@ -99,27 +75,29 @@ class ConstraintGraph:
         self._bound: Dict[str, Dict[str, int]] = {ZERO: {}}
         self._closed = True
         self._infeasible = False
-        #: the bound matrix may be referenced by another graph (or by the
-        #: closure cache); in-place mutation must materialize a private copy
+        #: the bound matrix may be referenced by another graph; in-place
+        #: mutation must materialize a private copy
         self._shared = False
         #: cached canonical fingerprint of the closed constraint system
         self._fingerprint: Optional[tuple] = None
-        #: memoized ``equivalents`` results, shared between COW siblings and
+        #: one-slot box holding the equality-pair index of the closed graph
+        #: (see :meth:`_equality_pairs`), shared between COW siblings and
         #: replaced (never cleared in place) on semantic mutation
-        self._equiv_cache: Dict[tuple, frozenset] = {}
+        self._pairs_box: List[Optional[Dict[str, List[Tuple[str, int]]]]] = [None]
         self._stats = stats if stats is not None else global_stats()
         #: ablation switch reproducing the paper's prototype cost profile:
         #: re-run the full O(n^3) closure before every query instead of
         #: tracking closedness (Section IX's dominant cost)
         self.naive_closure = naive_closure
         #: ablation switch restoring the pre-PR-2 lattice: eager deep copies
-        #: and no closure/equivalence caches (the property-test oracle)
+        #: and no equality index (the property-test oracle)
         self.naive_copy = naive_copy
 
     # -- copy-on-write plumbing ------------------------------------------------
 
-    def _caching(self) -> bool:
-        """True when memoization is allowed (both ablations disable it)."""
+    def _optimized(self) -> bool:
+        """True when the equality index and the vectorized closure are
+        allowed (both ablations disable them)."""
         return not (self.naive_closure or self.naive_copy)
 
     def _materialize(self) -> None:
@@ -130,13 +108,13 @@ class ConstraintGraph:
             self._stats.record_cow_materialization()
 
     def _invalidate(self) -> None:
-        """Constraint set changed: drop fingerprint and equivalence memos."""
+        """Constraint set changed: drop fingerprint and equality index."""
         self._fingerprint = None
         # Re-bind instead of clearing: COW siblings still using the old
-        # semantics keep their (still-valid) shared memo dict.  This must
-        # happen even when the dict is currently empty — a sibling sharing
-        # it could populate it later with entries for the *old* semantics.
-        self._equiv_cache = {}
+        # semantics keep their (still-valid) shared box.  This must happen
+        # even when the box is currently empty — a sibling sharing it could
+        # fill it later with the index of the *old* semantics.
+        self._pairs_box = [None]
 
     def _edge_items(self) -> tuple:
         """Canonical tuple of all explicit constraints (sorted edge list)."""
@@ -223,7 +201,7 @@ class ConstraintGraph:
             clone._bound = self._bound
             clone._shared = True
             clone._fingerprint = self._fingerprint
-            clone._equiv_cache = self._equiv_cache
+            clone._pairs_box = self._pairs_box
             self._stats.record_cow_share()
         clone._closed = self._closed
         clone._infeasible = self._infeasible
@@ -242,7 +220,7 @@ class ConstraintGraph:
     def add_var(self, name: str) -> None:
         """Track a variable (initially unconstrained)."""
         if name not in self._bound:
-            # no constraint is added: closedness and equivalence memos are
+            # no constraint is added: closedness and the equality index are
             # unaffected, but the variable list (part of the representational
             # fingerprint) grows and the matrix itself must be owned
             self._materialize()
@@ -345,30 +323,12 @@ class ConstraintGraph:
             self.close()
 
     def close(self) -> None:
-        """Full O(n^3) transitive closure (Floyd-Warshall), instrumented.
-
-        Memoized (outside the ablation modes) on the unclosed constraint
-        set: re-closing an already-seen system adopts the cached matrix
-        copy-on-write instead of re-running Floyd-Warshall.
-        """
-        caching = self._caching()
-        if caching:
-            key = ("full",) + self._rep_fingerprint()
-            hit = _CLOSURE_CACHE.get(key)
-            if hit is not None:
-                cached_bound, cached_infeasible, cached_rep = hit
-                self._bound = cached_bound
-                self._shared = True
-                self._infeasible = self._infeasible or cached_infeasible
-                self._closed = True
-                self._fingerprint = cached_rep
-                self._stats.record_cache_hit()
-                return
+        """Full O(n^3) transitive closure (Floyd-Warshall), instrumented."""
         names = [ZERO] + sorted(self.variables())
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
         use_numpy = (
-            caching and _np is not None and n >= _NUMPY_CLOSURE_MIN_VARS
+            self._optimized() and _np is not None and n >= _NUMPY_CLOSURE_MIN_VARS
         )
         with _obs.span("cgraph.closure.full"), timed() as clock:
             if use_numpy:
@@ -383,9 +343,6 @@ class ConstraintGraph:
         self._infeasible = self._infeasible or infeasible
         self._closed = True
         self._fingerprint = None
-        if caching:
-            _cache_store(key, (bound, infeasible, self._rep_fingerprint()))
-            self._shared = True
 
     def _floyd_warshall_python(
         self, names: List[str], index: Dict[str, int], n: int
@@ -460,26 +417,9 @@ class ConstraintGraph:
 
         Precondition: the graph was closed before the constraint was added.
         Used by hot paths (assignment transfer); instrumented separately.
-        Memoized on ``(fingerprint, x, y, c)``: re-deriving the same closed
-        system plus the same single constraint adopts the cached matrix
-        copy-on-write.
         """
         if self._infeasible:
             return
-        key = None
-        if self._closed and self._caching():
-            key = ("incr", self._rep_fingerprint(), x, y, c)
-            hit = _CLOSURE_CACHE.get(key)
-            if hit is not None:
-                cached_bound, cached_infeasible, cached_rep = hit
-                self._bound = cached_bound
-                self._shared = True
-                self._infeasible = cached_infeasible
-                self._closed = True
-                self._fingerprint = cached_rep
-                self._equiv_cache = {}
-                self._stats.record_cache_hit()
-                return
         self.add_var(x)
         self.add_var(y)
         names = [ZERO] + sorted(self.variables())
@@ -488,7 +428,6 @@ class ConstraintGraph:
             if existing is not None and existing <= c:
                 self._closed = True
                 self._stats.record_incremental(len(names) - 1, clock.elapsed)
-                self._memoize_incremental(key)
                 return
             self._materialize()
             self._invalidate()
@@ -498,7 +437,6 @@ class ConstraintGraph:
                     self._infeasible = True
                 self._closed = True
                 self._stats.record_incremental(len(names) - 1, clock.elapsed)
-                self._memoize_incremental(key)
                 return
             for u in names:
                 to_x = 0 if u == x else self._bound[u].get(x)
@@ -518,14 +456,6 @@ class ConstraintGraph:
                         self._bound[u][v] = total
         self._closed = True
         self._stats.record_incremental(len(names) - 1, clock.elapsed)
-        self._memoize_incremental(key)
-
-    def _memoize_incremental(self, key: Optional[tuple]) -> None:
-        """Store the just-computed incremental closure under ``key``."""
-        if key is None:
-            return
-        _cache_store(key, (self._bound, self._infeasible, self._rep_fingerprint()))
-        self._shared = True
 
     # -- queries ---------------------------------------------------------------
 
@@ -557,6 +487,29 @@ class ConstraintGraph:
         self._ensure_closed()
         if self._infeasible:
             return True
+        lhs_coeffs, rhs_coeffs = lhs._coeffs, rhs._coeffs
+        if (
+            len(lhs_coeffs) <= 1
+            and len(rhs_coeffs) <= 1
+            and (not lhs_coeffs or lhs_coeffs[0][1] == 1)
+            and (not rhs_coeffs or rhs_coeffs[0][1] == 1)
+        ):
+            # the process-set bound shape: a + p <= b + q, where a constant
+            # side is the zero node; same verdicts as the delta form below
+            # without building lhs - rhs
+            a = lhs_coeffs[0][0] if lhs_coeffs else ZERO
+            b = rhs_coeffs[0][0] if rhs_coeffs else ZERO
+            p, q = lhs._const, rhs._const
+            if a == b:
+                return p <= q
+            if not (self.has_var(a) and self.has_var(b)):
+                return None
+            if self.entails_diff(b, a, q - p):
+                return True
+            if self.entails_diff(a, b, p - q - 1):
+                # a - b >= q - p + 1  =>  lhs > rhs
+                return False
+            return None
         delta = lhs - rhs
         coeffs = delta.coeffs
         const = delta.constant
@@ -631,57 +584,68 @@ class ConstraintGraph:
             total += coeff * value
         return total
 
-    def equivalents(self, expr: LinearExpr, vocabulary: Iterable[str]) -> Set[LinearExpr]:
+    def equivalents(self, expr: LinearExpr) -> Set[LinearExpr]:
         """All ``var + c`` / constant expressions provably equal to ``expr``.
 
         ``expr`` must be of shape ``var + c0`` or a constant; this is the
         bound-equivalence-set operation the Section VII process-set
-        representation relies on.  Results are memoized per closed graph
-        (the memo is shared across copy-on-write siblings, so enrichment of
-        many states over the same underlying graph pays for one scan).
+        representation relies on.
+
+        The result is a function of ``expr``'s equality *class*: for every
+        ``m`` in ``equivalents(e)``, ``equivalents(m) == equivalents(e)``.
+        A closed DBM's tight equalities are transitive; ``join`` (pointwise
+        max of closed DBMs) keeps them, and ``widen`` keeps an equality
+        pair only where the closed newer graph entails it, so it keeps the
+        composed pair too.  Callers enriching a bound therefore query one
+        member per class and skip the members it returned.
+
+        Each query walks only the equality class of its base variable in
+        the equality-pair index, which COW siblings share.
         """
         self._ensure_closed()
-        key = None
-        cache = None
-        if self._caching():
-            vocab = (
-                vocabulary
-                if isinstance(vocabulary, frozenset)
-                else frozenset(vocabulary)
-            )
-            key = (expr, vocab)
-            cache = self._equiv_cache
-            if not cache:
-                # adopt the registry dict shared by every graph with these
-                # semantics; a mutation re-binds to a fresh dict, so the next
-                # query adopts the dict of the new fingerprint
-                if len(_EQUIV_REGISTRY) >= _CLOSURE_CACHE_MAX:
-                    _EQUIV_REGISTRY.clear()
-                cache = self._equiv_cache = _EQUIV_REGISTRY.setdefault(
-                    self.fingerprint(), self._equiv_cache
-                )
-            hit = cache.get(key)
-            if hit is not None:
-                return set(hit)
-            vocabulary = vocab
-        pairs = cache.get(_EQUIV_PAIRS_KEY) if cache is not None else None
+        result: Set[LinearExpr] = {expr}
+        if self._infeasible:
+            return result
+        pairs = self._pairs_box[0]
         if pairs is None:
             pairs = self._equality_pairs()
-            if cache is not None:
-                cache[_EQUIV_PAIRS_KEY] = pairs
-        result = self._compute_equivalents(expr, vocabulary, pairs)
-        if key is not None:
-            cache[key] = frozenset(result)
+            if self._optimized():
+                self._pairs_box[0] = pairs
+        split = expr.split_var_plus_const()
+        if split is not None:
+            base, offset = split
+            for other, forward in pairs.get(base, ()):
+                if other == ZERO:
+                    # ZERO == base + forward  =>  expr == offset - forward
+                    result.add(LinearExpr.const(offset - forward))
+                else:
+                    # other == base + forward  =>  expr == other + offset - forward
+                    result.add(LinearExpr._raw(offset - forward, ((other, 1),)))
+            return result
+        constant = expr.as_constant()
+        if constant is not None:
+            for other, forward in pairs.get(ZERO, ()):
+                # other == forward  =>  constant == other + (constant - forward)
+                result.add(LinearExpr._raw(constant - forward, ((other, 1),)))
+        return result
+
+    def equivalents_union(self, exprs: Iterable[LinearExpr]) -> Set[LinearExpr]:
+        """Union of :meth:`equivalents` over ``exprs``, one query per
+        equality class: an expression an earlier query returned is in that
+        query's class, so its own query would return the same set."""
+        result: Set[LinearExpr] = set()
+        for expr in exprs:
+            if expr not in result:
+                result |= self.equivalents(expr)
         return result
 
     def _equality_pairs(self) -> Dict[str, List[Tuple[str, int]]]:
         """``base -> [(other, forward)]`` with ``other == base + forward``.
 
         Derived from the closed matrix (an equality is a pair of opposite
-        tight difference edges) once per semantics and memoized in the
-        shared equivalence cache: every ``equivalents`` query then walks
-        only the (tiny) equality class of its base variable instead of the
-        whole vocabulary.
+        tight difference edges) once per semantics: every ``equivalents``
+        query then walks only the (tiny) equality class of its base
+        variable instead of the whole matrix.
         """
         pairs: Dict[str, List[Tuple[str, int]]] = {}
         bound = self._bound
@@ -694,34 +658,6 @@ class ConstraintGraph:
             if entries:
                 pairs[base] = entries
         return pairs
-
-    def _compute_equivalents(
-        self,
-        expr: LinearExpr,
-        vocabulary: Iterable[str],
-        pairs: Dict[str, List[Tuple[str, int]]],
-    ) -> Set[LinearExpr]:
-        result: Set[LinearExpr] = {expr}
-        if self._infeasible:
-            return result
-        split = expr.split_var_plus_const()
-        if split is not None:
-            base, offset = split
-            for other, forward in pairs.get(base, ()):
-                if other == ZERO:
-                    # ZERO == base + forward  =>  expr == offset - forward
-                    result.add(LinearExpr.const(offset - forward))
-                elif other in vocabulary:
-                    # other == base + forward  =>  expr == other + offset - forward
-                    result.add(LinearExpr._raw(offset - forward, ((other, 1),)))
-            return result
-        constant = expr.as_constant()
-        if constant is not None:
-            for other, forward in pairs.get(ZERO, ()):
-                # other == forward  =>  constant == other + (constant - forward)
-                if other in vocabulary:
-                    result.add(LinearExpr._raw(constant - forward, ((other, 1),)))
-        return result
 
     # -- transfer ---------------------------------------------------------------
 

@@ -32,8 +32,6 @@ class ClosureStats:
     incremental_calls: int = 0
     incremental_vars: List[int] = field(default_factory=list)
     incremental_time: float = 0.0
-    #: closures answered from the memo table instead of being executed
-    cache_hits: int = 0
     #: copy-on-write events: copies that shared the bound matrix, and
     #: shared matrices that had to be materialized before a mutation
     cow_shares: int = 0
@@ -59,11 +57,6 @@ class ClosureStats:
         _obs.incr("cgraph.closure.incremental.calls")
         _obs.observe("cgraph.closure.incremental.vars", num_vars)
         _obs.observe("cgraph.closure.incremental.time", elapsed)
-
-    def record_cache_hit(self) -> None:
-        """Record one closure answered from the memo table (no execution)."""
-        self.cache_hits += 1
-        _obs.incr("cgraph.closure.cache_hits")
 
     def record_cow_share(self) -> None:
         """Record one copy that shared its bound matrix copy-on-write."""
@@ -104,7 +97,6 @@ class ClosureStats:
         self.incremental_calls = 0
         self.incremental_vars = []
         self.incremental_time = 0.0
-        self.cache_hits = 0
         self.cow_shares = 0
         self.cow_materializations = 0
         self.total_time = 0.0
@@ -118,9 +110,8 @@ class ClosureStats:
             f"avg {self.avg_incremental_vars():.1f} vars, "
             f"{self.incremental_time:.4f}s",
         ]
-        if self.cache_hits or self.cow_shares:
+        if self.cow_shares:
             lines.append(
-                f"closure cache hits:            {self.cache_hits}; "
                 f"COW shares/materializations:   {self.cow_shares}/"
                 f"{self.cow_materializations}"
             )

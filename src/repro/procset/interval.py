@@ -86,13 +86,12 @@ class Bound:
 
     def leq(self, other: "Bound", order: Order) -> Optional[bool]:
         """Three-valued ``self <= other`` using any representative pair."""
-        unknown = True
         for mine in self._exprs:
             for theirs in other._exprs:
                 verdict = order.entails_leq(mine, theirs)
                 if verdict is not None:
                     return verdict
-        return None if unknown else None
+        return None
 
     def eq(self, other: "Bound", order: Order) -> Optional[bool]:
         """Three-valued ``self == other``."""

@@ -1,7 +1,7 @@
 """Shared test/benchmark scaffolding.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` both need the same
-isolation guarantee: no closure stats, memo tables, obs recorder state,
+isolation guarantee: no closure stats, obs recorder state,
 flight-recorder provenance, or structured-logging sink may leak from one
 test into the next.  The reset logic lives here — once — and the two
 conftests re-export :func:`observability_fixture` as their autouse fixture.
@@ -14,14 +14,12 @@ import pytest
 
 def reset_state() -> None:
     """Reset every piece of cross-cutting global state to a clean slate."""
-    from repro.cgraph.constraint_graph import clear_closure_caches
     from repro.cgraph.stats import reset_global_stats
     from repro.faults import plane as fault_plane
     from repro.obs import provenance, slog
     from repro.obs import recorder as obs_recorder
 
     reset_global_stats()
-    clear_closure_caches()
     obs_recorder.reset()
     provenance.reset()
     fault_plane.reset()

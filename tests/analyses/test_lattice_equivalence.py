@@ -3,7 +3,7 @@
 Every registered program is analyzed twice with the client its spec
 names (``CartesianClient`` for ``client="cartesian"``, else
 ``SimpleSymbolicClient``): once with the full PR-2 machinery (COW graphs,
-closure/equivalence memos, priority worklist, interned states) and once
+shared equality index, priority worklist, interned states) and once
 with every optimization disabled (``naive_copy`` client, interning off).
 The observable analysis outcome — convergence, the match relation, and
 the blocked/vacuous diagnostics — must be identical.

@@ -1,8 +1,8 @@
 """Copy-on-write constraint graphs: aliasing safety and lattice equivalence.
 
 The PR-2 representation overhaul makes :meth:`ConstraintGraph.copy` share
-the bound matrix until first mutation, memoizes closures in a process-wide
-table, and answers ``equivalent_to`` by fingerprint comparison.  These tests
+the bound matrix (and the equality-pair index) until first mutation, and
+answers ``equivalent_to`` by fingerprint comparison.  These tests
 pin the two properties that make that safe:
 
 * **isolation** — a mutation of either COW side is never visible through
@@ -14,10 +14,7 @@ pin the two properties that make that safe:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cgraph.constraint_graph import (
-    ConstraintGraph,
-    clear_closure_caches,
-)
+from repro.cgraph.constraint_graph import ConstraintGraph
 from repro.cgraph.stats import ClosureStats
 from repro.expr.linear import LinearExpr
 
@@ -34,7 +31,7 @@ def _diff_snapshot(g: ConstraintGraph):
         },
         "consts": {a: g.const_value(a) for a in VARS},
         "equivs": {
-            a: frozenset(g.equivalents(LinearExpr.var(a), frozenset(VARS)))
+            a: frozenset(g.equivalents(LinearExpr.var(a)))
             for a in VARS
         },
     }
@@ -96,27 +93,6 @@ class TestCowIsolation:
             child = g.copy()
             mutate(child)
             assert _diff_snapshot(g) == before, mutate
-
-    def test_closure_cache_adoption_is_isolated(self):
-        """A matrix adopted from the closure memo must never be mutated in
-        place by its adopters."""
-        clear_closure_caches()
-        stats = ClosureStats()
-
-        def build():
-            h = ConstraintGraph(stats)
-            h.add_diff("x", "y", 2)
-            h.add_diff("y", "z", 2)
-            h._closed = False
-            h.close()
-            return h
-
-        first = build()
-        second = build()  # adopts the memoized matrix
-        assert stats.cache_hits >= 1
-        second.add_diff("x", "z", 1)
-        assert first.diff_bound("x", "z") == 4
-        assert second.diff_bound("x", "z") == 1
 
 
 class TestFingerprintEquivalence:

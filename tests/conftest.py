@@ -7,7 +7,7 @@ import pytest
 from repro.lang import build_cfg, programs
 from repro.testing import observability_fixture
 
-#: isolate tests from each other's closure stats, memo tables, obs recorder,
+#: isolate tests from each other's closure stats, obs recorder,
 #: flight recorder, and structured-logging state (shared with benchmarks/)
 _reset_observability = observability_fixture()
 
