@@ -1119,9 +1119,15 @@ class SimpleSymbolicClient(ClientAnalysis):
         """
         prefixes = tuple(f"ps{uid}::" for uid in doomed_uids)
         cg = state.cg
+        verdicts: Dict[LinearExpr, bool] = {}
 
         def doomed(expr: LinearExpr) -> bool:
-            return any(name.startswith(prefixes) for name in expr.variables())
+            verdict = verdicts.get(expr)
+            if verdict is None:
+                verdict = verdicts[expr] = any(
+                    name.startswith(prefixes) for name, _ in expr._coeffs
+                )
+            return verdict
 
         def fix_bound(bound: Bound) -> Bound:
             exprs = {e for e in bound.exprs if not doomed(e)}

@@ -6,10 +6,16 @@ bounds (``x <= 5``) are the special case ``x <= ZERO + 5``.  This is the
 constraint-graph representation of CLR ch. 24.4/25.5 used by the paper's
 Section VII-A state analysis.
 
-Consistency is maintained by transitive closure (Floyd–Warshall, O(n^3)) or
-by an incremental single-constraint update (O(n^2)); both are instrumented
-through :mod:`repro.cgraph.stats` because reproducing the paper's Section IX
-profile requires counting exactly these operations.
+Consistency is maintained by transitive closure (Floyd–Warshall, O(n^3)),
+by an incremental single-constraint update (O(n^2)), or by the closed form
+of a client update; all are instrumented through :mod:`repro.cgraph.stats`
+because reproducing the paper's Section IX profile requires counting
+exactly these operations.  A graph that is closed stays closed through the
+client's own updates: an asserted inequality goes through the incremental
+update, a namespace copy onto fresh names and the binding ``x := y + c``
+write the closed matrix directly.  Each yields the matrix that adding the
+edges and re-closing from scratch would, so the full closure runs only on
+graphs built edge by edge (the initial state) or flagged by ``widen``.
 
 Representation sharing.  The bound matrix is **copy-on-write**:
 :meth:`ConstraintGraph.copy` shares the underlying dict-of-dicts between
@@ -17,15 +23,16 @@ parent and clone, and the first in-place mutation of either materializes a
 private copy (``cgraph.cow.shares`` / ``cgraph.cow.materializations``
 counters).  Closed graphs cache a canonical *fingerprint* of their
 constraint set, so :meth:`equivalent_to` is a hash comparison instead of a
-matrix walk, and COW siblings share one equality-pair index for
-:meth:`equivalents`.  Nothing is memoized across graphs: a process-wide
-closure memo hit 0.4% of closures on the 18 paper programs while sorting
-the full edge list of every closure for its key, and the process-wide
-memos held a warm 120-program batch at 309 MiB of peak RSS against 43 MiB
-without them.  The ``naive_copy`` flag
+matrix walk, and COW siblings share the equality classes
+:meth:`equivalents` has computed, one variable at a time.  Nothing is
+memoized across graphs: a process-wide closure memo hit 0.4% of closures
+on the 18 paper programs while sorting the full edge list of every closure
+for its key, and the process-wide memos held a warm 120-program batch at
+309 MiB of peak RSS against 43 MiB without them.  The ``naive_copy`` flag
 restores the eager-copy, memo-free behavior for A/B property tests, and
-``naive_closure`` (the Section IX ablation) also bypasses the equality
-index so the paper's prototype cost profile stays reproducible.
+``naive_closure`` (the Section IX ablation) re-closes before every query;
+both keep the add-then-close updates and bypass the equality classes so
+the paper's prototype cost profile stays reproducible.
 """
 
 from __future__ import annotations
@@ -50,6 +57,12 @@ ZERO = "__0__"
 #: absence of a constraint (y - x unbounded above)
 INF = None
 
+#: ``_closed`` of a :meth:`ConstraintGraph.widen` result that may lack
+#: implied constraints: queries treat it as closed (re-closing could undo
+#: the widening), but the closed-form updates close it first
+_WIDENED = "widened"
+
+
 def clear_closure_caches() -> None:
     """No-op: constraint graphs keep no process-wide memo.
 
@@ -73,6 +86,8 @@ class ConstraintGraph:
     ):
         # _bound[x][y] = c  <=>  y <= x + c  (edge x --c--> y)
         self._bound: Dict[str, Dict[str, int]] = {ZERO: {}}
+        #: True (closed), False (edges added since the last closure) or
+        #: _WIDENED (a widening result flagged closed without closing)
         self._closed = True
         self._infeasible = False
         #: the bound matrix may be referenced by another graph; in-place
@@ -80,10 +95,10 @@ class ConstraintGraph:
         self._shared = False
         #: cached canonical fingerprint of the closed constraint system
         self._fingerprint: Optional[tuple] = None
-        #: one-slot box holding the equality-pair index of the closed graph
-        #: (see :meth:`_equality_pairs`), shared between COW siblings and
-        #: replaced (never cleared in place) on semantic mutation
-        self._pairs_box: List[Optional[Dict[str, List[Tuple[str, int]]]]] = [None]
+        #: equality class per base variable (see :meth:`_class_of`), filled
+        #: on first use, shared between COW siblings and replaced (never
+        #: cleared in place) on semantic mutation
+        self._classes: Dict[str, List[Tuple[str, int]]] = {}
         self._stats = stats if stats is not None else global_stats()
         #: ablation switch reproducing the paper's prototype cost profile:
         #: re-run the full O(n^3) closure before every query instead of
@@ -96,9 +111,18 @@ class ConstraintGraph:
     # -- copy-on-write plumbing ------------------------------------------------
 
     def _optimized(self) -> bool:
-        """True when the equality index and the vectorized closure are
-        allowed (both ablations disable them)."""
+        """True when the equality classes, the closed-form updates and the
+        vectorized closure are allowed (both ablations disable them)."""
         return not (self.naive_closure or self.naive_copy)
+
+    def _closed_for_update(self) -> bool:
+        """True when a closed-form update may write this graph's matrix:
+        optimized, feasible and closed.  A widened graph is closed first."""
+        if not (self._optimized() and self._closed) or self._infeasible:
+            return False
+        if self._closed is _WIDENED:
+            self.close()
+        return not self._infeasible
 
     def _materialize(self) -> None:
         """Give this graph a private bound matrix before in-place mutation."""
@@ -108,13 +132,13 @@ class ConstraintGraph:
             self._stats.record_cow_materialization()
 
     def _invalidate(self) -> None:
-        """Constraint set changed: drop fingerprint and equality index."""
+        """Constraint set changed: drop fingerprint and equality classes."""
         self._fingerprint = None
         # Re-bind instead of clearing: COW siblings still using the old
-        # semantics keep their (still-valid) shared box.  This must happen
-        # even when the box is currently empty — a sibling sharing it could
-        # fill it later with the index of the *old* semantics.
-        self._pairs_box = [None]
+        # semantics keep their (still-valid) shared classes.  This must
+        # happen even when the dict is currently empty — a sibling sharing
+        # it could fill it later with classes of the *old* semantics.
+        self._classes = {}
 
     def _edge_items(self) -> tuple:
         """Canonical tuple of all explicit constraints (sorted edge list)."""
@@ -153,9 +177,9 @@ class ConstraintGraph:
         """Representational state for the checkpoint codec.
 
         Captures the raw bound matrix (closed or not), feasibility, the
-        closedness flag and the ablation switches — everything needed to
-        rebuild a graph that behaves identically, including its canonical
-        :meth:`fingerprint`.
+        closedness flag (``"widened"`` for an unclosed widening result) and
+        the ablation switches — everything needed to rebuild a graph that
+        behaves identically, including its canonical :meth:`fingerprint`.
         """
         return {
             "vars": sorted(self.variables()),
@@ -178,7 +202,8 @@ class ConstraintGraph:
             graph._bound.setdefault(name, {})
         for src, dst, c in data["edges"]:
             graph._bound.setdefault(src, {})[dst] = c
-        graph._closed = bool(data["closed"])
+        closed = data["closed"]
+        graph._closed = _WIDENED if closed == _WIDENED else bool(closed)
         graph._infeasible = bool(data["infeasible"])
         return graph
 
@@ -201,7 +226,7 @@ class ConstraintGraph:
             clone._bound = self._bound
             clone._shared = True
             clone._fingerprint = self._fingerprint
-            clone._pairs_box = self._pairs_box
+            clone._classes = self._classes
             self._stats.record_cow_share()
         clone._closed = self._closed
         clone._infeasible = self._infeasible
@@ -269,6 +294,14 @@ class ConstraintGraph:
         self.add_diff(x, y, c)
         self.add_diff(y, x, -c)
 
+    def _assume_diff(self, x: str, y: str, c: int) -> None:
+        """Assert ``y <= x + c``, keeping a closed graph closed through
+        :meth:`close_incremental` instead of a later full closure."""
+        if self._closed_for_update():
+            self.close_incremental(x, y, c)
+        else:
+            self.add_diff(x, y, c)
+
     def assume_leq(self, lhs: LinearExpr, rhs: LinearExpr) -> bool:
         """Assert ``lhs <= rhs`` when expressible as a difference constraint.
 
@@ -289,10 +322,10 @@ class ConstraintGraph:
             name = names[0]
             coeff = coeffs[name]
             if coeff == 1:
-                self.add_upper(name, -const)
+                self._assume_diff(ZERO, name, -const)
                 return True
             if coeff == -1:
-                self.add_lower(name, const)
+                self._assume_diff(name, ZERO, -const)
                 return True
             return False
         if len(names) == 2:
@@ -300,10 +333,10 @@ class ConstraintGraph:
             ca, cb = coeffs[a], coeffs[b]
             if ca == 1 and cb == -1:
                 # a - b + const <= 0  =>  a <= b - const
-                self.add_diff(b, a, -const)
+                self._assume_diff(b, a, -const)
                 return True
             if ca == -1 and cb == 1:
-                self.add_diff(a, b, -const)
+                self._assume_diff(a, b, -const)
                 return True
         return False
 
@@ -342,7 +375,7 @@ class ConstraintGraph:
         self._shared = False
         self._infeasible = self._infeasible or infeasible
         self._closed = True
-        self._fingerprint = None
+        self._invalidate()
 
     def _floyd_warshall_python(
         self, names: List[str], index: Dict[str, int], n: int
@@ -416,46 +449,45 @@ class ConstraintGraph:
         """O(n^2) re-closure after adding the single constraint ``y <= x + c``.
 
         Precondition: the graph was closed before the constraint was added.
-        Used by hot paths (assignment transfer); instrumented separately.
+        Only a pair ``(u, v)`` with a finite ``u -> x`` and a finite
+        ``y -> v`` can tighten, so the update visits just those pairs after
+        one scan of column ``x``.  On a feasible result this equals the
+        all-pairs loop; an infeasible result is bottom either way.  Serves
+        :meth:`assume_leq` on closed graphs, and the assignments that the
+        closed-form :meth:`_bind` does not (ablations, widened graphs).
         """
         if self._infeasible:
             return
         self.add_var(x)
         self.add_var(y)
-        names = [ZERO] + sorted(self.variables())
         with _obs.span("cgraph.closure.incremental"), timed() as clock:
             existing = self._bound[x].get(y)
-            if existing is not None and existing <= c:
-                self._closed = True
-                self._stats.record_incremental(len(names) - 1, clock.elapsed)
-                return
-            self._materialize()
-            self._invalidate()
-            self._bound[x][y] = c
             if x == y:
                 if c < 0:
                     self._infeasible = True
-                self._closed = True
-                self._stats.record_incremental(len(names) - 1, clock.elapsed)
-                return
-            for u in names:
-                to_x = 0 if u == x else self._bound[u].get(x)
-                if to_x is None:
-                    continue
-                for v in names:
-                    from_y = 0 if v == y else self._bound[y].get(v)
-                    if from_y is None:
-                        continue
-                    total = to_x + c + from_y
-                    if u == v:
-                        if total < 0:
-                            self._infeasible = True
-                        continue
-                    current = self._bound[u].get(v)
-                    if current is None or total < current:
-                        self._bound[u][v] = total
-        self._closed = True
-        self._stats.record_incremental(len(names) - 1, clock.elapsed)
+                    self._invalidate()
+            elif existing is None or c < existing:
+                self._materialize()
+                self._invalidate()
+                bound = self._bound
+                into_x = [(x, c)] + [
+                    (u, row[x] + c) for u, row in bound.items() if x in row
+                ]
+                out_of_y = [(y, 0)] + list(bound[y].items())
+                for u, ux in into_x:
+                    row = bound[u]
+                    for v, yv in out_of_y:
+                        total = ux + yv
+                        if u == v:
+                            if total < 0:
+                                self._infeasible = True
+                            continue
+                        current = row.get(v)
+                        if current is None or total < current:
+                            row[v] = total
+        if self._closed is not _WIDENED:
+            self._closed = True
+        self._stats.record_incremental(len(self._bound) - 1, clock.elapsed)
 
     # -- queries ---------------------------------------------------------------
 
@@ -599,22 +631,17 @@ class ConstraintGraph:
         composed pair too.  Callers enriching a bound therefore query one
         member per class and skip the members it returned.
 
-        Each query walks only the equality class of its base variable in
-        the equality-pair index, which COW siblings share.
+        Each query reads only the equality class of its base variable
+        (:meth:`_class_of`).
         """
         self._ensure_closed()
         result: Set[LinearExpr] = {expr}
         if self._infeasible:
             return result
-        pairs = self._pairs_box[0]
-        if pairs is None:
-            pairs = self._equality_pairs()
-            if self._optimized():
-                self._pairs_box[0] = pairs
         split = expr.split_var_plus_const()
         if split is not None:
             base, offset = split
-            for other, forward in pairs.get(base, ()):
+            for other, forward in self._class_of(base):
                 if other == ZERO:
                     # ZERO == base + forward  =>  expr == offset - forward
                     result.add(LinearExpr.const(offset - forward))
@@ -624,7 +651,7 @@ class ConstraintGraph:
             return result
         constant = expr.as_constant()
         if constant is not None:
-            for other, forward in pairs.get(ZERO, ()):
+            for other, forward in self._class_of(ZERO):
                 # other == forward  =>  constant == other + (constant - forward)
                 result.add(LinearExpr._raw(constant - forward, ((other, 1),)))
         return result
@@ -639,25 +666,24 @@ class ConstraintGraph:
                 result |= self.equivalents(expr)
         return result
 
-    def _equality_pairs(self) -> Dict[str, List[Tuple[str, int]]]:
-        """``base -> [(other, forward)]`` with ``other == base + forward``.
+    def _class_of(self, base: str) -> List[Tuple[str, int]]:
+        """``[(other, forward)]`` with ``other == base + forward``: the
+        entries of row ``base`` whose opposite entry is tight.
 
-        Derived from the closed matrix (an equality is a pair of opposite
-        tight difference edges) once per semantics: every ``equivalents``
-        query then walks only the (tiny) equality class of its base
-        variable instead of the whole matrix.
+        Computed on first use per variable and kept in the dict COW
+        siblings share (the ablations recompute it every time).
         """
-        pairs: Dict[str, List[Tuple[str, int]]] = {}
-        bound = self._bound
-        for base, row in bound.items():
-            entries = [
+        members = self._classes.get(base)
+        if members is None:
+            bound = self._bound
+            members = [
                 (other, forward)
-                for other, forward in row.items()
-                if bound.get(other, {}).get(base) == -forward
+                for other, forward in bound.get(base, {}).items()
+                if bound[other].get(base) == -forward
             ]
-            if entries:
-                pairs[base] = entries
-        return pairs
+            if self._optimized():
+                self._classes[base] = members
+        return members
 
     # -- transfer ---------------------------------------------------------------
 
@@ -713,12 +739,7 @@ class ConstraintGraph:
             self.havoc(target)
             return
         constant = expr.as_constant()
-        if constant is not None:
-            self.havoc(target)
-            self.close_incremental(ZERO, target, constant)
-            self.close_incremental(target, ZERO, -constant)
-            return
-        split = expr.split_var_plus_const()
+        split = (ZERO, constant) if constant is not None else expr.split_var_plus_const()
         if split is None:
             self.havoc(target)
             return
@@ -738,8 +759,30 @@ class ConstraintGraph:
             return
         self.havoc(target)
         self.add_var(base)
+        if self._optimized() and self._closed is True:
+            self._bind(target, base, offset)
+            return
         self.close_incremental(base, target, offset)
         self.close_incremental(target, base, -offset)
+
+    def _bind(self, target: str, base: str, offset: int) -> None:
+        """Closed form of ``target == base + offset`` for an unconstrained
+        ``target`` in a closed graph: the target's row and column are the
+        base's, shifted by ``offset``.  O(n); equals the two incremental
+        closures it replaces."""
+        with _obs.span("cgraph.closure.incremental"), timed() as clock:
+            self._materialize()
+            self._invalidate()
+            bound = self._bound
+            row = {dst: c - offset for dst, c in bound[base].items()}
+            row[base] = -offset
+            for dsts in bound.values():
+                c = dsts.get(base)
+                if c is not None:
+                    dsts[target] = c + offset
+            bound[base][target] = offset
+            bound[target] = row
+        self._stats.record_incremental(len(bound) - 1, clock.elapsed)
 
     def rename(self, mapping: Mapping[str, str]) -> None:
         """Rename variables (used when process-set ids change)."""
@@ -762,10 +805,21 @@ class ConstraintGraph:
         variable and any outside variable), the same constraint is added with
         source variables replaced via ``mapping``.  This implements the
         "state of the new set is a copy of the old set" rule for process-set
-        splits.
+        splits.  When every target name is fresh (the client's splits) a
+        closed graph is written in closed form (:meth:`_copy_closed`).
         """
         self._ensure_closed()
         sources = set(source_vars)
+        targets = set(mapping.values())
+        if (
+            len(targets) == len(mapping)
+            and sources <= mapping.keys()
+            and ZERO not in sources
+            and not any(name in self._bound or name in sources for name in targets)
+            and self._closed_for_update()
+        ):
+            self._copy_closed(sources, mapping)
+            return
         for new_name in mapping.values():
             self.add_var(new_name)
         additions: List[Tuple[str, str, int]] = []
@@ -781,6 +835,51 @@ class ConstraintGraph:
         for src, dst, c in additions:
             self.add_diff(src, dst, c)
 
+    def _copy_closed(self, sources: Set[str], mapping: Mapping[str, str]) -> None:
+        """Closed form of :meth:`copy_namespace_from` onto fresh names.
+
+        A path through a copy mirrors a path through its source, so no old
+        entry tightens and each copy's entries to itself, to other copies
+        and to outside nodes are its source's.  A copy and a source meet
+        only through an outside node ``o`` (ZERO included): the entries
+        ``(m(s), t)`` and ``(s, m(t))`` are both the minimum over ``o`` of
+        ``bound[s][o] + bound[o][t]``.  O(|S|^2 n).
+        """
+        with _obs.span("cgraph.closure.incremental"), timed() as clock:
+            self._materialize()
+            self._invalidate()
+            bound = self._bound
+            tracked = [name for name in sources if name in bound]
+            via = {
+                s: [(o, c) for o, c in bound[s].items() if o not in sources]
+                for s in tracked
+            }
+            for name, row in bound.items():
+                if name not in sources:
+                    for s in tracked:
+                        c = row.get(s)
+                        if c is not None:
+                            row[mapping[s]] = c
+            for s in tracked:
+                bound[mapping[s]] = {
+                    mapping[dst] if dst in sources else dst: c
+                    for dst, c in bound[s].items()
+                }
+            for s in tracked:
+                copy_row, source_row = bound[mapping[s]], bound[s]
+                for t in tracked:
+                    best = None
+                    for o, c in via[s]:
+                        step = bound[o].get(t)
+                        if step is not None and (best is None or c + step < best):
+                            best = c + step
+                    if best is not None:
+                        copy_row[t] = best
+                        source_row[mapping[t]] = best
+            for name in mapping.values():
+                bound.setdefault(name, {})
+        self._stats.record_incremental(len(bound) - 1, clock.elapsed)
+
     # -- lattice ----------------------------------------------------------------
 
     def join(self, other: "ConstraintGraph") -> "ConstraintGraph":
@@ -791,7 +890,7 @@ class ConstraintGraph:
             return other.copy()
         if other._infeasible:
             return self.copy()
-        result = ConstraintGraph(self._stats, naive_copy=self.naive_copy)
+        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
         for name in self.variables() | other.variables():
             result.add_var(name)
         for src, dsts in self._bound.items():
@@ -802,7 +901,9 @@ class ConstraintGraph:
                 oc = other_dsts.get(dst)
                 if oc is not None:
                     result._bound.setdefault(src, {})[dst] = max(c, oc)
-        result._closed = True  # max of two closed DBMs is closed
+        # max of two closed DBMs is closed; a widened input may not be
+        widened = self._closed is _WIDENED or other._closed is _WIDENED
+        result._closed = _WIDENED if widened else True
         return result
 
     def meet(self, other: "ConstraintGraph") -> "ConstraintGraph":
@@ -822,18 +923,28 @@ class ConstraintGraph:
             return newer.copy()
         if newer._infeasible:
             return self.copy()
-        result = ConstraintGraph(self._stats, naive_copy=self.naive_copy)
+        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
         for name in self.variables() | newer.variables():
             result.add_var(name)
+        kept = result._bound
+        dropped = []
         for src, dsts in self._bound.items():
             newer_dsts = newer._bound.get(src, {})
             for dst, c in dsts.items():
                 nc = newer_dsts.get(dst)
                 if nc is not None and nc <= c:
-                    result._bound.setdefault(src, {})[dst] = c
-        # deliberately NOT closed: re-closing after widening can undo it;
-        # the result is still a sound (weaker) constraint set
-        result._closed = True
+                    kept.setdefault(src, {})[dst] = c
+                else:
+                    dropped.append((src, dst))
+        # Never re-closed: re-closing after widening can undo it, and the
+        # result is still a sound (weaker) constraint set.  Kept entries of a
+        # closed graph are closed unless two of them still chain across a
+        # dropped one; only then is the result flagged _WIDENED, which the
+        # closed-form updates do not trust.
+        chained = any(
+            any(dst in kept[mid] for mid in kept[src]) for src, dst in dropped
+        )
+        result._closed = _WIDENED if chained or self._closed is _WIDENED else True
         return result
 
     def equivalent_to(self, other: "ConstraintGraph") -> bool:

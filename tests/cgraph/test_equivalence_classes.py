@@ -9,8 +9,8 @@
   kept here as the reference.
 
 Graphs come from random sequences of the operations the analyses apply:
-constraint entry, assignment, havoc, renaming, namespace copies,
-projection, join and widen.
+constraint entry, assumed inequalities, assignment, havoc, renaming,
+namespace copies, projection, join and widen.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -37,6 +37,12 @@ _base_op = st.one_of(
         st.just("add_eq_diff"),
         st.sampled_from(VARS),
         st.sampled_from(VARS),
+        st.integers(-3, 3),
+    ),
+    st.tuples(
+        st.just("assume_leq"),
+        st.one_of(st.none(), st.sampled_from(VARS)),
+        st.one_of(st.none(), st.sampled_from(VARS)),
         st.integers(-3, 3),
     ),
     st.tuples(
@@ -76,6 +82,8 @@ def _apply(g: ConstraintGraph, op) -> ConstraintGraph:
         g.add_diff(op[1], op[2], op[3])
     elif name == "add_eq_diff":
         g.add_eq_diff(op[1], op[2], op[3])
+    elif name == "assume_leq":
+        g.assume_leq(_expr(op[1], op[3]), _expr(op[2], 0))
     elif name == "assign":
         g.assign(op[1], _expr(op[2], op[3]))
     elif name == "assign_havoc":
