@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.dataflow.analyses import eval_const, sequential_constants
+from repro.dataflow.analyses import ConstantPropagation, eval_const
+from repro.dataflow.solver import solve_forward
 from repro.lang.ast import If, Num, Program, Recv, Send, While
 from repro.lang.cfg import CFG, NodeKind, build_cfg
 
@@ -51,40 +52,35 @@ class MPICFGResult:
         return self.comm_edges - set(true_edges)
 
 
-def _constant_endpoint(cfg: CFG, node_id: int, probe_np: int) -> Dict[int, Optional[int]]:
-    """Per-process constant value of a node's partner expression.
+def _endpoint_constants(
+    cfg: CFG, endpoints: List[int], probe_np: int
+) -> Dict[int, Dict[int, Optional[int]]]:
+    """Per-rank constant partner of each endpoint node, for reaching ranks.
 
     Runs sequential constant propagation once per rank (the classical
     whole-program specialization MPI-CFG implementations use to prune) and
-    returns rank -> constant partner (None when not constant for that rank).
+    returns node -> {rank: constant partner, None when not constant}.  A
+    rank appears only if its raw in-state at the node is not bottom
+    (``sequential_constants`` maps bottom and reachable-empty alike to
+    ``{}``, so the raw solver states are consulted).
     """
-    values: Dict[int, Optional[int]] = {}
-    node = cfg.node(node_id)
-    expr = node.stmt.dest if isinstance(node.stmt, Send) else node.stmt.src
+    exprs = {}
+    for node_id in endpoints:
+        stmt = cfg.node(node_id).stmt
+        exprs[node_id] = stmt.dest if isinstance(stmt, Send) else stmt.src
+    consts: Dict[int, Dict[int, Optional[int]]] = {n: {} for n in endpoints}
     for rank in range(probe_np):
-        env = sequential_constants(cfg, num_procs=probe_np, proc_id=rank)[node_id]
-        env = dict(env)
-        env.setdefault("id", rank)
-        env.setdefault("np", probe_np)
-        value = eval_const(expr, env, probe_np)
-        values[rank] = value if isinstance(value, int) else None
-    return values
-
-
-def _reachable_by(cfg: CFG, node_id: int, probe_np: int) -> Set[int]:
-    """Ranks whose specialized constant propagation reaches the node."""
-    ranks = set()
-    for rank in range(probe_np):
-        # a node is reachable for this rank when its in-state is not bottom;
-        # sequential_constants maps bottom to {} AND reachable-empty to {},
-        # so consult the raw solver states instead
-        from repro.dataflow.analyses import ConstantPropagation
-        from repro.dataflow.solver import solve_forward
-
-        raw = solve_forward(cfg, ConstantPropagation(probe_np, rank))
-        if raw[node_id] is not None:
-            ranks.add(rank)
-    return ranks
+        states = solve_forward(cfg, ConstantPropagation(probe_np, rank))
+        for node_id, expr in exprs.items():
+            state = states[node_id]
+            if state is None:
+                continue
+            env = dict(state)
+            env.setdefault("id", rank)
+            env.setdefault("np", probe_np)
+            value = eval_const(expr, env, probe_np)
+            consts[node_id][rank] = value if isinstance(value, int) else None
+    return consts
 
 
 def _rank_literal_bound(program: Program) -> int:
@@ -127,10 +123,7 @@ def probe_np_for(program: Program) -> int:
 
 def _prune_at(cfg: CFG, sends, recvs, probe_np: int):
     """Edge sets (kept, pruned-reason map) from probing at one np."""
-    send_consts = {s: _constant_endpoint(cfg, s, probe_np) for s in sends}
-    recv_consts = {r: _constant_endpoint(cfg, r, probe_np) for r in recvs}
-    send_reach = {s: _reachable_by(cfg, s, probe_np) for s in sends}
-    recv_reach = {r: _reachable_by(cfg, r, probe_np) for r in recvs}
+    consts = _endpoint_constants(cfg, sends + recvs, probe_np)
 
     kept: Set[Tuple[int, int]] = set()
     pruned: Dict[Tuple[int, int], str] = {}
@@ -149,10 +142,8 @@ def _prune_at(cfg: CFG, sends, recvs, probe_np: int):
             # consistent: sender targets the receiver and the receiver
             # expects the sender (unknown constants stay consistent)
             consistent = False
-            for s_rank in send_reach[send_id]:
-                dest = send_consts[send_id][s_rank]
-                for r_rank in recv_reach[recv_id]:
-                    src = recv_consts[recv_id][r_rank]
+            for s_rank, dest in consts[send_id].items():
+                for r_rank, src in consts[recv_id].items():
                     dest_ok = dest is None or dest == r_rank
                     src_ok = src is None or src == s_rank
                     if dest_ok and src_ok:

@@ -43,14 +43,6 @@ from repro.cgraph.stats import ClosureStats, global_stats, timed
 from repro.expr.linear import LinearExpr
 from repro.obs import recorder as _obs
 
-try:  # optional vectorized min-plus kernel for the optimized closure path
-    import numpy as _np
-except ImportError:  # pragma: no cover - the baked image ships numpy
-    _np = None
-
-#: below this many variables the pure-Python loop beats the array setup
-_NUMPY_CLOSURE_MIN_VARS = 16
-
 #: distinguished node representing the constant 0
 ZERO = "__0__"
 
@@ -111,8 +103,8 @@ class ConstraintGraph:
     # -- copy-on-write plumbing ------------------------------------------------
 
     def _optimized(self) -> bool:
-        """True when the equality classes, the closed-form updates and the
-        vectorized closure are allowed (both ablations disable them)."""
+        """True when the equality classes and the closed-form updates are
+        allowed (both ablations disable them)."""
         return not (self.naive_closure or self.naive_copy)
 
     def _closed_for_update(self) -> bool:
@@ -360,16 +352,8 @@ class ConstraintGraph:
         names = [ZERO] + sorted(self.variables())
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
-        use_numpy = (
-            self._optimized() and _np is not None and n >= _NUMPY_CLOSURE_MIN_VARS
-        )
         with _obs.span("cgraph.closure.full"), timed() as clock:
-            if use_numpy:
-                # vectorized min-plus product; the naive ablation never takes
-                # this path, so the Section IX prototype cost model is intact
-                bound, infeasible = self._floyd_warshall_numpy(names, index, n)
-            else:
-                bound, infeasible = self._floyd_warshall_python(names, index, n)
+            bound, infeasible = self._floyd_warshall(names, index, n)
         self._stats.record_full(n - 1, clock.elapsed)
         self._bound = bound
         self._shared = False
@@ -377,7 +361,7 @@ class ConstraintGraph:
         self._closed = True
         self._invalidate()
 
-    def _floyd_warshall_python(
+    def _floyd_warshall(
         self, names: List[str], index: Dict[str, int], n: int
     ) -> Tuple[Dict[str, Dict[str, int]], bool]:
         """The paper prototype's straightforward O(n^3) closure loop."""
@@ -414,35 +398,6 @@ class ConstraintGraph:
             for j, dst in enumerate(names):
                 if i != j and row[j] is not None:
                     dsts[dst] = row[j]
-        return bound, infeasible
-
-    def _floyd_warshall_numpy(
-        self, names: List[str], index: Dict[str, int], n: int
-    ) -> Tuple[Dict[str, Dict[str, int]], bool]:
-        """Vectorized min-plus closure (identical result to the loop)."""
-        inf = _np.inf
-        matrix = _np.full((n, n), inf)
-        _np.fill_diagonal(matrix, 0.0)
-        for src, dsts in self._bound.items():
-            i = index[src]
-            row = matrix[i]
-            for dst, c in dsts.items():
-                j = index[dst]
-                if c < row[j]:
-                    row[j] = c
-        for k in range(n):
-            _np.minimum(
-                matrix, matrix[:, k : k + 1] + matrix[k : k + 1, :], out=matrix
-            )
-        infeasible = bool((_np.diagonal(matrix) < 0).any())
-        rows = matrix.tolist()
-        bound: Dict[str, Dict[str, int]] = {name: {} for name in names}
-        for i, src in enumerate(names):
-            row = rows[i]
-            dsts = bound[src]
-            for j, dst in enumerate(names):
-                if i != j and row[j] != inf:
-                    dsts[dst] = int(row[j])
         return bound, infeasible
 
     def close_incremental(self, x: str, y: str, c: int) -> None:

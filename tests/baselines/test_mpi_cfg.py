@@ -1,5 +1,7 @@
 """MPI-CFG baseline tests: soundness and (im)precision vs the pCFG analysis."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analyses.simple_symbolic import analyze_program
@@ -10,7 +12,14 @@ from repro.baselines.mpi_cfg import (
     build_mpi_cfg,
     probe_np_for,
 )
+from repro.corpus.generator import generate, seed_stream
+from repro.dataflow.analyses import ConstantPropagation, eval_const, sequential_constants
+from repro.dataflow.solver import solve_forward
 from repro.lang import parse, programs
+from repro.lang.ast import Send
+from repro.lang.cfg import NodeKind, build_cfg
+
+REGRESSIONS = Path(__file__).resolve().parents[2] / "corpus" / "regressions"
 
 
 class TestSoundness:
@@ -137,3 +146,99 @@ class TestAdaptiveProbe:
         program = parse(self.SOURCE)
         mpi = build_mpi_cfg(program, probe_np=6)
         assert mpi.comm_edges == set()  # the caller asked for np=6 facts
+
+
+def _reference_constant_endpoint(cfg, node_id, probe_np):
+    """rank -> constant partner of one node, one constant solve per rank."""
+    node = cfg.node(node_id)
+    expr = node.stmt.dest if isinstance(node.stmt, Send) else node.stmt.src
+    values = {}
+    for rank in range(probe_np):
+        env = dict(sequential_constants(cfg, num_procs=probe_np, proc_id=rank)[node_id])
+        env.setdefault("id", rank)
+        env.setdefault("np", probe_np)
+        value = eval_const(expr, env, probe_np)
+        values[rank] = value if isinstance(value, int) else None
+    return values
+
+
+def _reference_reachable_by(cfg, node_id, probe_np):
+    """Ranks whose raw constant-propagation in-state at the node is not bottom."""
+    return {
+        rank
+        for rank in range(probe_np)
+        if solve_forward(cfg, ConstantPropagation(probe_np, rank))[node_id] is not None
+    }
+
+
+def _reference_prune_at(cfg, sends, recvs, probe_np):
+    consts = {n: _reference_constant_endpoint(cfg, n, probe_np) for n in sends + recvs}
+    reach = {n: _reference_reachable_by(cfg, n, probe_np) for n in sends + recvs}
+    kept, pruned = set(), {}
+    for send_id in sends:
+        send = cfg.node(send_id).stmt
+        for recv_id in recvs:
+            recv = cfg.node(recv_id).stmt
+            if send.mtype != recv.mtype:
+                pruned[(send_id, recv_id)] = "type-mismatch"
+            elif any(
+                (consts[send_id][s] is None or consts[send_id][s] == r)
+                and (consts[recv_id][r] is None or consts[recv_id][r] == s)
+                for s in reach[send_id]
+                for r in reach[recv_id]
+            ):
+                kept.add((send_id, recv_id))
+            else:
+                pruned[(send_id, recv_id)] = "constant-mismatch"
+    return kept, pruned
+
+
+def _reference_mpi_cfg(program, cfg, probe_np=None):
+    """(comm_edges, pruned) from the per-node helpers, probe by probe."""
+    sends = [n.node_id for n in cfg.nodes.values() if n.kind == NodeKind.SEND]
+    recvs = [n.node_id for n in cfg.nodes.values() if n.kind == NodeKind.RECV]
+    if probe_np is None:
+        probes = sorted({DEFAULT_PROBE_NP, probe_np_for(program)})
+    else:
+        probes = [probe_np]
+    kept, pruned_maps = set(), []
+    for probe in probes:
+        probe_kept, probe_pruned = _reference_prune_at(cfg, sends, recvs, probe)
+        kept |= probe_kept
+        pruned_maps.append(probe_pruned)
+    pruned = [
+        (edge[0], edge[1], why)
+        for edge, why in sorted(pruned_maps[0].items())
+        if all(edge in p for p in pruned_maps)
+    ]
+    return kept, pruned
+
+
+def _reference_cases():
+    cases = [(name, programs.get(name).parse()) for name in programs.names()]
+    cases += [(p.stem, parse(p.read_text())) for p in sorted(REGRESSIONS.glob("*.mpl"))]
+    generated = [generate(seed) for seed in seed_stream(1337, 30)]
+    cases += [(gen.corpus_id, gen.parse()) for gen in generated]
+    return cases
+
+
+_CASES = _reference_cases()
+
+
+class TestAgainstPerNodeReference:
+    """One constant solve per (probe, rank) yields the per-node helpers' edges."""
+
+    @pytest.mark.parametrize("probe_np", [None, 4], ids=["default-probes", "np4"])
+    @pytest.mark.parametrize("name,program", _CASES, ids=[name for name, _ in _CASES])
+    def test_matches_reference(self, name, program, probe_np):
+        cfg = build_cfg(program)
+        mpi = build_mpi_cfg(program, probe_np=probe_np, cfg=cfg)
+        kept, pruned = _reference_mpi_cfg(program, cfg, probe_np)
+        assert mpi.comm_edges == kept
+        assert mpi.pruned == pruned
+
+    def test_corpus_exercises_both_prune_rules(self):
+        reasons = {
+            why for _name, program in _CASES for *_edge, why in build_mpi_cfg(program).pruned
+        }
+        assert reasons == {"type-mismatch", "constant-mismatch"}

@@ -1,6 +1,13 @@
 """Public API surface tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import repro
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPublicAPI:
@@ -26,3 +33,19 @@ class TestPublicAPI:
             repro.programs.get("transpose_square")
         )
         assert not result.gave_up
+
+
+class TestColdImport:
+    def test_entry_points_do_not_import_numpy(self):
+        """A fresh process pays only for the stdlib: importing the CLI, the
+        daemon or the driver must not pull in numpy."""
+        script = (
+            "import sys, repro, repro.cli, repro.serve.daemon, repro.core.driver\n"
+            "print('numpy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
