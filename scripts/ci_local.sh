@@ -29,7 +29,9 @@
 #   serve-smoke -> start a real `repro serve` daemon, replay a duplicate-heavy
 #                  corpus through scripts/loadgen.py (cache-hit-rate >= 0.9,
 #                  zero errors), SIGTERM-drain it, then run the SIGKILL
-#                  kill-and-restart recovery suite (tests/serve/test_crash.py)
+#                  kill-and-restart recovery suite (tests/serve/test_crash.py),
+#                  then drive the service benchmark through the traced daemon
+#                  (perfbench --trace 1: correct, no failed request)
 #   telemetry-smoke> stream one analyze request against a live daemon (event
 #                  sequence: admission -> rung -> progress -> result), scrape
 #                  /metrics (fail on missing required series or unparseable
@@ -147,6 +149,14 @@ step "serve-smoke: daemon serves, caches, and drains" bash -c '
   exit "$status"'
 step "serve-smoke: SIGKILL kill-and-restart recovery suite" \
   python -m pytest tests/serve/test_crash.py -q
+step "serve-smoke: traced daemon drives the service benchmark" bash -c '
+  python3 perfbench/run.py --workload service_mixed --trace 1 --seconds 1 \
+    | tail -n 1 > traced-run.json &&
+  python3 -c "import json; d = json.load(open(\"traced-run.json\")); \
+    assert d[\"correct\"] is True and d[\"failed\"] == 0, d"
+  status=$?
+  rm -f traced-run.json
+  exit "$status"'
 step "telemetry-smoke: stream + /metrics scrape + stitched trace" bash -c '
   rm -rf .ci-serve &&
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &

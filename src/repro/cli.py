@@ -593,7 +593,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Run the analysis service: a crash-safe HTTP daemon with "
                     "admission control, a content-addressed result cache, "
-                    "retry/backoff, per-rung circuit breakers, and graceful "
+                    "retry/backoff for lost or hung worker processes, and graceful "
                     "SIGTERM drain (see DESIGN.md section 13).",
     )
     parser.add_argument(

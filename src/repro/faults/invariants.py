@@ -27,8 +27,9 @@ invariants the service claims to hold *under faults*:
     a fault may evict cache entries, never poison them.
 ``http-hardening``
     Oversized bodies, malformed JSON, lexer garbage, and pathologically
-    nested programs each get a *structured 4xx* and none of them trips
-    the circuit breaker (client bugs must not look like rung failures).
+    nested programs each get a *structured 4xx* and none of them is
+    admitted: the ``/stats`` job count and ``serve.retries`` do not move
+    across the battery (client bugs must never reach a worker).
 ``metrics-scrape``
     Scraping ``/metrics`` while the plane injects render failures always
     answers 200 with parseable Prometheus text (the fallback exposition
@@ -240,7 +241,6 @@ def _service_config(state_dir: Path):
         isolation="inline",
         queue_size=8,
         retry=RetryPolicy(max_retries=1, backoff_base_sec=0.01, backoff_cap_sec=0.05),
-        breaker_threshold=1000,  # hardening checks assert it stays closed
     )
 
 
@@ -457,6 +457,11 @@ def _fuzz_battery() -> List[Tuple[str, bytes]]:
     ]
 
 
+def _admitted(stats: dict) -> Tuple[int, int]:
+    """The ``/stats`` figures a rejected input must leave alone."""
+    return stats["jobs"], stats["counters"].get("serve.retries", 0)
+
+
 def _run_http_case(state_dir: Path, programs, case: CaseResult) -> None:
     """HTTP channel: a real ThreadingHTTPServer round-trip, the fuzz
     battery, and (under http.client.disconnect) proof the server
@@ -485,6 +490,10 @@ def _run_http_case(state_dir: Path, programs, case: CaseResult) -> None:
         if code == 200:
             result = document.get("result", {})
             _check_answer(result, generated, case)
+        # the round trip's own retries must be over before the baseline
+        for job in list(service.jobs.values()):
+            job.wait(WAIT_SEC)
+        before = _admitted(service.stats())
         for label, payload in _fuzz_battery():
             fuzz_code, fuzz_doc = _http_post(base, "/v1/analyze", payload)
             if fuzz_code == 0:
@@ -496,13 +505,11 @@ def _run_http_case(state_dir: Path, programs, case: CaseResult) -> None:
                 )
             elif not isinstance(fuzz_doc.get("error"), str):
                 case.fail("http-hardening", f"{label}: {fuzz_code} without error body")
-        _, stats = _http_get(base, "/stats", timeout=5.0)
-        breaker = stats.get("breaker", {})
-        tripped = [name for name, state in breaker.items() if state == "open"]
-        if tripped:
+        after = _admitted(service.stats())
+        if after != before:
             case.fail(
                 "http-hardening",
-                f"client-fault inputs tripped breaker(s): {tripped}",
+                f"client-fault inputs were admitted: (jobs, retries) {before} -> {after}",
             )
     finally:
         server.shutdown()

@@ -15,7 +15,7 @@ without importing any client library:
   ``serve.tenant.latency_ms.<tenant>`` series — are folded into one
   family with a proper label instead of exploding the namespace;
 * **service gauges** (queue depth/capacity, jobs, draining, cache
-  resident/disk entries, per-rung breaker state) come from the live
+  resident/disk entries) come from the live
   :class:`~repro.serve.daemon.AnalysisService` when one is passed;
 * **fault-plane trip counts** are exported whenever a schedule is
   engaged, so a `repro faults` run can watch itself misbehave.
@@ -206,26 +206,6 @@ def _service_families(service) -> List[_Family]:
             ("disk_entries", "result-cache entries on disk"),
         ):
             gauge(f"repro_serve_cache_{key}", help_text, cache.get(key))
-    breaker = stats.get("breaker")
-    if isinstance(breaker, dict) and breaker:
-        state = _Family(
-            "repro_serve_breaker_open", "gauge", "1 when the rung's breaker is open"
-        )
-        failures = _Family(
-            "repro_serve_breaker_failures", "gauge", "consecutive failures per rung"
-        )
-        for rung in sorted(breaker):
-            entry = breaker[rung]
-            if not isinstance(entry, dict):
-                continue
-            state.add(int(entry.get("state") == "open"), {"rung": rung})
-            count = entry.get("failures")
-            if isinstance(count, (int, float)):
-                failures.add(count, {"rung": rung})
-        if state.samples:
-            families.append(state)
-        if failures.samples:
-            families.append(failures)
     return families
 
 

@@ -6,10 +6,10 @@ Layering (each module testable without the ones above it):
   CFG fingerprint + ladder + effective limits, with warm-start snapshots;
 * :mod:`repro.serve.journal` — crash-safe append-only job journal
   (journal-first admission, replay-on-restart recovery);
-* :mod:`repro.serve.retry` — retry policy (backoff + jitter) and
-  per-rung circuit breaker (reported, never used to skip a rung);
+* :mod:`repro.serve.retry` — the attempt retry policy (backoff + jitter);
 * :mod:`repro.serve.daemon` — the scheduler: admission control, tenant
-  QoS budgets, worker-process isolation, degraded-mode answers, drain;
+  QoS budgets, one job kind (one program) run through one attempt body,
+  worker-process isolation, degraded-mode answers, drain;
 * :mod:`repro.serve.http` — the stdlib HTTP surface;
 * :mod:`repro.serve.loadgen` — the corpus-replay load generator.
 """
@@ -23,12 +23,11 @@ from repro.serve.daemon import (
 )
 from repro.serve.http import discover, run_server
 from repro.serve.journal import JobJournal
-from repro.serve.retry import CircuitBreaker, RetryPolicy, TransientJobError
+from repro.serve.retry import RetryPolicy, TransientJobError
 
 __all__ = [
     "AnalysisService",
     "AnalyzeRequest",
-    "CircuitBreaker",
     "JobJournal",
     "ResultCache",
     "RetryPolicy",

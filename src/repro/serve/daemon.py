@@ -25,18 +25,20 @@ Life of a job
    a crashed or hung attempt can never take the daemon down or wedge a
    worker thread.  Transient faults (worker lost, watchdog fired) are
    retried with exponential backoff + full jitter, bounded by the retry
-   policy.  Per-rung circuit breakers track rungs that keep failing; their
-   state is reported in ``/stats`` and ``/metrics`` only and never skips
-   a rung, so an answer never depends on the history of earlier jobs.
-   When the queue is above the pressure threshold, new executions run
-   only the cheap baseline rung: a degraded-but-sound answer beats a
-   timeout.
+   policy.  Inline isolation runs the same attempt body in the worker
+   thread.  When the queue is above the pressure threshold, new
+   executions run only the cheap baseline rung: a degraded-but-sound
+   answer beats a timeout.
 3. **Completion**: the rendered result is journaled (``done``), stored
    in the result cache (only clean, non-degraded results), and every
    waiter — including coalesced duplicates — is released.  If retries
    exhaust, the job still completes with an inline baseline answer
    carrying a ``RETRY_EXHAUSTED`` service diagnostic: every accepted
    job terminates with an answer, never a hang.
+
+Every job is one program.  A batch is a loop over :meth:`submit` in the
+HTTP layer, so each item gets its own key, limits, cache lookup,
+coalescing and journaled job.
 
 Recovery replays the journal on startup: accepted-but-not-done jobs are
 re-queued (at-least-once; the cache makes re-execution cheap), done
@@ -56,10 +58,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import diagnostics
 from repro.core.checkpoint import Snapshot, cfg_fingerprint
 from repro.core.driver import (
-    analyze_batch,
     analyze_with_fallback,
     baseline_ladder,
     default_ladder,
@@ -74,11 +74,19 @@ from repro.obs import context, slog
 from repro.obs import recorder as obs
 from repro.serve.cache import ResultCache, compute_key, render_report
 from repro.serve.journal import JobJournal
-from repro.serve.retry import CircuitBreaker, RetryPolicy, TransientJobError
+from repro.serve.retry import RetryPolicy, TransientJobError
 
 #: ladder identifier baked into cache keys (rung names, in order)
 DEFAULT_LADDER_ID = "cartesian>cartesian-escalated>simple-symbolic>mpi-cfg"
 BASELINE_LADDER_ID = "mpi-cfg"
+
+#: Retry-After seconds advertised on shed responses
+RETRY_AFTER_SEC = 1
+#: extra seconds on top of the ladder's worst-case deadline before the
+#: watchdog declares an attempt hung
+TIMEOUT_GRACE_SEC = 5.0
+#: result-cache entries held in memory (the disk keeps the rest)
+CACHE_ENTRIES = 4096
 
 
 # -- requests and QoS ----------------------------------------------------------
@@ -151,18 +159,8 @@ class ServiceConfig:
     #: in-process bench harness)
     isolation: str = "process"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    breaker_threshold: int = 3
-    breaker_cooldown_sec: float = 30.0
-    #: Retry-After seconds advertised on shed responses
-    retry_after_sec: int = 1
-    #: extra seconds on top of the ladder's worst-case deadline before
-    #: the watchdog declares an attempt hung
-    timeout_grace_sec: float = 5.0
     #: absolute per-attempt watchdog override (None: derived from limits)
     job_timeout_sec: Optional[float] = None
-    #: process-pool width handed to ``analyze_batch`` for batch jobs
-    batch_jobs: int = 1
-    cache_entries: int = 4096
     allow_test_faults: bool = False
     tenants: Dict[str, TenantBudget] = field(default_factory=dict)
 
@@ -172,12 +170,10 @@ class ServiceConfig:
 
 @dataclass
 class Job:
-    """One admitted unit of work (a single program or a batch)."""
+    """One admitted program (a recovered done job keeps only its result)."""
 
     id: str
-    kind: str  # "analyze" | "batch"
     request: Optional[AnalyzeRequest] = None
-    batch: Optional[List[AnalyzeRequest]] = None
     key: str = ""
     cfg_fp: str = ""
     limits: Optional[EngineLimits] = None
@@ -197,11 +193,6 @@ class Job:
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.done.wait(timeout)
 
-    def subscribe(self) -> "queue.Queue":
-        subscriber: "queue.Queue" = queue.Queue()
-        self.subscribers.append(subscriber)
-        return subscriber
-
     def publish(self, event: dict) -> None:
         for subscriber in list(self.subscribers):
             try:
@@ -213,31 +204,26 @@ class Job:
     def trace_id(self) -> Optional[str]:
         return self.trace.get("trace") if isinstance(self.trace, dict) else None
 
-    def status(self) -> dict:
-        doc = {"job": self.id, "state": self.state, "kind": self.kind}
-        if self.result is not None:
-            doc["result"] = self.result
-        return doc
-
 
 # -- worker-process attempt execution -----------------------------------------
 
 
 def _apply_test_fault(fault: Optional[dict]) -> None:
-    """Honor a fault-injection directive inside the worker process.
+    """Honor a fault-injection directive at the start of an attempt.
 
-    ``{"kind": "crash"}`` kills the worker outright (SIGKILL-equivalent:
-    ``os._exit``, no cleanup).  ``{"kind": "hang_if_missing", "path": p}``
-    hangs unless the marker file exists — a crash test restarts the
-    daemon, touches the marker, and watches the replayed job succeed.
+    ``{"kind": "crash"}`` raises :class:`TransientJobError`; the worker
+    process turns it into a real crash (``os._exit``, no reply, no
+    cleanup).  ``{"kind": "hang_if_missing", "path": p}`` hangs unless
+    the marker file exists — a crash test restarts the daemon, touches
+    the marker, and watches the replayed job succeed.
     ``{"kind": "sleep", "sec": s}`` delays, for queue-pressure tests.
     """
     if not fault:
         return
     kind = fault.get("kind")
     if kind == "crash":
-        os._exit(3)
-    elif kind == "hang_if_missing":
+        raise TransientJobError("injected crash")
+    if kind == "hang_if_missing":
         if not Path(str(fault.get("path", ""))).exists():
             time.sleep(float(fault.get("sec", 600.0)))
     elif kind == "sleep":
@@ -249,25 +235,46 @@ def _ladder(ladder_kind: str, limits: EngineLimits):
     return baseline_ladder(limits) if ladder_kind == "baseline" else default_ladder(limits)
 
 
-def _attempt_child(
-    conn, source, limits, ladder_kind, resume_payload, capture, fault,
-    trace_ctx=None, trace_sink=None, stream=False,
-):
-    """Worker-process body: run the ladder, ship a JSON-plain reply.
+def _attempt(
+    source: str,
+    limits: EngineLimits,
+    ladder_kind: str,
+    warm: Optional[Snapshot],
+    progress=None,
+) -> Tuple[dict, Optional[dict], Dict[str, int]]:
+    """The one attempt body, in a worker process or inline: parse, climb
+    the ladder under a private recorder, render.
 
-    Everything sent back is plain dicts/lists/scalars, so the reply
-    never trips on pickling a domain object, and the parent can journal
-    and cache it as-is.  ``trace_ctx``/``trace_sink`` re-establish the
-    request's trace context in this process (its spans land in a shard
-    file of its own); with ``stream`` the ladder's progress events are
-    forwarded over the pipe as ``("progress", event)`` messages ahead of
-    the final 4-tuple reply.
+    Returns ``(rendered, snapshot_payload, counters)``, all JSON-plain,
+    so the reply crosses a pipe as-is and the parent can journal and
+    cache it; the private recorder keeps concurrent jobs' counters apart
+    until the parent merges them.
     """
+    recorder = obs.Recorder()
+    with context.bound(recorder=recorder), obs.span("serve.attempt", ladder=ladder_kind):
+        report = analyze_with_fallback(
+            parse(source), limits=limits, ladder=_ladder(ladder_kind, limits),
+            resume=warm, progress=progress,
+        )
+        rendered = render_report(report)
+    snap = getattr(report.result, "snapshot", None)
+    return rendered, (snap.payload if snap is not None else None), dict(recorder.counters)
+
+
+def _attempt_child(conn, source, limits, ladder_kind, warm, fault, trace_ctx, trace_sink, stream):
+    """Worker-process wrapper around :func:`_attempt`: ships its result
+    as an ``("ok", rendered, snapshot_payload, counters)`` reply.
+    ``trace_ctx``/``trace_sink`` re-establish the request's trace context
+    in this process (its spans land in a shard file of its own); with
+    ``stream`` the ladder's progress events are forwarded over the pipe
+    as ``("progress", event)`` messages ahead of the reply."""
     try:
-        _apply_test_fault(fault)
+        try:
+            _apply_test_fault(fault)
+        except TransientJobError:
+            os._exit(3)
         if trace_sink:
             obs.configure_sink(trace_sink, "worker")
-        recorder = obs.Recorder() if capture else None
         progress = None
         if stream:
             def progress(event, _conn=conn):
@@ -275,21 +282,9 @@ def _attempt_child(
                     _conn.send(("progress", dict(event)))
                 except Exception:  # a dead pipe must not kill the attempt
                     pass
-        with context.bound(
-            trace=context.TraceContext.from_dict(trace_ctx), recorder=recorder
-        ), obs.span("serve.attempt", ladder=ladder_kind):
-            program = parse(source)
-            ladder = _ladder(ladder_kind, limits)
-            resume = Snapshot(payload=resume_payload) if resume_payload else None
-            report = analyze_with_fallback(
-                program, limits=limits, ladder=ladder, resume=resume,
-                progress=progress,
-            )
-            rendered = render_report(report)
-            snap = getattr(report.result, "snapshot", None)
-            snapshot_payload = snap.payload if snap is not None else None
-            counters = dict(recorder.counters) if capture else None
-        conn.send(("ok", rendered, snapshot_payload, counters))
+        with context.bound(trace=context.TraceContext.from_dict(trace_ctx)):
+            reply = ("ok",) + _attempt(source, limits, ladder_kind, warm, progress)
+        conn.send(reply)
     except BaseException as exc:  # the reply channel must never go silent
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}", None, None))
@@ -314,13 +309,9 @@ class AnalysisService:
         self.config = config
         self.state_dir = Path(config.state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.cache = ResultCache(self.state_dir / "cache", max_entries=config.cache_entries)
+        self.cache = ResultCache(self.state_dir / "cache", max_entries=CACHE_ENTRIES)
         self.journal = JobJournal(self.state_dir / "journal.jsonl")
         self.queue: "queue.Queue[Job]" = queue.Queue(maxsize=config.queue_size)
-        self.breaker = CircuitBreaker(
-            threshold=config.breaker_threshold,
-            cooldown_sec=config.breaker_cooldown_sec,
-        )
         self.jobs: Dict[str, Job] = {}
         #: cache key -> in-flight job, for request coalescing
         self._inflight: Dict[str, Job] = {}
@@ -363,7 +354,7 @@ class AnalysisService:
         re-index completed ones, compact."""
         pending, done = self.journal.fold()
         for job_id, record in done.items():
-            job = Job(id=job_id, kind=str(record.get("kind", "analyze")), state="done")
+            job = Job(id=job_id, state="done")
             job.result = record.get("result")
             job.done.set()
             self.jobs[job_id] = job
@@ -371,6 +362,10 @@ class AnalysisService:
         for job_id, record in sorted(pending.items(), key=lambda kv: kv[1].get("seq", 0)):
             job = self._rebuild_job(job_id, record)
             if job is None:
+                # ended here, so the next restart does not drop it again
+                self.journal.append(
+                    {"event": "done", "job": job_id, "result": None, "dropped": True}
+                )
                 continue
             self.jobs[job_id] = job
             if job.key:
@@ -389,24 +384,21 @@ class AnalysisService:
             slog.info("serve.recovered", requeued=requeued, completed=len(done))
 
     def _rebuild_job(self, job_id: str, record: dict) -> Optional[Job]:
-        kind = str(record.get("kind", "analyze"))
+        """The job a pending ``accepted`` record describes, or None
+        (counted in ``serve.recovery_dropped``) when the record holds no
+        runnable request: an unparseable one, or a multi-program
+        ``batch`` record journaled by an older daemon."""
         try:
-            if kind == "batch":
-                batch = [AnalyzeRequest.from_json(doc) for doc in record.get("batch", [])]
-                if not batch:
-                    return None
-                return Job(id=job_id, kind="batch", batch=batch)
             request = AnalyzeRequest.from_json(record.get("request", {}))
             key, cfg_fp, limits = self._admission_identity(request)
-            shipped = record.get("trace")
-            return Job(
-                id=job_id, kind="analyze", request=request,
-                key=key, cfg_fp=cfg_fp, limits=limits,
-                trace=shipped if isinstance(shipped, dict) else None,
-            )
-        except (ValueError, ParseError):
+        except (ValueError, TypeError, ParseError):
             obs.incr("serve.recovery_dropped")
             return None
+        shipped = record.get("trace")
+        return Job(
+            id=job_id, request=request, key=key, cfg_fp=cfg_fp, limits=limits,
+            trace=shipped if isinstance(shipped, dict) else None,
+        )
 
     def begin_drain(self) -> None:
         """Stop admitting; already-accepted work keeps running."""
@@ -505,7 +497,7 @@ class AnalysisService:
             return "hit", entry["result"]
         if self._draining.is_set():
             obs.incr("serve.shed.draining")
-            return "shed", {"reason": "draining", "retry_after_sec": self.config.retry_after_sec}
+            return "shed", {"reason": "draining", "retry_after_sec": RETRY_AFTER_SEC}
         with self._lock:
             inflight = self._inflight.get(key)
             if inflight is not None and not inflight.done.is_set():
@@ -514,7 +506,7 @@ class AnalysisService:
                     inflight.subscribers.append(subscriber)
                 return "accepted", inflight
             job = Job(
-                id=uuid.uuid4().hex[:12], kind="analyze", request=request,
+                id=uuid.uuid4().hex[:12], request=request,
                 key=key, cfg_fp=cfg_fp, limits=limits,
                 trace=span_ctx.to_dict() if span_ctx is not None else None,
             )
@@ -525,7 +517,6 @@ class AnalysisService:
             accepted_record = {
                 "event": "accepted",
                 "job": job.id,
-                "kind": "analyze",
                 "seq": time.time(),
                 "request": request.to_json(),
             }
@@ -540,75 +531,13 @@ class AnalysisService:
                 # shed *after* journaling would strand the record; mark it
                 # done-as-shed so recovery does not resurrect shed work
                 self.journal.append(
-                    {"event": "done", "job": job.id, "kind": "analyze",
-                     "result": None, "shed": True}
+                    {"event": "done", "job": job.id, "result": None, "shed": True}
                 )
                 obs.incr("serve.shed.queue_full")
-                return "shed", {
-                    "reason": "queue_full",
-                    "retry_after_sec": self.config.retry_after_sec,
-                }
+                return "shed", {"reason": "queue_full", "retry_after_sec": RETRY_AFTER_SEC}
             self.jobs[job.id] = job
             self._inflight[key] = job
         obs.incr("serve.accepted")
-        return "accepted", job
-
-    def submit_batch(self, requests: List[AnalyzeRequest]) -> Tuple[str, object]:
-        """Admit a batch: cached items are answered inline; the misses
-        become one queued job executed through ``driver.analyze_batch``."""
-        if self._draining.is_set():
-            obs.incr("serve.shed.draining")
-            return "shed", {"reason": "draining", "retry_after_sec": self.config.retry_after_sec}
-        prelim: List[Optional[dict]] = []
-        misses: List[AnalyzeRequest] = []
-        for request in requests:
-            if request.test_fault is not None and not self.config.allow_test_faults:
-                request = replace(request, test_fault=None)
-            try:
-                key, _cfg_fp, _limits = self._admission_identity(request)
-            except ParseError as exc:
-                prelim.append({"error": f"parse error: {exc}"})
-                continue
-            entry = self.cache.lookup(key)
-            if entry is not None:
-                obs.incr("serve.served_from_cache")
-                prelim.append({"cache": "hit", "result": entry["result"]})
-            else:
-                prelim.append(None)
-                misses.append(request)
-        if not misses:
-            return "hit", {"results": prelim}
-        span_ctx = context.current().trace
-        job = Job(
-            id=uuid.uuid4().hex[:12], kind="batch", batch=misses,
-            trace=span_ctx.to_dict() if span_ctx is not None else None,
-        )
-        job.result = None
-        job._prelim = prelim  # filled result skeleton; misses in order
-        with self._lock:
-            self.journal.append(
-                {
-                    "event": "accepted",
-                    "job": job.id,
-                    "kind": "batch",
-                    "seq": time.time(),
-                    "batch": [request.to_json() for request in misses],
-                }
-            )
-            try:
-                self.queue.put_nowait(job)
-            except queue.Full:
-                self.journal.append(
-                    {"event": "done", "job": job.id, "kind": "batch",
-                     "result": None, "shed": True}
-                )
-                obs.incr("serve.shed.queue_full")
-                return "shed", {
-                    "reason": "queue_full",
-                    "retry_after_sec": self.config.retry_after_sec,
-                }
-            self.jobs[job.id] = job
-        obs.incr("serve.accepted_batch")
         return "accepted", job
 
     def get_job(self, job_id: str) -> Optional[Job]:
@@ -625,11 +554,8 @@ class AnalysisService:
             try:
                 with context.bound(
                     trace=context.TraceContext.from_dict(job.trace)
-                ), obs.span("serve.job", job=job.id, kind=job.kind):
-                    if job.kind == "batch":
-                        self._run_batch_job(job)
-                    else:
-                        self._run_job(job)
+                ), obs.span("serve.job", job=job.id):
+                    self._run_job(job)
             except Exception as exc:  # the loop must survive anything
                 slog.warning("serve.worker_error", job=job.id, error=str(exc))
                 self._complete_degraded(job, f"worker-error: {exc}")
@@ -651,7 +577,7 @@ class AnalysisService:
             return self.config.job_timeout_sec
         per_rung = limits.deadline_sec or 30.0
         rungs = len(_ladder(ladder_kind, limits))
-        return per_rung * rungs + self.config.timeout_grace_sec
+        return per_rung * rungs + TIMEOUT_GRACE_SEC
 
     def _run_job(self, job: Job) -> None:
         job.state = "running"
@@ -713,9 +639,7 @@ class AnalysisService:
         if progress is not None:
             for diagnostic in rendered.get("diagnostics", []) or []:
                 progress({"event": "diagnostic", "diagnostic": str(diagnostic)})
-        self._record_breaker(rendered)
-        clean = not degraded
-        if clean:
+        if not degraded:
             self.cache.store(
                 job.key, job.cfg_fp, DEFAULT_LADDER_ID, job.limits,
                 rendered, snapshot_payload,
@@ -733,8 +657,7 @@ class AnalysisService:
         """One attempt, isolated per config.  Raises TransientJobError on
         worker loss or watchdog timeout.  ``progress`` (when the job has
         streaming subscribers) receives the ladder's rung/heartbeat
-        events; under process isolation the child forwards them over the
-        reply pipe and this side fans them out."""
+        events."""
         request = job.request
         limits = limits if limits is not None else job.limits
         fault = request.test_fault if self.config.allow_test_faults else None
@@ -744,9 +667,23 @@ class AnalysisService:
             # same crash directive the SIGKILL crash suite uses
             fault = {"kind": "crash"}
         if self.config.isolation == "inline":
-            return self._execute_inline(
-                request, limits, ladder_kind, warm, fault, progress=progress
+            _apply_test_fault(fault)
+            rendered, snapshot_payload, counters = _attempt(
+                request.program, limits, ladder_kind, warm, progress
             )
+        else:
+            rendered, snapshot_payload, counters = self._attempt_in_child(
+                request.program, limits, ladder_kind, warm, fault, progress
+            )
+        obs.merge_counters(counters)
+        if warm is not None and rendered.get("resumed_from"):
+            obs.incr("serve.cache.warm_starts")
+        return rendered, snapshot_payload
+
+    def _attempt_in_child(self, source, limits, ladder_kind, warm, fault, progress):
+        """Run :func:`_attempt` in a disposable worker process under the
+        watchdog; the child forwards progress events over the reply pipe
+        and this side fans them out."""
         timeout = self._attempt_timeout(limits, ladder_kind)
         span_ctx = context.current().trace
         sink = obs.sink()
@@ -755,9 +692,7 @@ class AnalysisService:
         process = ctx.Process(
             target=_attempt_child,
             args=(
-                child_conn, request.program, limits, ladder_kind,
-                warm.payload if warm is not None else None,
-                obs.enabled(), fault,
+                child_conn, source, limits, ladder_kind, warm, fault,
                 span_ctx.to_dict() if span_ctx is not None else None,
                 str(sink) if sink is not None else None,
                 progress is not None,
@@ -798,139 +733,34 @@ class AnalysisService:
                 process.kill()
                 process.join(timeout=5.0)
         status, payload, snapshot_payload, counters = reply
-        obs.merge_counters(counters)
         if status != "ok":
             # an exception inside the ladder is a daemon-side bug (the
             # driver is supposed to be total); retry in case it was
             # environmental, degrade if it persists
             raise TransientJobError(f"attempt failed: {payload}")
-        if warm is not None and payload.get("resumed_from"):
-            obs.incr("serve.cache.warm_starts")
-        return payload, snapshot_payload
-
-    def _execute_inline(self, request, limits, ladder_kind, warm, fault, progress=None):
-        """In-thread attempt (tests / bench): a recorder bound into the job
-        thread's context keeps concurrent jobs' counters separate."""
-        if fault and fault.get("kind") == "crash":
-            raise TransientJobError("injected crash")
-        if fault and fault.get("kind") == "sleep":
-            time.sleep(float(fault.get("sec", 0.1)))
-        program = parse(request.program)
-        ladder = _ladder(ladder_kind, limits)
-        recorder = obs.Recorder()
-        with obs.span("serve.attempt", ladder=ladder_kind), context.bound(recorder=recorder):
-            report = analyze_with_fallback(
-                program, limits=limits, ladder=ladder, resume=warm,
-                progress=progress,
-            )
-            rendered = render_report(report)
-            counters = dict(recorder.counters)
-        obs.merge_counters(counters)
-        snap = getattr(report.result, "snapshot", None)
-        if warm is not None and rendered.get("resumed_from"):
-            obs.incr("serve.cache.warm_starts")
-        return rendered, (snap.payload if snap is not None else None)
-
-    def _run_batch_job(self, job: Job) -> None:
-        """Execute a batch job through ``driver.analyze_batch`` (the
-        shared batch entry point), caching each item's result."""
-        job.state = "running"
-        self.journal.append({"event": "started", "job": job.id, "attempt": 0})
-        limits = self.effective_limits(job.batch[0])
-        programs: List[Optional[object]] = []
-        errors: List[Optional[str]] = []
-        for request in job.batch:
-            try:
-                programs.append(parse(request.program))
-                errors.append(None)
-            except ParseError as exc:
-                programs.append(None)
-                errors.append(f"parse error: {exc}")
-        parsed = [program for program in programs if program is not None]
-        recorder = obs.Recorder()
-        with context.bound(recorder=recorder):
-            # analyze_batch yields in input order, so reports line up with
-            # the parsed sublist positionally
-            reports = [
-                report
-                for _item, report in analyze_batch(
-                    parsed, limits=limits, jobs=self.config.batch_jobs
-                )
-            ]
-            counters = dict(recorder.counters)
-        obs.merge_counters(counters)
-        results: List[dict] = []
-        cursor = 0
-        for request, program, error in zip(job.batch, programs, errors):
-            if program is None:
-                results.append({"error": error})
-                continue
-            rendered = render_report(reports[cursor])
-            cursor += 1
-            try:
-                key, cfg_fp, item_limits = self._admission_identity(request)
-                self.cache.store(key, cfg_fp, DEFAULT_LADDER_ID, item_limits, rendered)
-            except ParseError:  # pragma: no cover - parsed above
-                pass
-            results.append({"cache": "miss", "result": rendered})
-        prelim = getattr(job, "_prelim", None)
-        if prelim is not None:
-            merged, cursor = [], 0
-            for slot in prelim:
-                if slot is None:
-                    merged.append(results[cursor])
-                    cursor += 1
-                else:
-                    merged.append(slot)
-            document = {"results": merged}
-        else:
-            document = {"results": results}
-        self._finish(job, document)
+        return payload, snapshot_payload, counters
 
     # -- completion ------------------------------------------------------------
-
-    def _record_breaker(self, rendered: dict) -> None:
-        """Feed per-rung outcomes to the circuit breaker: a rung that
-        gave up or threw client faults counts as a failure."""
-        for rung in rendered.get("rungs", []):
-            name = rung.get("name", "")
-            if not name or name == "mpi-cfg":
-                continue
-            failed = (
-                rung.get("confidence") == diagnostics.GAVE_UP
-                or diagnostics.CLIENT_FAULT in str(rung.get("diagnostics", ""))
-            )
-            if failed:
-                self.breaker.record_failure(name)
-            else:
-                self.breaker.record_success(name)
 
     def _complete_degraded(self, job: Job, reason: str) -> None:
         """Terminal fallback: answer with the inline baseline (total,
         cheap, cannot fail) plus a service diagnostic.  Every accepted
         job ends here at the latest — an answer, never a hang."""
         try:
-            if job.kind == "batch":
-                document = {
-                    "results": [
-                        {"error": f"degraded: {reason}"} for _ in (job.batch or [])
-                    ]
-                }
-            else:
-                program = parse(job.request.program)
-                report = analyze_with_fallback(
-                    program, limits=job.limits, ladder=baseline_ladder(job.limits)
-                )
-                document = render_report(report)
-                document["degraded"] = reason
-                document["service_diagnostics"] = [f"RETRY_EXHAUSTED: {reason}"]
+            program = parse(job.request.program)
+            report = analyze_with_fallback(
+                program, limits=job.limits, ladder=baseline_ladder(job.limits)
+            )
+            document = render_report(report)
+            document["degraded"] = reason
+            document["service_diagnostics"] = [f"RETRY_EXHAUSTED: {reason}"]
         except Exception as exc:  # pragma: no cover - baseline is total
             document = {"error": f"degraded and baseline failed: {exc}"}
         obs.incr("serve.degraded.terminal")
         self._finish(job, document)
 
     def _finish(self, job: Job, document: dict) -> None:
-        done_record = {"event": "done", "job": job.id, "kind": job.kind, "result": document}
+        done_record = {"event": "done", "job": job.id, "result": document}
         if job.trace_id:
             done_record["trace"] = job.trace_id
         self.journal.append(done_record)
@@ -939,14 +769,9 @@ class AnalysisService:
         with self._lock:
             if job.key and self._inflight.get(job.key) is job:
                 del self._inflight[job.key]
-        tenant = None
         if job.request is not None:
-            tenant = job.request.tenant
-        elif job.batch:
-            tenant = job.batch[0].tenant
-        if tenant:
             obs.observe(
-                f"serve.tenant.latency_ms.{tenant}",
+                f"serve.tenant.latency_ms.{job.request.tenant}",
                 (time.time() - job.created) * 1000.0,
             )
         job.done.set()
@@ -966,7 +791,6 @@ class AnalysisService:
             "jobs": len(self.jobs),
             "workers": len(self._threads),
             "cache": self.cache.stats(),
-            "breaker": self.breaker.snapshot(),
             "counters": {
                 name: value for name, value in sorted(counters.items())
                 if name.startswith(("serve.", "driver.", "engine."))

@@ -13,14 +13,17 @@ onto it and service verdicts onto status codes:
                       ``"cache": "hit"``.  Shed load is 429 with a
                       ``Retry-After`` header; a draining daemon
                       answers 503.  Parse errors are 400.
-``POST /v1/batch``    submit many programs; answered/cached items
-                      inline, the rest as one batch job.
+``POST /v1/batch``    submit many programs, each admitted exactly
+                      like one ``/v1/analyze`` request; the
+                      result is one entry per item, in order
+                      (202 with ``{"job", "state"}`` entries
+                      while some item is still running).
 ``GET /v1/jobs/<id>`` poll a job (200 done / 202 still running /
                       404 unknown).
 ``GET /healthz``      liveness: 200 as long as the process serves.
 ``GET /readyz``       readiness: 503 once draining (load
                       balancers stop routing before shutdown).
-``GET /stats``        queue depth, cache and breaker state, obs
+``GET /stats``        queue depth, jobs, cache state, obs
                       counters.
 ====================  ===========================================
 
@@ -46,7 +49,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.checkpoint import atomic_write_text
 from repro.faults import plane as faults
@@ -407,6 +410,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return
 
     def _handle_batch(self, document: dict) -> None:
+        """A loop over single admissions (see :func:`batch_entries`):
+        200 once every item is final, else 202 with the pending items'
+        job ids to poll.  Only a batch shed whole is a 429/503."""
         raw_items = document.get("programs")
         if not isinstance(raw_items, list) or not raw_items:
             self._send_json(400, {"error": "'programs' must be a non-empty list"})
@@ -426,17 +432,17 @@ class _Handler(BaseHTTPRequestHandler):
         span_ctx = context.mint(self.headers.get("X-Repro-Trace"))
         with context.bound(trace=span_ctx):
             with obs.span("http.batch", items=len(requests)):
-                status, payload = self.service.submit_batch(requests)
-            if status == "hit":
-                self._send_json(200, payload)
-            elif status == "shed":
-                self._shed_response(payload)
-            else:
-                job = payload
-                if bool(document.get("wait", True)) and job.wait(self._wait_budget(document)):
-                    self._send_json(200, {"job": job.id, **job.result})
-                else:
-                    self._send_json(202, {"job": job.id, "state": job.state})
+                admitted = [self.service.submit(request) for request in requests]
+            sheds = [payload for status, payload in admitted if status == "shed"]
+            if len(sheds) == len(admitted):
+                self._shed_response(sheds[0])
+                return
+            budget = self._wait_budget(document) if document.get("wait", True) else 0.0
+            results = batch_entries(admitted, budget)
+            pending = any("state" in entry for entry in results)
+            self._send_json(
+                202 if pending else 200, {"trace": span_ctx.trace_id, "results": results}
+            )
 
     def _wait_budget(self, document: dict) -> float:
         try:
@@ -444,6 +450,28 @@ class _Handler(BaseHTTPRequestHandler):
         except (TypeError, ValueError):
             return 60.0
         return max(0.0, min(requested, MAX_WAIT_SEC))
+
+
+def batch_entries(admitted: List[Tuple[str, object]], wait_sec: float) -> List[dict]:
+    """One batch answer entry per ``submit`` verdict, in order, after the
+    admitted jobs shared one wait budget of ``wait_sec``."""
+    deadline = time.monotonic() + wait_sec
+    for status, payload in admitted:
+        if status == "accepted":
+            payload.wait(max(0.0, deadline - time.monotonic()))
+    return [_batch_entry(status, payload) for status, payload in admitted]
+
+
+def _batch_entry(status: str, payload) -> dict:
+    if status == "hit":
+        return {"cache": "hit", "result": payload}
+    if status == "rejected":
+        return {"error": payload}
+    if status == "shed":
+        return {"error": payload["reason"], **payload}
+    if payload.done.is_set():
+        return {"cache": "miss", "job": payload.id, "result": payload.result}
+    return {"job": payload.id, "state": payload.state}
 
 
 class AnalysisHTTPServer(ThreadingHTTPServer):

@@ -1,5 +1,6 @@
 """Untrusted-input hardening: oversized/hostile requests get structured
-4xx answers and never enter the worker retry / circuit-breaker path."""
+4xx answers and are never admitted, so they never reach a worker or the
+retry path."""
 
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ def server(tmp_path):
         isolation="inline",
         queue_size=8,
         retry=RetryPolicy(max_retries=0, backoff_base_sec=0.01),
-        breaker_threshold=1,  # the touchiest possible breaker
     )
     service = AnalysisService(config)
     service.start()
@@ -55,10 +55,15 @@ def _post_raw(base: str, body: bytes):
         return exc.code, json.loads(exc.read() or b"{}")
 
 
-def _assert_no_breaker_trip(service: AnalysisService) -> None:
-    snapshot = service.breaker.snapshot()
-    open_rungs = [name for name, state in snapshot.items() if state == "open"]
-    assert open_rungs == [], f"client faults tripped breaker(s): {open_rungs}"
+def _admissions(service: AnalysisService) -> tuple:
+    counters = service.stats()["counters"]
+    return counters.get("serve.accepted", 0), counters.get("serve.retries", 0)
+
+
+def _assert_never_admitted(service: AnalysisService, before: tuple) -> None:
+    """No job was created, and admission and retry counts did not move."""
+    assert service.jobs == {}
+    assert _admissions(service) == before
 
 
 # -- parser ceilings ----------------------------------------------------------
@@ -113,46 +118,51 @@ def test_recursion_error_cannot_escape():
 
 def test_10mb_body_gets_structured_413(server):
     base, service = server
+    before = _admissions(service)
     body = json.dumps({"program": "x = 1", "pad": "y" * (10 * 1024 * 1024)})
     assert len(body) > MAX_BODY_BYTES
     code, document = _post_raw(base, body.encode())
     assert code == 413
     assert isinstance(document.get("error"), str)
-    _assert_no_breaker_trip(service)
+    _assert_never_admitted(service, before)
 
 
 def test_10k_deep_program_gets_structured_400(server):
     base, service = server
+    before = _admissions(service)
     deep = "x = " + "(" * 10_000 + "1" + ")" * 10_000
     code, document = _post_raw(base, json.dumps({"program": deep}).encode())
     assert code == 400
     assert "nesting" in document["error"]
-    _assert_no_breaker_trip(service)
+    _assert_never_admitted(service, before)
 
 
 def test_lexer_garbage_gets_structured_400(server):
     base, service = server
+    before = _admissions(service)
     code, document = _post_raw(base, json.dumps({"program": "x = @!?"}).encode())
     assert code == 400
     assert isinstance(document.get("error"), str)
-    _assert_no_breaker_trip(service)
+    _assert_never_admitted(service, before)
 
 
 def test_oversized_program_gets_structured_400(server):
     base, service = server
+    before = _admissions(service)
     program = "x = 1\n" * 400_000  # 2.4 MB source inside an < 8 MB body
     code, document = _post_raw(base, json.dumps({"program": program}).encode())
     assert code == 400
     assert "too large" in document["error"]
-    _assert_no_breaker_trip(service)
+    _assert_never_admitted(service, before)
 
 
 def test_malformed_json_gets_structured_400(server):
     base, service = server
+    before = _admissions(service)
     code, document = _post_raw(base, b'{"program": "x = 1"')
     assert code == 400
     assert isinstance(document.get("error"), str)
-    _assert_no_breaker_trip(service)
+    _assert_never_admitted(service, before)
 
 
 def test_wait_budget_is_clamped(server):
@@ -170,10 +180,11 @@ def test_wait_budget_is_clamped(server):
 
 def test_hostile_inputs_do_not_reach_retry_path(server):
     base, service = server
+    before = _admissions(service)
     for payload in (b'[]', b'{"program": 7}', json.dumps({"program": "x = @"}).encode()):
         code, _ = _post_raw(base, payload)
         assert 400 <= code < 500
     stats = service.stats()
     assert stats["counters"].get("serve.retries", 0) == 0
     assert stats["counters"].get("serve.attempt_failures", 0) == 0
-    _assert_no_breaker_trip(service)
+    _assert_never_admitted(service, before)

@@ -14,11 +14,13 @@ from repro.core.engine import EngineLimits
 from repro.corpus.generator import generate
 from repro.obs import recorder as obs
 from repro.serve.daemon import (
+    TIMEOUT_GRACE_SEC,
     AnalysisService,
     AnalyzeRequest,
     ServiceConfig,
     TenantBudget,
 )
+from repro.serve.http import batch_entries
 from repro.serve.journal import JobJournal
 from repro.serve.retry import RetryPolicy
 
@@ -223,7 +225,7 @@ class TestDegradedModes:
 
     def test_attempt_watchdog_covers_every_rung_of_the_ladder(self, service):
         limits = EngineLimits(deadline_sec=2.0)
-        grace = service.config.timeout_grace_sec
+        grace = TIMEOUT_GRACE_SEC
         rungs = len(default_ladder(limits))
         assert service._attempt_timeout(limits, "default") == 2.0 * rungs + grace
         assert service._attempt_timeout(limits, "baseline") == 2.0 + grace
@@ -301,18 +303,40 @@ class TestRecovery:
             service.stop()
 
 
+    def test_pending_batch_record_of_an_older_daemon_ends(self, tmp_path):
+        """The multi-program job kind is gone: its pending record is
+        counted as dropped and journaled done, never re-run or fatal."""
+        state_dir = tmp_path / "state"
+        state_dir.mkdir()
+        journal = JobJournal(state_dir / "journal.jsonl")
+        journal.append(
+            {"event": "accepted", "job": "batch01", "kind": "batch",
+             "batch": [{"program": _program(20)}]}
+        )
+        journal.close()
+        service = AnalysisService(
+            ServiceConfig(state_dir=state_dir, workers=1, isolation="inline")
+        )
+        service.start()
+        try:
+            assert service.get_job("batch01") is None
+            assert _counters().get("serve.recovery_dropped", 0) == 1
+        finally:
+            service.stop()
+        pending, done = JobJournal(state_dir / "journal.jsonl").fold()
+        assert pending == {} and done["batch01"]["dropped"] is True
+
+
 class TestBatch:
+    """A batch is a loop over ``submit`` plus one shared wait budget."""
+
     def test_batch_mixes_hits_and_misses(self, service):
         source_a, source_b = _program(21), _program(22)
         status, job = service.submit(AnalyzeRequest(program=source_a))
         assert status == "accepted" and job.wait(30)
-        status, job = service.submit_batch(
-            [AnalyzeRequest(program=source_a), AnalyzeRequest(program=source_b),
-             AnalyzeRequest(program="((broken")]
-        )
-        assert status == "accepted"
-        assert job.wait(60)
-        results = job.result["results"]
+        requests = [AnalyzeRequest(program=source_a), AnalyzeRequest(program=source_b),
+                    AnalyzeRequest(program="((broken")]
+        results = batch_entries([service.submit(request) for request in requests], 60)
         assert results[0]["cache"] == "hit"
         assert results[1]["cache"] == "miss"
         assert "error" in results[2]
@@ -324,9 +348,10 @@ class TestBatch:
         source = _program(23)
         status, job = service.submit(AnalyzeRequest(program=source))
         assert status == "accepted" and job.wait(30)
-        status, payload = service.submit_batch([AnalyzeRequest(program=source)])
-        assert status == "hit"
-        assert payload["results"][0]["cache"] == "hit"
+        jobs = len(service.jobs)
+        results = batch_entries([service.submit(AnalyzeRequest(program=source))], 0.0)
+        assert results == [{"cache": "hit", "result": job.result}]
+        assert len(service.jobs) == jobs
 
 
 class TestDrain:
@@ -345,5 +370,6 @@ class TestDrain:
     def test_stats_document_shape(self, service):
         service.submit(AnalyzeRequest(program=_program(45)))
         stats = service.stats()
-        assert {"queue_depth", "jobs", "cache", "breaker", "counters"} <= set(stats)
+        assert {"queue_depth", "jobs", "cache", "counters"} <= set(stats)
+        assert "breaker" not in stats
         json.dumps(stats)  # must be JSON-serializable for /stats

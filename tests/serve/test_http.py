@@ -15,11 +15,14 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.driver import analyze_with_fallback
 from repro.corpus.generator import generate
 from repro.faults import plane
 from repro.faults.plane import FaultSchedule, PlannedFault
+from repro.lang import programs
 from repro.obs import recorder as obs
-from repro.serve.daemon import AnalysisService, ServiceConfig
+from repro.serve.cache import render_report
+from repro.serve.daemon import AnalysisService, AnalyzeRequest, ServiceConfig
 from repro.serve.http import AnalysisHTTPServer, _Handler
 from repro.serve.retry import RetryPolicy
 
@@ -194,6 +197,63 @@ def test_batch_endpoint(server):
     assert caches == ["hit", "miss"]
     code, body, _ = _post(base, "/v1/batch", {"programs": []})
     assert code == 400
+
+
+def test_batch_item_limits_stay_with_their_item(server):
+    """Each batch item runs and is cached under its own limits: a tight
+    first item must not poison a later single request for another item."""
+    base, _service = server
+    pingpong, exchange = programs.get("pingpong"), programs.get("exchange_with_root")
+    code, body, _ = _post(base, "/v1/batch", {"programs": [
+        {"program": pingpong.source, "max_steps": 2}, exchange.source,
+    ]})
+    assert code == 200
+    assert [item["cache"] for item in body["results"]] == ["miss", "miss"]
+    code, body, _ = _post(base, "/v1/analyze", {"program": exchange.source})
+    assert code == 200 and body["cache"] == "hit"
+    fresh = render_report(analyze_with_fallback(exchange.parse()))
+    assert (body["result"]["rung"], body["result"]["confidence"]) == ("cartesian", "exact")
+    assert body["result"]["matches"] == fresh["matches"]
+
+
+def test_recovered_batch_answers_every_item_in_order(tmp_path):
+    """A batch accepted without waiting, by a daemon that dies before
+    running it, is answered item for item by the next daemon."""
+    state_dir = tmp_path / "state"
+    hit_source, miss_source = generate(44).source, generate(45).source
+    warm = AnalysisService(ServiceConfig(state_dir=state_dir, isolation="inline"))
+    warm.start()
+    status, job = warm.submit(AnalyzeRequest(program=hit_source))
+    assert status == "accepted" and job.wait(30)
+    warm.stop()
+    # admits and journals, but never starts a worker: a SIGKILL after accept
+    doomed = AnalysisService(ServiceConfig(state_dir=state_dir, isolation="inline"))
+    httpd = AnalysisHTTPServer(("127.0.0.1", 0), doomed)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        code, body, _ = _post(
+            f"http://127.0.0.1:{httpd.server_address[1]}", "/v1/batch",
+            {"programs": [hit_source, miss_source, "((broken"], "wait": False},
+        )
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        doomed.journal.close()
+    assert code == 202
+    hit, miss, error = body["results"]
+    assert hit["cache"] == "hit" and "parse error" in error["error"]
+    assert miss["state"] == "queued"
+    reborn = AnalysisService(ServiceConfig(state_dir=state_dir, isolation="inline"))
+    reborn.start()
+    try:
+        recovered = reborn.get_job(miss["job"])
+        assert recovered is not None and recovered.wait(30)
+        assert recovered.result["rung"] and "degraded" not in recovered.result
+        status, cached = reborn.submit(AnalyzeRequest(program=hit_source))
+        assert status == "hit" and cached == hit["result"]
+    finally:
+        reborn.stop()
 
 
 # -- the write path: one send per response, Nagle off ---------------------------

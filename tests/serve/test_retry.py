@@ -1,16 +1,10 @@
-"""Retry backoff bounds and the per-rung circuit breaker state machine."""
+"""Retry backoff bounds."""
 
 from __future__ import annotations
 
 import random
 
-from repro.serve.retry import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    RetryPolicy,
-)
+from repro.serve.retry import RetryPolicy
 
 
 class TestRetryPolicy:
@@ -33,63 +27,3 @@ class TestRetryPolicy:
         assert policy.delay(0, _One()) == 0.1
         assert policy.delay(1, _One()) == 0.2
         assert policy.delay(10, _One()) == 0.5  # capped
-
-
-class TestCircuitBreaker:
-    def _clocked(self, threshold=3, cooldown=10.0):
-        state = {"now": 0.0}
-        breaker = CircuitBreaker(
-            threshold=threshold, cooldown_sec=cooldown, clock=lambda: state["now"]
-        )
-        return breaker, state
-
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker, _ = self._clocked(threshold=3)
-        for _ in range(2):
-            breaker.record_failure("cartesian")
-            assert breaker.allows("cartesian")
-        breaker.record_failure("cartesian")
-        assert breaker.state("cartesian") == OPEN
-        assert not breaker.allows("cartesian")
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, _ = self._clocked(threshold=3)
-        breaker.record_failure("r")
-        breaker.record_failure("r")
-        breaker.record_success("r")
-        breaker.record_failure("r")
-        breaker.record_failure("r")
-        assert breaker.state("r") == CLOSED
-
-    def test_half_open_probe_then_close_on_success(self):
-        breaker, clock = self._clocked(threshold=1, cooldown=10.0)
-        breaker.record_failure("r")
-        assert not breaker.allows("r")
-        clock["now"] = 11.0
-        assert breaker.allows("r")  # the single probe
-        assert breaker.state("r") == HALF_OPEN
-        assert not breaker.allows("r")  # probe already out
-        breaker.record_success("r")
-        assert breaker.state("r") == CLOSED
-        assert breaker.allows("r")
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker, clock = self._clocked(threshold=1, cooldown=10.0)
-        breaker.record_failure("r")
-        clock["now"] = 11.0
-        assert breaker.allows("r")
-        breaker.record_failure("r")
-        assert breaker.state("r") == OPEN
-        assert not breaker.allows("r")
-        # the cooldown restarts from the reopen
-        clock["now"] = 20.0
-        assert not breaker.allows("r")
-        clock["now"] = 21.5
-        assert breaker.allows("r")
-
-    def test_circuits_are_independent_per_rung(self):
-        breaker, _ = self._clocked(threshold=1)
-        breaker.record_failure("cartesian")
-        assert not breaker.allows("cartesian")
-        assert breaker.allows("simple-symbolic")
-        assert breaker.snapshot() == {"cartesian": OPEN, "simple-symbolic": CLOSED}

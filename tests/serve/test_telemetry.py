@@ -12,9 +12,12 @@ import urllib.request
 
 import pytest
 
+from repro.core.driver import analyze_with_fallback
 from repro.corpus.generator import generate
+from repro.lang import programs
 from repro.obs import metrics, trace
-from repro.serve.daemon import AnalysisService, ServiceConfig
+from repro.serve.cache import render_report
+from repro.serve.daemon import AnalysisService, AnalyzeRequest, ServiceConfig
 from repro.serve.http import AnalysisHTTPServer
 from repro.serve.retry import RetryPolicy
 
@@ -113,6 +116,26 @@ class TestMetricsEndpoint:
         _scrape(base)
         samples = metrics.parse_exposition(_scrape(base)[0])
         assert samples["repro_serve_metrics_scrapes_total"] >= 1.0
+
+
+@pytest.mark.parametrize("isolation", ["inline", "process"])
+def test_both_isolations_answer_like_the_ladder(tmp_path, isolation):
+    """Both isolation modes run the one attempt body, so each answers
+    every paper program exactly as an in-process ladder does."""
+    base, service, httpd = _make_server(tmp_path, isolation)
+    try:
+        for name in programs.names():
+            spec = programs.get(name)
+            code, body = _post(base, {"program": spec.source})
+            assert code == 200 and body["cache"] == "miss", name
+            limits = service.effective_limits(AnalyzeRequest(program=spec.source))
+            expected = render_report(analyze_with_fallback(spec.parse(), limits=limits))
+            for key in ("rung", "confidence", "matches", "diagnostics"):
+                assert body["result"][key] == expected[key], (name, key)
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        service.stop()
 
 
 class TestStreaming:
