@@ -20,8 +20,9 @@
 #                  the causal chain back to run_start, and schema-check the
 #                  exported Chrome trace
 #   sweep-smoke -> differential corpus sweep over the pinned smoke manifest
-#                  (analyzer vs concrete interpreter; fails on divergence),
-#                  then the routed-ladder differential and the engine
+#                  and over the 400-program stream of seed 1337 (analyzer
+#                  vs concrete interpreter; fails on divergence), then the
+#                  routed-ladder differential and the engine
 #                  behaviour lock (`-m ladder_slow`: the routed fallback
 #                  ladder must answer like a full climb, and every answer,
 #                  step count and explored pCFG size must match
@@ -131,6 +132,8 @@ step "sweep-smoke: differential corpus sweep" bash -c '
   python -m repro sweep --tier smoke --seed 1337 --jobs 4 \
       --report sweep-smoke.jsonl &&
   rm -f sweep-smoke.jsonl'
+step "sweep-smoke: differential corpus sweep (400-program stream)" \
+  python -m repro sweep --tier pr --seed 1337 --count 400 --jobs 4
 step "sweep-smoke: routed ladder vs full climb, engine behaviour lock" \
   python -m pytest tests/core/test_ladder_routing.py tests/core/test_engine_lock.py \
       -m ladder_slow -q

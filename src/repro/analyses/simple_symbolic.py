@@ -375,8 +375,14 @@ class SimpleSymbolicClient(ClientAnalysis):
             return id_split
         if "id" in cond.free_vars():
             # a rank-dependent branch that could not be split exactly:
-            # Alternatives would be unsound here (in a real execution
-            # different members take different sides simultaneously)
+            # members take both sides at once.  When no arm can take part
+            # in a match and nothing after the ``if`` reads what the arms
+            # assigned (``local_if``), flow the whole set down both arms
+            # assuming nothing about the condition; the engine joins them
+            # at the node after the ``if`` (DESIGN §5).  Anywhere else,
+            # one world per side would claim matches no execution makes.
+            if node.local_if:
+                return Alternatives([(True, state.copy()), (False, state.copy())])
             raise GiveUp(
                 f"cannot split process set on rank-dependent branch {cond}"
             )

@@ -49,10 +49,16 @@ class Split:
 
 @dataclass
 class Alternatives:
-    """Branch outcome: undecidable data-dependent branch.
+    """Branch outcome: the set may take either side.
 
-    The engine explores each ``(label, state)`` as a separate pCFG
-    successor (a may-analysis over both paths).
+    Two cases return it: an undecidable data-dependent branch, and a
+    rank-dependent ``if`` that cannot be split exactly but is local
+    (``CFGNode.local_if``: no communication in its arms, nothing they
+    assign read afterwards), whose members take both arms at once.  The
+    engine explores each ``(label, state)`` as a separate pCFG successor
+    (a may-analysis over both paths); for the local ``if`` the states
+    assume nothing about the condition and the arms join again at the
+    node after it.
     """
 
     outcomes: List[Tuple[bool, ClientState]]

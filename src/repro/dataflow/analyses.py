@@ -197,27 +197,6 @@ class LiveVariables:
     def __init__(self, cfg: CFG):
         self._cfg = cfg
 
-    @staticmethod
-    def _uses_defs(node: CFGNode) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-        uses: FrozenSet[str] = frozenset()
-        defs: FrozenSet[str] = frozenset()
-        if node.kind == NodeKind.ASSIGN:
-            uses = frozenset(node.stmt.value.free_vars())
-            defs = frozenset({node.stmt.target})
-        elif node.kind == NodeKind.BRANCH:
-            uses = frozenset(node.cond.free_vars())
-        elif node.kind == NodeKind.SEND:
-            uses = frozenset(
-                node.stmt.value.free_vars() | node.stmt.dest.free_vars()
-            )
-        elif node.kind == NodeKind.RECV:
-            uses = frozenset(node.stmt.src.free_vars())
-            defs = frozenset({node.stmt.target})
-        elif node.kind in (NodeKind.PRINT, NodeKind.ASSERT):
-            expr = node.stmt.value if node.kind == NodeKind.PRINT else node.stmt.cond
-            uses = frozenset(expr.free_vars())
-        return uses, defs
-
     def solve(self) -> Dict[int, FrozenSet[str]]:
         """Live-out sets per node via a backward worklist."""
         live_out: Dict[int, FrozenSet[str]] = {nid: frozenset() for nid in self._cfg.nodes}
@@ -228,7 +207,7 @@ class LiveVariables:
                 out: FrozenSet[str] = frozenset()
                 for succ, _label in self._cfg.successors(nid):
                     succ_node = self._cfg.node(succ)
-                    uses, defs = self._uses_defs(succ_node)
+                    uses, defs = succ_node.uses_defs()
                     out = out | uses | (live_out[succ] - defs)
                 if out != live_out[nid]:
                     live_out[nid] = out

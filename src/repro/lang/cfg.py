@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.lang.ast import (
     Assert,
@@ -64,10 +64,33 @@ class CFGNode:
     stmt: Optional[Stmt] = None
     cond: Optional[Expr] = None
     label: str = ""
+    #: an ``if`` whose arms neither communicate nor assert and whose
+    #: assignments are dead after it: nothing later can tell which arm a
+    #: process took (set by :func:`build_cfg`, see :func:`_mark_local_ifs`)
+    local_if: bool = False
 
     def is_comm(self) -> bool:
         """True for send/receive nodes (the paper's ``isCommOp``)."""
         return self.kind in (NodeKind.SEND, NodeKind.RECV)
+
+    def uses_defs(self) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+        """The variables this node reads, and the ones it writes."""
+        uses: FrozenSet[str] = frozenset()
+        defs: FrozenSet[str] = frozenset()
+        if self.kind == NodeKind.ASSIGN:
+            uses = frozenset(self.stmt.value.free_vars())
+            defs = frozenset({self.stmt.target})
+        elif self.kind == NodeKind.BRANCH:
+            uses = frozenset(self.cond.free_vars())
+        elif self.kind == NodeKind.SEND:
+            uses = frozenset(self.stmt.value.free_vars() | self.stmt.dest.free_vars())
+        elif self.kind == NodeKind.RECV:
+            uses = frozenset(self.stmt.src.free_vars())
+            defs = frozenset({self.stmt.target})
+        elif self.kind in (NodeKind.PRINT, NodeKind.ASSERT):
+            expr = self.stmt.value if self.kind == NodeKind.PRINT else self.stmt.cond
+            uses = frozenset(expr.free_vars())
+        return uses, defs
 
     def describe(self) -> str:
         """Human-readable one-line description."""
@@ -191,6 +214,9 @@ class _Builder:
 
     def __init__(self) -> None:
         self.cfg = CFG()
+        #: ``(branch id, end id)`` of each ``if`` whose arms hold no send,
+        #: receive or assert; its nodes are the ids in between
+        self.quiet_ifs: List[Tuple[int, int]] = []
 
     def build(self, program: Program) -> CFG:
         entry = self.cfg.add_node(NodeKind.ENTRY)
@@ -205,6 +231,8 @@ class _Builder:
             for tail, label in tails:
                 self.cfg.add_edge(tail, exit_id, label)
         self.cfg.assign_letter_labels()
+        if self.quiet_ifs:
+            _mark_local_ifs(self.cfg, self.quiet_ifs)
         return self.cfg
 
     def _build_block(
@@ -264,6 +292,8 @@ class _Builder:
         else:
             self.cfg.add_edge(branch, else_head, False)
             exits.extend(else_tails)
+        if not any(isinstance(inner, (Send, Recv, Assert)) for inner in stmt.walk()):
+            self.quiet_ifs.append((branch, len(self.cfg.nodes)))
         return branch, exits
 
     def _build_while(self, stmt: While) -> Tuple[int, List[Tuple[int, Optional[bool]]]]:
@@ -288,6 +318,53 @@ class _Builder:
         loop_head, loop_tails = self._build_stmt(loop)
         self.cfg.add_edge(init_node, loop_head)
         return init_node, loop_tails
+
+
+def _mark_local_ifs(cfg: CFG, quiet_ifs: List[Tuple[int, int]]) -> None:
+    """Set ``local_if`` on each quiet ``if`` whose assignments die with it.
+
+    The builder emits only structured ``if``/``while``/``for`` (no break,
+    goto or return), so the nodes a process can reach from an ``if``
+    before its immediate post-dominator are exactly the statements of its
+    two arms, node ids ``branch..end-1``, and every edge leaving that range
+    enters the post-dominator.  "No send or receive before the ipdom" is
+    therefore a walk of the arms' AST, with no post-dominator pass.  A
+    variable the arms assign must also be dead at the post-dominator, so
+    that no later branch, message or print can depend on which arm ran.
+    """
+    for branch, end in quiet_ifs:
+        assigned = set()
+        for stmt in cfg.nodes[branch].stmt.walk():
+            if isinstance(stmt, Assign):
+                assigned.add(stmt.target)
+            elif isinstance(stmt, For):
+                assigned.add(stmt.var)
+        ipdom = next(
+            succ
+            for node_id in range(branch, end)
+            for succ in cfg.succ_ids(node_id)
+            if not branch <= succ < end
+        )
+        cfg.nodes[branch].local_if = not any(
+            _read_before_written(cfg, ipdom, name) for name in assigned
+        )
+
+
+def _read_before_written(cfg: CFG, start: int, name: str) -> bool:
+    """Does some path from ``start`` read ``name`` before writing it?"""
+    seen = set()
+    stack = [start]
+    while stack:
+        node_id = stack.pop()
+        if node_id in seen:
+            continue
+        seen.add(node_id)
+        uses, defs = cfg.nodes[node_id].uses_defs()
+        if name in uses:
+            return True
+        if name not in defs:
+            stack.extend(cfg.succ_ids(node_id))
+    return False
 
 
 def build_cfg(program: Program) -> CFG:

@@ -51,6 +51,7 @@ import json
 import os
 import queue
 import random
+import signal
 import threading
 import time
 import uuid
@@ -261,13 +262,41 @@ def _attempt(
     return rendered, (snap.payload if snap is not None else None), dict(recorder.counters)
 
 
-def _attempt_child(conn, source, limits, ladder_kind, warm, fault, trace_ctx, trace_sink, stream):
+#: how often an attempt child checks that the daemon that forked it lives
+_PARENT_POLL_SEC = 0.2
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """End this attempt child once the daemon that forked it is gone.
+
+    A SIGKILLed daemon cannot kill its children, and an EOF on a pipe
+    cannot tell: a sibling child forked at the same moment inherits the
+    write end.  Re-parenting can: ``getppid()`` stops naming the daemon.
+    A poll thread rather than ``prctl(PR_SET_PDEATHSIG)``, which would
+    import ``ctypes`` into every attempt and exists only on Linux.
+    """
+
+    def watch():
+        while os.getppid() == parent_pid:
+            time.sleep(_PARENT_POLL_SEC)
+        os._exit(4)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _attempt_child(
+    conn, parent_pid, source, limits, ladder_kind, warm, fault, trace_ctx, trace_sink, stream
+):
     """Worker-process wrapper around :func:`_attempt`: ships its result
     as an ``("ok", rendered, snapshot_payload, counters)`` reply.
     ``trace_ctx``/``trace_sink`` re-establish the request's trace context
     in this process (its spans land in a shard file of its own); with
     ``stream`` the ladder's progress events are forwarded over the pipe
-    as ``("progress", event)`` messages ahead of the reply."""
+    as ``("progress", event)`` messages ahead of the reply.  The child
+    exits on its own if ``parent_pid``, the daemon, dies first."""
+    # a fork inherits the daemon's drain handler; terminate() must end us
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _exit_with_parent(parent_pid)
     try:
         try:
             _apply_test_fault(fault)
@@ -692,7 +721,7 @@ class AnalysisService:
         process = ctx.Process(
             target=_attempt_child,
             args=(
-                child_conn, source, limits, ladder_kind, warm, fault,
+                child_conn, os.getpid(), source, limits, ladder_kind, warm, fault,
                 span_ctx.to_dict() if span_ctx is not None else None,
                 str(sink) if sink is not None else None,
                 progress is not None,

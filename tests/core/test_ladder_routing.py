@@ -107,10 +107,11 @@ def test_early_no_match_goes_straight_to_the_baseline(name):
 
 
 def test_give_up_after_widening_still_escalates():
-    # the smoke program's rung-1 give-up fires after a widening, so the
-    # escalated rung runs; its own give-up then dominates simple-symbolic
-    generated = next(p for p in _smoke_corpus() if p.corpus_id == "mplg1-4f3b26df")
-    assert generated.seed == 1329276639
+    # the smoke program's rung-1 give-up (a pairwise ``id == 3`` branch it
+    # cannot split) fires after a widening, so the escalated rung runs;
+    # its own give-up then dominates simple-symbolic
+    generated = next(p for p in _smoke_corpus() if p.corpus_id == "mplg1-7403e81b")
+    assert generated.seed == 1946413083
     report = analyze_with_fallback(generated.parse())
     assert _ladder_path(report) == ["cartesian", "cartesian-escalated", "mpi-cfg"]
     assert not report.rungs[0].result.giveup_before_widening

@@ -120,3 +120,49 @@ class TestCorpusCFGs:
                     lbl for _d, lbl in cfg.successors(node.node_id) if lbl is not None
                 )
                 assert labels == [False, True]
+
+
+class TestLocalIfs:
+    """``local_if``: arms that neither communicate nor assert, and assign
+    nothing a later statement reads."""
+
+    @staticmethod
+    def flags(source: str):
+        cfg = cfg_of(source)
+        return [
+            node.local_if
+            for node in sorted(cfg.nodes.values(), key=lambda n: n.node_id)
+            if node.kind == NodeKind.BRANCH
+        ]
+
+    def test_dead_assignments_make_a_local_if(self):
+        assert self.flags("if id == 0 then w = 1 else w = 2 end print x") == [True]
+
+    def test_a_later_read_keeps_the_if_observable(self):
+        assert self.flags("if id == 0 then w = 1 else w = 2 end print w") == [False]
+        assert self.flags("if id == 0 then w = 1 end send 1 -> w") == [False]
+
+    def test_overwrite_before_read_is_dead(self):
+        assert self.flags("if id == 0 then w = 1 end w = 3 print w") == [True]
+
+    def test_communication_or_assert_in_an_arm(self):
+        assert self.flags("if id == 0 then send 1 -> 1 end") == [False]
+        assert self.flags("if id == 0 then skip else receive y <- 0 end") == [False]
+        assert self.flags("if id == 0 then assert (np == 4) end") == [False]
+
+    def test_read_in_the_next_loop_iteration(self):
+        source = "c = 0 while c < 3 do if id == 0 then t = c end c = c + t end"
+        assert self.flags(source) == [False, False]
+
+    def test_loops_are_never_local(self):
+        assert self.flags("c = 0 while c < id do c = c + 1 end") == [False]
+
+    def test_nested_ifs_are_judged_each(self):
+        source = "if id == 0 then if id == 1 then a = 1 end b = a end print b"
+        assert self.flags(source) == [False, False]
+        # the inner arm's ``a`` is read inside the outer arm; the outer
+        # arms' assignments are all dead
+        source = "if id == 0 then if id == 1 then a = 1 end b = a end"
+        assert self.flags(source) == [True, False]
+        source = "if id == 0 then if id == 1 then a = 1 end end"
+        assert self.flags(source) == [True, True]

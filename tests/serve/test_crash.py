@@ -144,6 +144,22 @@ class Daemon:
         raise AssertionError(f"job {job_id} did not complete in {timeout}s")
 
 
+def _processes_naming(text: str) -> list:
+    """Pids whose command line holds ``text`` (a forked child keeps its
+    parent's argv, so a daemon's attempt children name its state dir)."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        if text.encode() in cmdline:
+            pids.append(int(entry.name))
+    return pids
+
+
 @pytest.fixture
 def daemon(tmp_path):
     instance = Daemon(tmp_path / "state")
@@ -208,6 +224,12 @@ def test_sigkill_after_accept_before_start(daemon):
         for r in daemon.journal_events()
     )
     daemon.sigkill()
+    if Path("/proc").is_dir():
+        # the wedged attempt child dies with the daemon that forked it
+        deadline = time.monotonic() + 5
+        while _processes_naming(str(daemon.state_dir)) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert _processes_naming(str(daemon.state_dir)) == []
 
     marker.touch()
     daemon.start()
@@ -247,3 +269,19 @@ def test_sigterm_drains_gracefully(daemon):
     accepted = {r["job"] for r in events if r.get("event") == "accepted"}
     assert accepted <= done  # nothing accepted was abandoned
     assert not (daemon.state_dir / "daemon.json").exists()
+
+
+def test_watchdog_timeout_ends_the_attempt_at_once(daemon):
+    """A timed-out attempt child is terminated, not left to run the
+    SIGTERM drain handler it inherited from the daemon: the degraded
+    answer comes at the timeout, not after ``join``'s 5 s grace."""
+    daemon.start(extra_args=("--job-timeout", "1"))
+    start = time.monotonic()
+    code, body = daemon.post(
+        "/v1/analyze",
+        {"program": "x = 1", "test_fault": {"kind": "sleep", "sec": 30}},
+    )
+    elapsed = time.monotonic() - start
+    assert code == 200
+    assert body["result"]["degraded"].startswith("retries-exhausted")
+    assert elapsed < 4
