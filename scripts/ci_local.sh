@@ -37,7 +37,10 @@
 #                  sequence: admission -> rung -> progress -> result), scrape
 #                  /metrics (fail on missing required series or unparseable
 #                  exposition), and stitch the request trace via `repro trace`
-#   bench-smoke -> benchmark suite with timing disabled, the tracked-baseline
+#   bench-smoke -> benchmark suite with timing disabled, the benchmark's
+#                  determinism guard (each perfbench workload traced in two
+#                  processes with different hash seeds must agree on
+#                  answers and per-layer counts), the tracked-baseline
 #                  regression gate (`scripts/bench_baseline.py --compare`),
 #                  then the Section IX profile artifact via
 #                  `python -m repro profile`.
@@ -173,6 +176,7 @@ step "telemetry-smoke: stream + /metrics scrape + stitched trace" bash -c '
   rm -rf .ci-serve telemetry-trace.json
   exit "$status"'
 step "bench-smoke: benchmarks" python -m pytest benchmarks -q --benchmark-disable
+step "bench-smoke: determinism guard" python3 -m pytest perfbench/test_determinism.py -q
 step "bench-smoke: tracked baseline" \
   python scripts/bench_baseline.py --compare BENCH_pr2.json
 step "bench-smoke: profile artifact" \

@@ -163,6 +163,10 @@ class SimpleSymbolicClient(ClientAnalysis):
         #: ``describe_transfer`` so a print's derived fact lands on the
         #: event of the transition that established it
         self._last_print: Optional[tuple] = None
+        #: the CFG ``drop_dead`` last saw, and per ``(uid, node)`` the
+        #: qualified names live on entry to that node
+        self._live_cfg = None
+        self._live_names: Dict[Tuple[int, int], frozenset] = {}
 
     # ------------------------------------------------------------------ basics
 
@@ -1231,6 +1235,44 @@ class SimpleSymbolicClient(ClientAnalysis):
         new.psets = tuple(state.psets[p] for p in perm)
         return new
 
+    def drop_dead(self, state: SymbolicState, locs: Sequence[int], cfg) -> SymbolicState:
+        """Project out the variables no process set can read any more.
+
+        ``ps<uid>::v`` goes when its namespace belongs to no set and no
+        in-flight send, or when ``v`` is not live on entry to its set's CFG
+        node, and no set bound, in-flight set bound, ``dest`` or ``value``
+        mentions it.  ``id`` is live everywhere and ``np`` belongs to no
+        namespace, so both stay.  Only an exact projection is made
+        (:meth:`ConstraintGraph.without`); a widened graph keeps everything.
+        """
+        if cfg is not self._live_cfg:
+            self._live_cfg, self._live_names = cfg, {}
+        live_names = self._live_names
+        keep = set(GLOBALS)
+        for entry, node_id in zip(state.psets, locs):
+            names = live_names.get((entry.uid, node_id))
+            if names is None:
+                names = live_names[entry.uid, node_id] = frozenset(
+                    qualify(entry.uid, var) for var in cfg.live_in(node_id)
+                )
+            keep |= names
+        doomed = state.cg.variables() - keep
+        if doomed and state.pendings:
+            uids = {entry.uid for entry in state.psets}
+            carried = tuple(
+                f"ps{p.origin_uid}::" for p in state.pendings if p.origin_uid not in uids
+            )
+            if carried:
+                doomed = {name for name in doomed if not name.startswith(carried)}
+        if doomed:
+            doomed -= _mentioned(state)
+        if not doomed:
+            return state
+        cg = state.cg.without(doomed)
+        if cg is state.cg:
+            return state
+        return SymbolicState(cg, state.psets, state.pendings, state.next_uid)
+
     # ------------------------------------------------------------------- lattice
 
     def join(self, old: SymbolicState, new: SymbolicState) -> Optional[SymbolicState]:
@@ -1415,6 +1457,23 @@ class SimpleSymbolicClient(ClientAnalysis):
             value = a.value if a.value == b.value else None
             joined.append(replace(a, pset=widened, value=value))
         return tuple(joined)
+
+
+def _mentioned(state: SymbolicState) -> Set[str]:
+    """Every variable a set bound or an in-flight send mentions."""
+    ranges = [rng for entry in state.psets for rng in entry.pset.ranges]
+    exprs = []
+    for pending in state.pendings:
+        ranges.extend(pending.pset.ranges)
+        exprs.extend(e for e in (pending.dest, pending.value) if e is not None)
+    for rng in ranges:
+        exprs.extend(rng.lb.exprs)
+        exprs.extend(rng.ub.exprs)
+    names = set()
+    for expr in exprs:
+        for name, _ in expr._coeffs:
+            names.add(name)
+    return names
 
 
 def _pretty(text: str) -> str:

@@ -16,6 +16,12 @@ update, a namespace copy onto fresh names and the binding ``x := y + c``
 write the closed matrix directly.  Each yields the matrix that adding the
 edges and re-closing from scratch would, so the full closure runs only on
 graphs built edge by edge (the initial state) or flagged by ``widen``.
+Closedness also makes forgetting exact: :meth:`ConstraintGraph.without`
+deletes the rows and columns of variables no process can read any more
+and keeps every constraint among the rest, because a closed graph holds
+each one as an edge.  A widened graph is not projected (it may lack
+implied edges), so the engine's stored states shrink only where that is
+exact.
 
 Representation sharing.  The bound matrix is **copy-on-write**:
 :meth:`ConstraintGraph.copy` shares the underlying dict-of-dicts between
@@ -679,6 +685,30 @@ class ConstraintGraph:
         for dsts in self._bound.values():
             for name in doomed:
                 dsts.pop(name, None)
+
+    def without(self, names: Set[str]) -> "ConstraintGraph":
+        """A new graph with ``names`` projected out, or this graph when
+        that would not be exact.
+
+        In a closed graph every constraint that a path through a dropped
+        variable implies among the others is already an edge, so deleting
+        the dropped rows and columns keeps exactly the constraints over the
+        variables that remain.  A graph with pending edges is closed first.
+        A widened graph comes back unchanged: it may lack implied edges, so
+        a constraint it holds only through a dropped variable would be
+        lost.  So does an infeasible one, since bottom has nothing to drop.
+        """
+        self._ensure_closed()
+        if self._closed is not True or self._infeasible:
+            return self
+        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
+        bound = result._bound = {}
+        for src, dsts in self._bound.items():
+            if src not in names:
+                row = bound[src] = dict(dsts)
+                for name in names:
+                    row.pop(name, None)
+        return result
 
     def assign(self, target: str, expr: Optional[LinearExpr]) -> None:
         """Transfer function for ``target = expr``.

@@ -190,6 +190,20 @@ class ClientAnalysis:
         """Reorder psets: new position ``i`` holds old position ``perm[i]``."""
         raise NotImplementedError
 
+    def drop_dead(
+        self, state: ClientState, locs: Sequence[int], cfg
+    ) -> ClientState:
+        """Forget what no process set at ``locs`` can read any more.
+
+        Called on every canonical successor, once its positions are sorted
+        (``locs[pos]`` is the CFG node of the set at ``pos``), before the
+        engine keys and stores it.  The result must describe the same
+        executions as ``state`` on everything the sets can still observe;
+        ``state`` itself may be held elsewhere and must not change.  The
+        default keeps everything.
+        """
+        return state
+
     # -- lattice -----------------------------------------------------------------
 
     def join(

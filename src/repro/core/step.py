@@ -13,8 +13,9 @@ Canonicalization is deliberately factored in two:
 
 ``_canonical_form(locs, state)``
     the *pure* part — prune empty process sets, fold sets that reached the
-    same CFG node, sort positions — returning the pCFG node key and the
-    canonical state without touching any state table.
+    same CFG node, sort positions, let the client drop what the sets can no
+    longer read — returning the pCFG node key and the canonical state
+    without touching any state table.
 
 ``_absorb(states, visits, key, state, ...)``
     the *merging* part — intern, first-visit insert, join, visit-counted
@@ -261,6 +262,7 @@ class StepCore:
 
         Pure with respect to any state table: prunes provably-empty process
         sets, folds sets that reached the same CFG node, sorts positions,
+        lets the client drop dead state (:meth:`ClientAnalysis.drop_dead`),
         and derives the pCFG node key.  Returns None when every process set
         is empty (the successor vanishes).  ``merged_nodes`` lists the CFG
         nodes where folds happened — recorded only while provenance is on.
@@ -304,6 +306,7 @@ class StepCore:
         if perm != list(range(len(locs))):
             state = self._call("rename", client.rename, state, perm)
             locs = [locs[p] for p in perm]
+        state = self._call("drop_dead", client.drop_dead, state, locs, self.cfg)
 
         key: PCFGNodeKey = (
             tuple(locs),

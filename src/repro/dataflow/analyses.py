@@ -192,24 +192,16 @@ class ReachingDefinitions(DataflowProblem[FrozenSet[Definition]]):
 
 
 class LiveVariables:
-    """Classical backward liveness (solved by reversal, exposed as a dict)."""
+    """Classical backward liveness, exposed as a dict.
+
+    The solver is the CFG's own (:meth:`repro.lang.cfg.CFG.live_in`), so
+    this class, the local-``if`` marking and the client's projection of
+    dead variables agree by construction.
+    """
 
     def __init__(self, cfg: CFG):
         self._cfg = cfg
 
     def solve(self) -> Dict[int, FrozenSet[str]]:
-        """Live-out sets per node via a backward worklist."""
-        live_out: Dict[int, FrozenSet[str]] = {nid: frozenset() for nid in self._cfg.nodes}
-        changed = True
-        while changed:
-            changed = False
-            for nid in self._cfg.nodes:
-                out: FrozenSet[str] = frozenset()
-                for succ, _label in self._cfg.successors(nid):
-                    succ_node = self._cfg.node(succ)
-                    uses, defs = succ_node.uses_defs()
-                    out = out | uses | (live_out[succ] - defs)
-                if out != live_out[nid]:
-                    live_out[nid] = out
-                    changed = True
-        return live_out
+        """Live-out sets per node."""
+        return dict(self._cfg.live_out())

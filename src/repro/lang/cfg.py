@@ -8,6 +8,11 @@ one statement each (or a branch condition); edges are labelled ``True`` /
 ``for`` loops are desugared into ``init; while (var <= stop) { body; var++ }``
 which is exactly the shape of the paper's Fig. 5 loop and lets the
 constraint-graph client derive the loop invariant through widening.
+
+Liveness (:meth:`CFG.live_in`) is solved once per CFG, on first use, and
+cached on it: the local-``if`` marking and the client's projection of dead
+variables both read it, while building a CFG only to fingerprint it (a
+service cache hit) never pays for it.
 """
 
 from __future__ import annotations
@@ -64,10 +69,22 @@ class CFGNode:
     stmt: Optional[Stmt] = None
     cond: Optional[Expr] = None
     label: str = ""
-    #: an ``if`` whose arms neither communicate nor assert and whose
-    #: assignments are dead after it: nothing later can tell which arm a
-    #: process took (set by :func:`build_cfg`, see :func:`_mark_local_ifs`)
-    local_if: bool = False
+    #: of an ``if`` whose arms hold no send, receive or assert: its graph
+    #: and the first node id past its arms (set by the builder)
+    quiet_arms: Optional[Tuple["CFG", int]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def local_if(self) -> bool:
+        """An ``if`` whose arms neither communicate nor assert and whose
+        assignments are dead after it: nothing later can tell which arm a
+        process took (see :func:`_is_local_if`).  Reads the graph's
+        liveness, so building a CFG does not solve it."""
+        if self.quiet_arms is None:
+            return False
+        cfg, end = self.quiet_arms
+        return _is_local_if(cfg, self.node_id, end)
 
     def is_comm(self) -> bool:
         """True for send/receive nodes (the paper's ``isCommOp``)."""
@@ -115,6 +132,11 @@ class CFG:
     edges: Dict[int, List[Tuple[int, Optional[bool]]]] = field(default_factory=dict)
     entry: int = 0
     exit: int = 0
+    #: ``(live_in, live_out)`` per node, solved on first use (see
+    #: :meth:`live_in`); the graph must not change after that
+    _liveness: Optional[
+        Tuple[Dict[int, FrozenSet[str]], Dict[int, FrozenSet[str]]]
+    ] = field(default=None, repr=False, compare=False)
 
     # -- construction helpers ----------------------------------------------
 
@@ -182,6 +204,25 @@ class CFG:
         visit(self.entry)
         return list(reversed(order))
 
+    def live_in(self, node_id: int) -> FrozenSet[str]:
+        """Variables some path from ``node_id`` reads before writing them.
+
+        ``id`` is always live: a process's rank is fixed for its whole run.
+        """
+        return self._live_sets()[0][node_id]
+
+    def live_out(self) -> Dict[int, FrozenSet[str]]:
+        """Classical live-out set of every node (the union of its
+        successors' live-in sets, ``id`` only where it is read)."""
+        return self._live_sets()[1]
+
+    def _live_sets(
+        self,
+    ) -> Tuple[Dict[int, FrozenSet[str]], Dict[int, FrozenSet[str]]]:
+        if self._liveness is None:
+            self._liveness = _solve_liveness(self)
+        return self._liveness
+
     def rpo_index(self) -> Dict[int, int]:
         """Map node id to its reverse-postorder rank."""
         return {node_id: rank for rank, node_id in enumerate(self.reverse_postorder())}
@@ -214,9 +255,6 @@ class _Builder:
 
     def __init__(self) -> None:
         self.cfg = CFG()
-        #: ``(branch id, end id)`` of each ``if`` whose arms hold no send,
-        #: receive or assert; its nodes are the ids in between
-        self.quiet_ifs: List[Tuple[int, int]] = []
 
     def build(self, program: Program) -> CFG:
         entry = self.cfg.add_node(NodeKind.ENTRY)
@@ -231,8 +269,6 @@ class _Builder:
             for tail, label in tails:
                 self.cfg.add_edge(tail, exit_id, label)
         self.cfg.assign_letter_labels()
-        if self.quiet_ifs:
-            _mark_local_ifs(self.cfg, self.quiet_ifs)
         return self.cfg
 
     def _build_block(
@@ -293,7 +329,7 @@ class _Builder:
             self.cfg.add_edge(branch, else_head, False)
             exits.extend(else_tails)
         if not any(isinstance(inner, (Send, Recv, Assert)) for inner in stmt.walk()):
-            self.quiet_ifs.append((branch, len(self.cfg.nodes)))
+            self.cfg.nodes[branch].quiet_arms = (self.cfg, len(self.cfg.nodes))
         return branch, exits
 
     def _build_while(self, stmt: While) -> Tuple[int, List[Tuple[int, Optional[bool]]]]:
@@ -320,51 +356,75 @@ class _Builder:
         return init_node, loop_tails
 
 
-def _mark_local_ifs(cfg: CFG, quiet_ifs: List[Tuple[int, int]]) -> None:
-    """Set ``local_if`` on each quiet ``if`` whose assignments die with it.
+def _is_local_if(cfg: CFG, branch: int, end: int) -> bool:
+    """Do the assignments of the quiet ``if`` at ``branch`` die with it?
 
     The builder emits only structured ``if``/``while``/``for`` (no break,
     goto or return), so the nodes a process can reach from an ``if``
     before its immediate post-dominator are exactly the statements of its
     two arms, node ids ``branch..end-1``, and every edge leaving that range
     enters the post-dominator.  "No send or receive before the ipdom" is
-    therefore a walk of the arms' AST, with no post-dominator pass.  A
-    variable the arms assign must also be dead at the post-dominator, so
-    that no later branch, message or print can depend on which arm ran.
+    therefore a walk of the arms' AST (done by the builder), with no
+    post-dominator pass.  A variable the arms assign must also be dead at
+    the post-dominator, so that no later branch, message or print can
+    depend on which arm ran.
     """
-    for branch, end in quiet_ifs:
-        assigned = set()
-        for stmt in cfg.nodes[branch].stmt.walk():
-            if isinstance(stmt, Assign):
-                assigned.add(stmt.target)
-            elif isinstance(stmt, For):
-                assigned.add(stmt.var)
-        ipdom = next(
-            succ
-            for node_id in range(branch, end)
-            for succ in cfg.succ_ids(node_id)
-            if not branch <= succ < end
-        )
-        cfg.nodes[branch].local_if = not any(
-            _read_before_written(cfg, ipdom, name) for name in assigned
-        )
+    assigned = set()
+    for stmt in cfg.nodes[branch].stmt.walk():
+        if isinstance(stmt, Assign):
+            assigned.add(stmt.target)
+        elif isinstance(stmt, For):
+            assigned.add(stmt.var)
+    ipdom = next(
+        succ
+        for node_id in range(branch, end)
+        for succ in cfg.succ_ids(node_id)
+        if not branch <= succ < end
+    )
+    return assigned.isdisjoint(cfg.live_in(ipdom))
 
 
-def _read_before_written(cfg: CFG, start: int, name: str) -> bool:
-    """Does some path from ``start`` read ``name`` before writing it?"""
-    seen = set()
-    stack = [start]
-    while stack:
-        node_id = stack.pop()
-        if node_id in seen:
-            continue
-        seen.add(node_id)
-        uses, defs = cfg.nodes[node_id].uses_defs()
-        if name in uses:
-            return True
-        if name not in defs:
-            stack.extend(cfg.succ_ids(node_id))
-    return False
+_ID = frozenset({"id"})
+
+
+def _solve_liveness(
+    cfg: CFG,
+) -> Tuple[Dict[int, FrozenSet[str]], Dict[int, FrozenSet[str]]]:
+    """Backward liveness: ``live_in = uses | (live_out - defs)`` per node.
+
+    Each node's uses and defs are read once.  Nodes start on a stack in
+    reverse postorder, so they are popped successors first, and a node
+    whose live-in set grows pushes back only its predecessors.  The
+    returned live-in sets also hold ``id``.
+    """
+    uses_defs = {node_id: node.uses_defs() for node_id, node in cfg.nodes.items()}
+    preds: Dict[int, List[int]] = {node_id: [] for node_id in cfg.nodes}
+    for src, targets in cfg.edges.items():
+        for dst, _ in targets:
+            preds[dst].append(src)
+    work = cfg.reverse_postorder()
+    queued = set(work)
+    work = [node_id for node_id in cfg.nodes if node_id not in queued] + work
+    queued.update(cfg.nodes)
+    empty: FrozenSet[str] = frozenset()
+    live_in = dict.fromkeys(cfg.nodes, empty)
+    live_out = dict.fromkeys(cfg.nodes, empty)
+    while work:
+        node_id = work.pop()
+        queued.discard(node_id)
+        out = empty
+        for succ, _ in cfg.edges[node_id]:
+            out = out | live_in[succ]
+        live_out[node_id] = out
+        uses, defs = uses_defs[node_id]
+        new_in = uses | (out - defs) if defs else uses | out
+        if new_in != live_in[node_id]:
+            live_in[node_id] = new_in
+            for pred in preds[node_id]:
+                if pred not in queued:
+                    queued.add(pred)
+                    work.append(pred)
+    return {node_id: live | _ID for node_id, live in live_in.items()}, live_out
 
 
 def build_cfg(program: Program) -> CFG:

@@ -166,3 +166,36 @@ class TestLocalIfs:
         assert self.flags(source) == [True, False]
         source = "if id == 0 then if id == 1 then a = 1 end end"
         assert self.flags(source) == [True, True]
+
+
+class TestLiveness:
+    """``CFG.live_in``: solved once, on first use, and shared."""
+
+    def test_a_read_keeps_a_variable_live_until_it(self):
+        cfg = cfg_of("x = 1 y = 2 print x")
+        first, second, show = sorted(
+            n.node_id for n in cfg.nodes.values() if n.kind != NodeKind.ENTRY
+            and n.kind != NodeKind.EXIT
+        )
+        assert "x" not in cfg.live_in(first)
+        assert "x" in cfg.live_in(second) and "y" not in cfg.live_in(second)
+        assert "x" in cfg.live_in(show)
+        assert "x" not in cfg.live_in(cfg.exit)
+
+    def test_id_is_always_live(self):
+        cfg = cfg_of("x = 1 print x")
+        assert all("id" in cfg.live_in(node_id) for node_id in cfg.nodes)
+        assert "id" not in cfg.live_out()[cfg.entry]
+
+    def test_loops_carry_liveness_round_the_back_edge(self):
+        cfg = cfg_of("c = 0 t = 0 while c < 3 do t = t + c c = c + 1 end")
+        head = next(n for n in cfg.nodes.values() if n.kind == NodeKind.BRANCH)
+        assert {"c", "t"} <= cfg.live_in(head.node_id)
+
+    def test_solved_on_first_use_only(self):
+        cfg = cfg_of("if id == 0 then w = 1 end print x")
+        assert cfg._liveness is None  # building the CFG does not solve it
+        cfg.live_in(cfg.entry)
+        solved = cfg._liveness
+        assert [n.local_if for n in cfg.nodes.values()].count(True) == 1
+        assert cfg._liveness is solved
