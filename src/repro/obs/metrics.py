@@ -202,7 +202,6 @@ def _service_families(service) -> List[_Family]:
     if isinstance(cache, dict):
         for key, help_text in (
             ("resident_entries", "result-cache entries resident in memory"),
-            ("warm_snapshots", "warm-start snapshots held"),
             ("disk_entries", "result-cache entries on disk"),
         ):
             gauge(f"repro_serve_cache_{key}", help_text, cache.get(key))

@@ -3,7 +3,7 @@
 Layering (each module testable without the ones above it):
 
 * :mod:`repro.serve.cache` — content-addressed result cache keyed on
-  CFG fingerprint + ladder + effective limits, with warm-start snapshots;
+  CFG fingerprint + ladder + effective limits;
 * :mod:`repro.serve.journal` — crash-safe append-only job journal
   (journal-first admission, replay-on-restart recovery);
 * :mod:`repro.serve.retry` — the attempt retry policy (backoff + jitter);

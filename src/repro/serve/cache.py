@@ -16,18 +16,9 @@ results are keyed by a digest of
 Entries are one JSON file per key, written with the same durable
 atomic write-rename the checkpointer uses, so a SIGKILL mid-store never
 leaves a torn entry — a cache directory is always a set of valid entries.
-
-Near-miss warm starts
----------------------
-
-A cached entry may carry the budget-trip **snapshot** of the run that
-produced it.  A submission with the same CFG + client but *different*
-limits misses the cache, but :meth:`ResultCache.warm_snapshot` hands the
-scheduler that snapshot so the new run warm-starts through the engine's
-existing ``run(resume=...)`` path instead of recomputing the explored
-prefix.  Snapshot identity checks (CFG fingerprint + client class) stay
-with the engine — a stale snapshot degrades to a cold start, never a
-wrong answer.
+Entries written by older builds of this format may also carry ``cfg``
+and ``snapshot`` fields; nothing reads them, and the checksum covers
+whatever fields an entry holds, so such entries still verify and hit.
 """
 
 from __future__ import annotations
@@ -39,11 +30,11 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import __version__
 from repro.core import diagnostics
-from repro.core.checkpoint import Snapshot, atomic_write_text
+from repro.core.checkpoint import atomic_write_text
 from repro.core.engine import EngineLimits
 from repro.faults import plane as faults
 from repro.obs import recorder as obs
@@ -141,9 +132,6 @@ class ResultCache:
         self._lock = threading.Lock()
         #: key -> entry (most-recently-used last)
         self._entries: "OrderedDict[str, dict]" = OrderedDict()
-        #: (cfg fingerprint, snapshot client name) -> key of an entry
-        #: carrying a warm-start snapshot
-        self._warm: Dict[Tuple[str, str], str] = {}
         self.directory.mkdir(parents=True, exist_ok=True)
         self._load_index()
 
@@ -156,10 +144,11 @@ class ResultCache:
         """Read + verify one on-disk entry; evict it if it is corrupt.
 
         Verification layers: valid JSON, a dict, our format version, and
-        the integrity checksum.  Unparseable bytes or a checksum mismatch
-        mean the file is damaged (bit rot, truncation, external edit) —
-        the entry is *deleted* (``serve.cache.corrupt_evictions``) so the
-        damage cannot be re-served or re-indexed.  A well-formed entry of
+        the integrity checksum.  Unparseable bytes, a missing format
+        field or a checksum mismatch mean the file is damaged (bit rot,
+        truncation, external edit) — the entry is *deleted*
+        (``serve.cache.corrupt_evictions``) so the damage cannot be
+        re-served or re-indexed.  A well-formed entry of
         a *different* format version is merely skipped: it belongs to
         another build, not to the trash.
         """
@@ -179,7 +168,11 @@ class ResultCache:
         if not isinstance(entry, dict):
             self._evict_corrupt(path, "not an object")
             return None
-        if entry.get("format") != ENTRY_FORMAT:
+        if not isinstance(entry.get("format"), str):
+            # every build writes a format string; its absence is damage
+            self._evict_corrupt(path, "no format")
+            return None
+        if entry["format"] != ENTRY_FORMAT:
             obs.incr("serve.cache.index_skipped")
             return None
         if entry.get("checksum") != entry_checksum(entry):
@@ -215,12 +208,6 @@ class ResultCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-        snapshot = entry.get("snapshot")
-        if isinstance(snapshot, dict):
-            client = str(snapshot.get("client", ""))
-            cfg_fp = str(entry.get("cfg", ""))
-            if client and cfg_fp:
-                self._warm[(cfg_fp, client)] = key
 
     # -- the public surface ----------------------------------------------------
 
@@ -250,21 +237,17 @@ class ResultCache:
     def store(
         self,
         key: str,
-        cfg_fp: str,
         ladder_id: str,
         limits: EngineLimits,
         result: Dict[str, object],
-        snapshot_payload: Optional[dict] = None,
     ) -> dict:
         """Persist one result document (durable atomic write) and index it."""
         entry = {
             "format": ENTRY_FORMAT,
             "key": key,
-            "cfg": cfg_fp,
             "ladder": ladder_id,
             "limits": canonical_limits(limits),
             "result": result,
-            "snapshot": snapshot_payload,
             "created": time.time(),
         }
         entry["checksum"] = entry_checksum(entry)
@@ -283,25 +266,13 @@ class ResultCache:
             self._remember(key, entry)
         return entry
 
-    def warm_snapshot(self, cfg_fp: str, client_name: str) -> Optional[Snapshot]:
-        """A cached budget-trip snapshot usable to warm-start ``cfg_fp``
-        under ``client_name``, or None.  The engine re-verifies identity
-        on resume, so a wrong guess costs a cold start, never soundness."""
-        with self._lock:
-            key = self._warm.get((cfg_fp, client_name))
-            entry = self._entries.get(key) if key else None
-        if entry is None:
-            return None
-        payload = entry.get("snapshot")
-        if not isinstance(payload, dict):
-            return None
-        obs.incr("serve.cache.warm_candidates")
-        return Snapshot(payload=payload)
+    def warm_snapshot(self, cfg_fp: str, client_name: str) -> None:
+        """A no-op nothing calls: a patch target of ``perfbench/traced_daemon.py``
+        only, until the product emits the bench's spans (ROADMAP, "One benchmark PR")."""
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {
                 "resident_entries": len(self._entries),
-                "warm_snapshots": len(self._warm),
                 "disk_entries": sum(1 for _ in self.directory.glob("*.json")),
             }

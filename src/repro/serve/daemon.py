@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.checkpoint import Snapshot, cfg_fingerprint
+from repro.core.checkpoint import cfg_fingerprint
 from repro.core.driver import (
     analyze_with_fallback,
     baseline_ladder,
@@ -79,7 +79,6 @@ from repro.serve.retry import RetryPolicy, TransientJobError
 
 #: ladder identifier baked into cache keys (rung names, in order)
 DEFAULT_LADDER_ID = "cartesian>cartesian-escalated>simple-symbolic>mpi-cfg"
-BASELINE_LADDER_ID = "mpi-cfg"
 
 #: Retry-After seconds advertised on shed responses
 RETRY_AFTER_SEC = 1
@@ -176,7 +175,6 @@ class Job:
     id: str
     request: Optional[AnalyzeRequest] = None
     key: str = ""
-    cfg_fp: str = ""
     limits: Optional[EngineLimits] = None
     state: str = "queued"  # queued | running | done
     result: Optional[dict] = None
@@ -240,13 +238,12 @@ def _attempt(
     source: str,
     limits: EngineLimits,
     ladder_kind: str,
-    warm: Optional[Snapshot],
     progress=None,
-) -> Tuple[dict, Optional[dict], Dict[str, int]]:
+) -> Tuple[dict, Dict[str, int]]:
     """The one attempt body, in a worker process or inline: parse, climb
     the ladder under a private recorder, render.
 
-    Returns ``(rendered, snapshot_payload, counters)``, all JSON-plain,
+    Returns ``(rendered, counters)``, both JSON-plain,
     so the reply crosses a pipe as-is and the parent can journal and
     cache it; the private recorder keeps concurrent jobs' counters apart
     until the parent merges them.
@@ -255,11 +252,10 @@ def _attempt(
     with context.bound(recorder=recorder), obs.span("serve.attempt", ladder=ladder_kind):
         report = analyze_with_fallback(
             parse(source), limits=limits, ladder=_ladder(ladder_kind, limits),
-            resume=warm, progress=progress,
+            progress=progress,
         )
         rendered = render_report(report)
-    snap = getattr(report.result, "snapshot", None)
-    return rendered, (snap.payload if snap is not None else None), dict(recorder.counters)
+    return rendered, dict(recorder.counters)
 
 
 #: how often an attempt child checks that the daemon that forked it lives
@@ -285,10 +281,10 @@ def _exit_with_parent(parent_pid: int) -> None:
 
 
 def _attempt_child(
-    conn, parent_pid, source, limits, ladder_kind, warm, fault, trace_ctx, trace_sink, stream
+    conn, parent_pid, source, limits, ladder_kind, fault, trace_ctx, trace_sink, stream
 ):
     """Worker-process wrapper around :func:`_attempt`: ships its result
-    as an ``("ok", rendered, snapshot_payload, counters)`` reply.
+    as an ``("ok", rendered, counters)`` reply.
     ``trace_ctx``/``trace_sink`` re-establish the request's trace context
     in this process (its spans land in a shard file of its own); with
     ``stream`` the ladder's progress events are forwarded over the pipe
@@ -312,11 +308,11 @@ def _attempt_child(
                 except Exception:  # a dead pipe must not kill the attempt
                     pass
         with context.bound(trace=context.TraceContext.from_dict(trace_ctx)):
-            reply = ("ok",) + _attempt(source, limits, ladder_kind, warm, progress)
+            reply = ("ok",) + _attempt(source, limits, ladder_kind, progress)
         conn.send(reply)
     except BaseException as exc:  # the reply channel must never go silent
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}", None, None))
+            conn.send(("error", f"{type(exc).__name__}: {exc}", None))
         except Exception:
             pass
     finally:
@@ -419,13 +415,13 @@ class AnalysisService:
         ``batch`` record journaled by an older daemon."""
         try:
             request = AnalyzeRequest.from_json(record.get("request", {}))
-            key, cfg_fp, limits = self._admission_identity(request)
+            key, limits = self._admission_identity(request)
         except (ValueError, TypeError, ParseError):
             obs.incr("serve.recovery_dropped")
             return None
         shipped = record.get("trace")
         return Job(
-            id=job_id, request=request, key=key, cfg_fp=cfg_fp, limits=limits,
+            id=job_id, request=request, key=key, limits=limits,
             trace=shipped if isinstance(shipped, dict) else None,
         )
 
@@ -487,14 +483,14 @@ class AnalysisService:
             max_steps=max_steps, deadline_sec=deadline, max_state_bytes=max_state
         )
 
-    def _admission_identity(self, request: AnalyzeRequest) -> Tuple[str, str, EngineLimits]:
+    def _admission_identity(self, request: AnalyzeRequest) -> Tuple[str, EngineLimits]:
         """Parse + fingerprint + key.  Raises ParseError for client bugs."""
         program = parse(request.program)
         cfg = build_cfg(program)
         cfg_fp = cfg_fingerprint(cfg)
         limits = self.effective_limits(request)
         key = compute_key(cfg_fp, DEFAULT_LADDER_ID, limits)
-        return key, cfg_fp, limits
+        return key, limits
 
     def submit(self, request: AnalyzeRequest, subscriber=None) -> Tuple[str, object]:
         """Admit one request.
@@ -516,7 +512,7 @@ class AnalysisService:
             request = replace(request, test_fault=None)
         span_ctx = context.current().trace
         try:
-            key, cfg_fp, limits = self._admission_identity(request)
+            key, limits = self._admission_identity(request)
         except ParseError as exc:
             obs.incr("serve.rejected")
             return "rejected", f"parse error: {exc}"
@@ -536,7 +532,7 @@ class AnalysisService:
                 return "accepted", inflight
             job = Job(
                 id=uuid.uuid4().hex[:12], request=request,
-                key=key, cfg_fp=cfg_fp, limits=limits,
+                key=key, limits=limits,
                 trace=span_ctx.to_dict() if span_ctx is not None else None,
             )
             if subscriber is not None:
@@ -631,12 +627,11 @@ class AnalysisService:
             exec_limits = replace(exec_limits, deadline_sec=squeezed)
             degraded = degraded or "clock-pressure"
             obs.incr("serve.degraded.clock_pressure")
-        warm = self.cache.warm_snapshot(job.cfg_fp, "CartesianClient")
         attempt = 0
         while True:
             try:
-                rendered, snapshot_payload = self._execute_attempt(
-                    job, ladder_kind, warm, exec_limits, progress=progress
+                rendered = self._execute_attempt(
+                    job, ladder_kind, exec_limits, progress=progress
                 )
                 break
             except TransientJobError as exc:
@@ -669,20 +664,16 @@ class AnalysisService:
             for diagnostic in rendered.get("diagnostics", []) or []:
                 progress({"event": "diagnostic", "diagnostic": str(diagnostic)})
         if not degraded:
-            self.cache.store(
-                job.key, job.cfg_fp, DEFAULT_LADDER_ID, job.limits,
-                rendered, snapshot_payload,
-            )
+            self.cache.store(job.key, DEFAULT_LADDER_ID, job.limits, rendered)
         self._finish(job, rendered)
 
     def _execute_attempt(
         self,
         job: Job,
         ladder_kind: str,
-        warm: Optional[Snapshot],
         limits: Optional[EngineLimits] = None,
         progress=None,
-    ) -> Tuple[dict, Optional[dict]]:
+    ) -> dict:
         """One attempt, isolated per config.  Raises TransientJobError on
         worker loss or watchdog timeout.  ``progress`` (when the job has
         streaming subscribers) receives the ladder's rung/heartbeat
@@ -697,19 +688,15 @@ class AnalysisService:
             fault = {"kind": "crash"}
         if self.config.isolation == "inline":
             _apply_test_fault(fault)
-            rendered, snapshot_payload, counters = _attempt(
-                request.program, limits, ladder_kind, warm, progress
-            )
+            rendered, counters = _attempt(request.program, limits, ladder_kind, progress)
         else:
-            rendered, snapshot_payload, counters = self._attempt_in_child(
-                request.program, limits, ladder_kind, warm, fault, progress
+            rendered, counters = self._attempt_in_child(
+                request.program, limits, ladder_kind, fault, progress
             )
         obs.merge_counters(counters)
-        if warm is not None and rendered.get("resumed_from"):
-            obs.incr("serve.cache.warm_starts")
-        return rendered, snapshot_payload
+        return rendered
 
-    def _attempt_in_child(self, source, limits, ladder_kind, warm, fault, progress):
+    def _attempt_in_child(self, source, limits, ladder_kind, fault, progress):
         """Run :func:`_attempt` in a disposable worker process under the
         watchdog; the child forwards progress events over the reply pipe
         and this side fans them out."""
@@ -721,7 +708,7 @@ class AnalysisService:
         process = ctx.Process(
             target=_attempt_child,
             args=(
-                child_conn, os.getpid(), source, limits, ladder_kind, warm, fault,
+                child_conn, os.getpid(), source, limits, ladder_kind, fault,
                 span_ctx.to_dict() if span_ctx is not None else None,
                 str(sink) if sink is not None else None,
                 progress is not None,
@@ -761,13 +748,13 @@ class AnalysisService:
             if process.is_alive():  # pragma: no cover - terminate() sufficed so far
                 process.kill()
                 process.join(timeout=5.0)
-        status, payload, snapshot_payload, counters = reply
+        status, payload, counters = reply
         if status != "ok":
             # an exception inside the ladder is a daemon-side bug (the
             # driver is supposed to be total); retry in case it was
             # environmental, degrade if it persists
             raise TransientJobError(f"attempt failed: {payload}")
-        return payload, snapshot_payload, counters
+        return payload, counters
 
     # -- completion ------------------------------------------------------------
 

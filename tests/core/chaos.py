@@ -55,6 +55,7 @@ FAULTABLE = (
     "merge_psets",
     "remove_pset",
     "rename",
+    "drop_dead",
     "join",
     "widen",
     "states_equal",
@@ -70,6 +71,7 @@ CORRUPTIBLE = (
     "merge_psets",
     "remove_pset",
     "rename",
+    "drop_dead",
     "join",
     "widen",
 )
@@ -178,6 +180,9 @@ class ChaosClient(ClientAnalysis):
 
     def rename(self, state, perm):
         return self._dispatch("rename", state, perm)
+
+    def drop_dead(self, state, locs, cfg):
+        return self._dispatch("drop_dead", state, locs, cfg)
 
     def join(self, left, right):
         return self._dispatch("join", left, right)

@@ -19,9 +19,7 @@ from repro.serve.cache import ENTRY_FORMAT, ResultCache, entry_checksum
 
 
 def _store(cache: ResultCache, key: str = "k1") -> None:
-    cache.store(
-        key, "cfg-fp", "ladder", EngineLimits(), {"confidence": "exact", "answer": 42}
-    )
+    cache.store(key, "ladder", EngineLimits(), {"confidence": "exact", "answer": 42})
 
 
 def _fresh(directory) -> ResultCache:
@@ -118,7 +116,10 @@ def test_injected_read_corruption_never_serves(tmp_path):
     assert counters["serve.cache.corrupt_evictions"] >= 1
 
 
-@pytest.mark.parametrize("payload", [b"", b"not json at all", b"[1, 2, 3]"])
+@pytest.mark.parametrize(
+    "payload",
+    [b"", b"not json at all", b"[1, 2, 3]", b'{"foRmat": "repro-serve-cache/2"}'],
+)
 def test_unparseable_shapes_evict(tmp_path, payload):
     cache = ResultCache(tmp_path)
     _store(cache)

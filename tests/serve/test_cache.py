@@ -1,5 +1,5 @@
 """The content-addressed result cache: keying soundness, durability,
-warm-start snapshots, and the LRU mirror."""
+the LRU mirror, and entries written by older builds of the format."""
 
 from __future__ import annotations
 
@@ -14,7 +14,14 @@ from repro.core.engine import EngineLimits
 from repro.corpus.generator import generate
 from repro.lang import parse
 from repro.lang.cfg import build_cfg
-from repro.serve.cache import ENTRY_FORMAT, ResultCache, compute_key, render_report
+from repro.serve.cache import (
+    ENTRY_FORMAT,
+    ResultCache,
+    canonical_limits,
+    compute_key,
+    entry_checksum,
+    render_report,
+)
 
 
 def _fingerprint(seed: int) -> str:
@@ -80,7 +87,7 @@ class TestResultCache:
         fp = cfg_fingerprint(build_cfg(program))
         report = analyze_with_fallback(program, limits=limits)
         key = compute_key(fp, "ladder", limits)
-        cache.store(key, fp, "ladder", limits, render_report(report))
+        cache.store(key, "ladder", limits, render_report(report))
         return key, fp
 
     def test_store_then_lookup(self, tmp_path):
@@ -113,28 +120,35 @@ class TestResultCache:
         assert cache.lookup(key_a) is not None
         assert cache.lookup(key_b) is not None
 
-    def test_warm_snapshot_roundtrip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        limits = EngineLimits(max_steps=5)  # trips the budget -> snapshot
-        program = parse(generate(7).source)
-        fp = cfg_fingerprint(build_cfg(program))
-        report = analyze_with_fallback(program, limits=limits)
-        outcome = report.rungs[0]
-        snap = getattr(outcome.result, "snapshot", None)
-        if snap is None:
-            return  # this program finished inside 5 steps; nothing to carry
-        key = compute_key(fp, "ladder", limits)
-        cache.store(key, fp, "ladder", limits, render_report(report), snap.payload)
-        client = snap.payload.get("client")
-        warm = cache.warm_snapshot(fp, client)
-        assert warm is not None
-        assert warm.payload["cfg"] == fp
-        assert cache.warm_snapshot(fp, "NoSuchClient") is None
-        assert cache.warm_snapshot("0" * 64, client) is None
-
     def test_entry_format_is_versioned(self, tmp_path):
         cache = ResultCache(tmp_path)
         key, _fp = self._store_one(cache)
         document = json.loads((tmp_path / f"{key}.json").read_text())
         assert document["format"] == ENTRY_FORMAT
         assert document["key"] == key
+
+    def test_entry_in_the_older_layout_still_hits_after_restart(self, tmp_path):
+        """Entries of this format written before the warm-start fields
+        were dropped carry ``"snapshot": null`` and ``"cfg"``; they must
+        still verify and hit."""
+        limits = EngineLimits()
+        program = parse(generate(3).source)
+        fp = cfg_fingerprint(build_cfg(program))
+        key = compute_key(fp, "ladder", limits)
+        result = render_report(analyze_with_fallback(program, limits=limits))
+        entry = {
+            "format": ENTRY_FORMAT,
+            "key": key,
+            "cfg": fp,
+            "ladder": "ladder",
+            "limits": canonical_limits(limits),
+            "result": result,
+            "snapshot": None,
+            "created": 1.0,
+        }
+        entry["checksum"] = entry_checksum(entry)
+        (tmp_path / f"{key}.json").write_text(json.dumps(entry, sort_keys=True))
+        reborn = ResultCache(tmp_path)
+        assert reborn.stats()["resident_entries"] == 1
+        hit = reborn.lookup(key)
+        assert hit is not None and hit["result"] == result
