@@ -1140,11 +1140,12 @@ class SimpleSymbolicClient(ClientAnalysis):
             return verdict
 
         def fix_bound(bound: Bound) -> Bound:
+            dying = [e for e in bound.exprs if doomed(e)]
+            if not dying:
+                return bound
             exprs = {e for e in bound.exprs if not doomed(e)}
             exprs |= {
-                alt
-                for alt in cg.equivalents_union(e for e in bound.exprs if doomed(e))
-                if not doomed(alt)
+                alt for alt in cg.equivalents_union(dying) if not doomed(alt)
             }
             if not exprs:
                 raise GiveUp(
@@ -1154,11 +1155,6 @@ class SimpleSymbolicClient(ClientAnalysis):
                 )
             return Bound(exprs)
 
-        def fix_pset(pset: ProcSet) -> ProcSet:
-            return ProcSet(
-                [SymRange(fix_bound(r.lb), fix_bound(r.ub)) for r in pset.ranges]
-            )
-
         def fix_expr(expr: Optional[LinearExpr]) -> Optional[LinearExpr]:
             if expr is None or not doomed(expr):
                 return expr
@@ -1167,11 +1163,13 @@ class SimpleSymbolicClient(ClientAnalysis):
                     return alt
             return expr  # left dangling: comparisons on it stay unknown
 
-        state.psets = tuple(PSetEntry(e.uid, fix_pset(e.pset)) for e in state.psets)
+        state.psets = tuple(
+            PSetEntry(e.uid, e.pset.map_bounds(fix_bound)) for e in state.psets
+        )
         state.pendings = tuple(
             replace(
                 p,
-                pset=fix_pset(p.pset),
+                pset=p.pset.map_bounds(fix_bound),
                 dest=fix_expr(p.dest),
                 value=fix_expr(p.value),
             )
@@ -1190,25 +1188,8 @@ class SimpleSymbolicClient(ClientAnalysis):
         doomed_uid = max(keep_entry.uid, drop_entry.uid)
         new = self._purge_namespace_refs(new, [doomed_uid])
         keep_entry, drop_entry = new.psets[keep], new.psets[drop]
-        survivor_prefix = f"ps{survivor_uid}::"
-        doomed_prefix = f"ps{doomed_uid}::"
         # the merged namespace over-approximates both sets' variable states
-        cg_survivor = new.cg.copy()
-        cg_survivor.remove_vars(
-            [n for n in cg_survivor.variables() if n.startswith(doomed_prefix)]
-        )
-        cg_doomed = new.cg.copy()
-        cg_doomed.remove_vars(
-            [n for n in cg_doomed.variables() if n.startswith(survivor_prefix)]
-        )
-        cg_doomed.rename(
-            {
-                n: survivor_prefix + n[len(doomed_prefix):]
-                for n in cg_doomed.variables()
-                if n.startswith(doomed_prefix)
-            }
-        )
-        merged_cg = cg_survivor.join(cg_doomed)
+        merged_cg = new.cg.fold_namespace(survivor_uid, doomed_uid)
         merged_set = keep_entry.pset.union_with(drop_entry.pset, new.cg)
         psets = [e for i, e in enumerate(new.psets) if i != drop]
         psets[keep if keep < drop else keep - 1] = PSetEntry(
@@ -1381,7 +1362,11 @@ class SimpleSymbolicClient(ClientAnalysis):
     def _align_uids(
         self, old: SymbolicState, new: SymbolicState
     ) -> Optional[SymbolicState]:
-        """Rename ``new``'s namespaces so positions share uids with ``old``."""
+        """Rename ``new``'s namespaces so positions share uids with ``old``.
+
+        The graph's rename and the bounds' substitution map every name at
+        once, so a swap or a cycle of uids needs no temporary names.
+        """
         mapping: Dict[int, int] = {}
         for mine, theirs in zip(old.psets, new.psets):
             if mine.uid != theirs.uid:
@@ -1389,12 +1374,6 @@ class SimpleSymbolicClient(ClientAnalysis):
         if not mapping:
             return new
         aligned = new.copy()
-        # two-phase rename through temporaries to avoid collisions
-        temp_base = max(
-            [old.next_uid, new.next_uid] + list(mapping.values()) + list(mapping)
-        ) + 1
-        phase1 = {src: temp_base + i for i, src in enumerate(mapping)}
-        phase2 = {phase1[src]: dst for src, dst in mapping.items()}
         # clear stale variables of dead namespaces we are renaming into —
         # re-express any bound still using them first, then project them out
         # (the graph is closed, so projection loses nothing)
@@ -1409,35 +1388,29 @@ class SimpleSymbolicClient(ClientAnalysis):
             stale = [n for n in aligned.cg.variables() if n.startswith(prefix)]
             if stale:
                 aligned.cg.remove_vars(stale)
-        for phase in (phase1, phase2):
-            var_map: Dict[str, str] = {}
-            for name in aligned.cg.variables():
-                for src, dst in phase.items():
-                    prefix = f"ps{src}::"
-                    if name.startswith(prefix):
-                        var_map[name] = f"ps{dst}::{name[len(prefix):]}"
+        namespaces = {f"ps{src}": f"ps{dst}" for src, dst in mapping.items()}
+        var_map: Dict[str, str] = {}
+        for name in aligned.cg.variables():
+            namespace, sep, var = name.partition("::")
+            if sep and namespace in namespaces:
+                var_map[name] = f"{namespaces[namespace]}::{var}"
+        if var_map:
             aligned.cg.rename(var_map)
-            bindings = {
-                src_name: LinearExpr.var(dst_name)
-                for src_name, dst_name in var_map.items()
-            }
-            aligned.psets = tuple(
-                PSetEntry(
-                    phase.get(e.uid, e.uid),
-                    e.pset.substitute(bindings) if bindings else e.pset,
-                )
-                for e in aligned.psets
+        bindings = {src: LinearExpr.var(dst) for src, dst in var_map.items()}
+        aligned.psets = tuple(
+            PSetEntry(mapping.get(e.uid, e.uid), e.pset.substitute(bindings))
+            for e in aligned.psets
+        )
+        aligned.pendings = tuple(
+            replace(
+                p,
+                origin_uid=mapping.get(p.origin_uid, p.origin_uid),
+                pset=p.pset.substitute(bindings),
+                dest=p.dest.substitute(bindings) if p.dest else p.dest,
+                value=p.value.substitute(bindings) if p.value else p.value,
             )
-            aligned.pendings = tuple(
-                replace(
-                    p,
-                    origin_uid=phase.get(p.origin_uid, p.origin_uid),
-                    pset=p.pset.substitute(bindings) if bindings else p.pset,
-                    dest=p.dest.substitute(bindings) if p.dest and bindings else p.dest,
-                    value=p.value.substitute(bindings) if p.value and bindings else p.value,
-                )
-                for p in aligned.pendings
-            )
+            for p in aligned.pendings
+        )
         return aligned
 
     def _join_pendings(

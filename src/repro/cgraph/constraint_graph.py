@@ -13,8 +13,10 @@ because reproducing the paper's Section IX profile requires counting
 exactly these operations.  A graph that is closed stays closed through the
 client's own updates: an asserted inequality goes through the incremental
 update, a namespace copy onto fresh names and the binding ``x := y + c``
-write the closed matrix directly.  Each yields the matrix that adding the
-edges and re-closing from scratch would, so the full closure runs only on
+write the closed matrix directly, and folding one namespace into another
+(:meth:`ConstraintGraph.fold_namespace`, two process sets merging) reads
+the closed matrix once into a closed result.  Each yields the matrix that
+the slower path it replaces would, so the full closure runs only on
 graphs built edge by edge (the initial state) or flagged by ``widen``.
 Closedness also makes forgetting exact: :meth:`ConstraintGraph.without`
 deletes the rows and columns of variables no process can read any more
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
+from repro.cgraph.namespaces import namespace_prefix
 from repro.cgraph.stats import ClosureStats, global_stats, timed
 from repro.expr.linear import LinearExpr
 from repro.obs import recorder as _obs
@@ -864,6 +867,49 @@ class ConstraintGraph:
             for name in mapping.values():
                 bound.setdefault(name, {})
         self._stats.record_incremental(len(bound) - 1, clock.elapsed)
+
+    def fold_namespace(self, survivor: object, doomed: object) -> "ConstraintGraph":
+        """The namespaces of two merged process sets folded into one.
+
+        Equals joining two projections of this graph: one without the
+        ``ps<doomed>::`` variables, and one without the ``ps<survivor>::``
+        variables whose doomed variables are renamed into the survivor's
+        namespace.  With σ mapping ``ps<survivor>::x`` to ``ps<doomed>::x``
+        (and every other name to itself), entry ``(u, v)`` is
+        ``max(b[u][v], b[σu][σv])`` and is absent when either side is.
+        Both projections of a closed graph are exact and the join of closed
+        graphs is closed, so one pass over this graph's closed matrix
+        builds a closed result.  The result keeps this graph's closedness
+        flag (a widened input gives a widened result) and its feasibility.
+        """
+        self._ensure_closed()
+        keep, drop = namespace_prefix(survivor), namespace_prefix(doomed)
+        bound = self._bound
+        # result name -> the name of its counterpart on the doomed side
+        sigma = {
+            name: drop + name[len(keep):] if name.startswith(keep) else name
+            for name in bound
+            if not name.startswith(drop)
+        }
+        for name in bound:
+            if name.startswith(drop):
+                sigma.setdefault(keep + name[len(drop):], name)
+        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
+        rows = result._bound = {}
+        for u, sigma_u in sigma.items():
+            row = rows[u] = {}
+            mine, theirs = bound.get(u), bound.get(sigma_u)
+            if mine is None or theirs is None:
+                continue
+            for v, c in mine.items():
+                sigma_v = sigma.get(v)
+                if sigma_v is not None:
+                    oc = theirs.get(sigma_v)
+                    if oc is not None:
+                        row[v] = c if c > oc else oc
+        result._infeasible = self._infeasible
+        result._closed = self._closed
+        return result
 
     # -- lattice ----------------------------------------------------------------
 

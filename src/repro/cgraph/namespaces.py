@@ -17,6 +17,11 @@ GLOBALS: Set[str] = {"np"}
 _SEPARATOR = "::"
 
 
+def namespace_prefix(set_id: object) -> str:
+    """The prefix of every qualified name on process set ``set_id``."""
+    return f"ps{set_id}{_SEPARATOR}"
+
+
 def qualify(set_id: object, var: str) -> str:
     """Qualified name of ``var`` on process set ``set_id``.
 
@@ -24,7 +29,7 @@ def qualify(set_id: object, var: str) -> str:
     """
     if var in GLOBALS:
         return var
-    return f"ps{set_id}{_SEPARATOR}{var}"
+    return namespace_prefix(set_id) + var
 
 
 def unqualify(name: str) -> str:

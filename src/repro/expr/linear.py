@@ -163,14 +163,13 @@ class LinearExpr:
     __rmul__ = __mul__
 
     def substitute(self, bindings: Mapping[str, ExprLike]) -> "LinearExpr":
-        """Replace each bound variable with its expression."""
-        if not self._coeffs:
+        """Replace each bound variable with its expression (``self`` when
+        no bound variable occurs)."""
+        if not any(name in bindings for name, _ in self._coeffs):
             return self
         if len(self._coeffs) == 1:
             # hot shape: ``var + c`` with a single substitution
             name, coeff = self._coeffs[0]
-            if name not in bindings:
-                return self
             if coeff == 1:
                 return LinearExpr.coerce(bindings[name]) + self._const
         result = LinearExpr(self._const)

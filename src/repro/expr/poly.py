@@ -293,7 +293,12 @@ class Poly:
         return sum(coeff * mono.evaluate(env) for mono, coeff in self._terms)
 
     def substitute(self, bindings: Mapping[str, PolyLike]) -> "Poly":
-        """Replace each bound variable with a polynomial."""
+        """Replace each bound variable with a polynomial (``self`` when no
+        bound variable occurs)."""
+        if not any(
+            name in bindings for mono, _ in self._terms for name, _ in mono._powers
+        ):
+            return self
         result = Poly()
         for mono, coeff in self._terms:
             term = Poly.const(coeff)

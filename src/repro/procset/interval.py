@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.expr.linear import LinearExpr
 
@@ -79,7 +79,12 @@ class Bound:
         return any(expr.mentions(name) for expr in self._exprs)
 
     def substitute(self, bindings) -> "Bound":
-        """Substitute variables in every representative."""
+        """Substitute variables in every representative (``self`` when no
+        representative mentions a bound variable)."""
+        if not any(
+            name in bindings for expr in self._exprs for name in expr.variables()
+        ):
+            return self
         return Bound({expr.substitute(bindings) for expr in self._exprs})
 
     # -- comparisons via an oracle ------------------------------------------
@@ -182,9 +187,17 @@ class SymRange:
         """The range translated by a symbolic (process-uniform) offset."""
         return SymRange(self.lb.translate(delta), self.ub.translate(delta))
 
+    def map_bounds(self, fn: Callable[[Bound], Bound]) -> "SymRange":
+        """The range with ``fn`` applied to both bounds (``self`` when
+        ``fn`` returns both unchanged)."""
+        lb, ub = fn(self.lb), fn(self.ub)
+        if lb is self.lb and ub is self.ub:
+            return self
+        return SymRange(lb, ub)
+
     def substitute(self, bindings) -> "SymRange":
         """Substitute variables in both bounds."""
-        return SymRange(self.lb.substitute(bindings), self.ub.substitute(bindings))
+        return self.map_bounds(lambda bound: bound.substitute(bindings))
 
     def widen_with(self, other: "SymRange") -> Optional["SymRange"]:
         """Pairwise bound widening; None when either bound loses all forms."""
@@ -317,9 +330,17 @@ class ProcSet:
         """Translate all ranges by a symbolic (process-uniform) offset."""
         return ProcSet([r.translate(delta) for r in self._ranges])
 
+    def map_bounds(self, fn: Callable[[Bound], Bound]) -> "ProcSet":
+        """The set with ``fn`` applied to every bound (``self`` when ``fn``
+        returns every bound unchanged)."""
+        ranges = [r.map_bounds(fn) for r in self._ranges]
+        if all(new is old for new, old in zip(ranges, self._ranges)):
+            return self
+        return ProcSet(ranges)
+
     def substitute(self, bindings) -> "ProcSet":
         """Substitute variables in all bounds."""
-        return ProcSet([r.substitute(bindings) for r in self._ranges])
+        return self.map_bounds(lambda bound: bound.substitute(bindings))
 
     def union_with(self, other: "ProcSet", order: Order) -> "ProcSet":
         """Concatenate and coalesce provably-adjacent ranges."""

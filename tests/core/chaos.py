@@ -195,3 +195,19 @@ class ChaosClient(ClientAnalysis):
 
     def state_fingerprint(self, state):
         return self._dispatch("state_fingerprint", state)
+
+    # -- provenance and checkpoint hooks: forwarded, never faulted -----------
+    # They are outside FAULTABLE; drawing from the rng here would shift the
+    # fault schedule of every seeded run.
+
+    def describe_transfer(self, old, new):
+        return self.inner.describe_transfer(old, new)
+
+    def match_explanation(self):
+        return self.inner.match_explanation()
+
+    def checkpoint_extra(self):
+        return self.inner.checkpoint_extra()
+
+    def restore_extra(self, data):
+        return self.inner.restore_extra(data)

@@ -33,3 +33,14 @@ def test_fault_free_chaos_client_answers_like_the_bare_client(name, client_class
     bare = _answer(cfg, client_class())
     wrapped = _answer(cfg, ChaosClient(client_class(), seed=0, fault_rate=0.0))
     assert wrapped == bare
+
+
+def test_fault_free_chaos_client_carries_the_client_checkpoint_data():
+    cfg = build_cfg(programs.get("transpose_square").parse())
+    bare = CartesianClient()
+    PCFGEngine(cfg, bare).run()
+    wrapped = ChaosClient(CartesianClient(), seed=0, fault_rate=0.0)
+    PCFGEngine(cfg, wrapped).run()
+    extra = wrapped.checkpoint_extra()
+    assert extra is not None
+    assert extra == bare.checkpoint_extra()

@@ -109,6 +109,10 @@ class TestSubstitution:
         expr = LinearExpr.var("x")
         assert expr.substitute({"y": 0}) == expr
 
+    def test_unrelated_bindings_return_the_same_object(self):
+        expr = 2 * LinearExpr.var("x") + LinearExpr.var("y") + 1
+        assert expr.substitute({"z": 0}) is expr
+
 
 class TestProtocol:
     def test_equality_and_hash(self):

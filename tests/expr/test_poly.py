@@ -127,6 +127,29 @@ class TestSubstitution:
         y = Poly.var("y")
         assert replaced == y * y + 2 * y + 1
 
+    def test_unrelated_bindings_return_the_same_object(self):
+        poly = Poly.var("nrows") * Poly.var("ncols") + 3
+        assert poly.substitute({"np": Poly.var("nrows")}) is poly
+        assert poly.substitute({}) is poly
+
+    @given(polys(), st.dictionaries(st.sampled_from(VARS + ["x"]), polys(), max_size=2))
+    def test_substitution_equals_rebuilding_every_term(self, poly, bindings):
+        assert poly.substitute(bindings) == rebuilt(poly, bindings)
+
+
+def rebuilt(poly: Poly, bindings) -> Poly:
+    """``poly.substitute(bindings)`` rebuilding every term, whether or not it
+    mentions a bound variable (the reference for the identity shortcut)."""
+    result = Poly()
+    for mono, coeff in poly.terms.items():
+        term = Poly.const(coeff)
+        for name, power in mono.powers.items():
+            base = Poly.coerce(bindings[name]) if name in bindings else Poly.var(name)
+            for _ in range(power):
+                term = term * base
+        result = result + term
+    return result
+
 
 class TestProperties:
     @given(polys(), polys(), envs())

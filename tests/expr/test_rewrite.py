@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.expr.poly import Poly
 from repro.expr.rewrite import InvariantSystem
+from tests.expr.test_poly import polys, rebuilt
 
 
 @pytest.fixture
@@ -46,6 +47,23 @@ class TestNormalization:
         inv = InvariantSystem()
         with pytest.raises(ValueError):
             inv.add_equality("x", Poly.var("x") + 1)
+
+    @given(polys(), st.booleans())
+    def test_normal_forms_equal_the_rebuilding_fixpoint(self, poly, rect):
+        """The identity shortcut of ``Poly.substitute`` ends the fixpoint
+        round early but changes no normal form under the transpose
+        invariants."""
+        inv = InvariantSystem()
+        inv.add_equality("ncols", 2 * Poly.var("nrows") if rect else Poly.var("nrows"))
+        inv.add_equality("np", Poly.var("nrows") * Poly.var("ncols"))
+        reference = poly
+        while rebuilt(reference, inv.substitutions) != reference:
+            reference = rebuilt(reference, inv.substitutions)
+        assert inv.normalize(poly) == reference
+
+    def test_a_normal_form_normalizes_to_itself(self, square_system):
+        normal = square_system.normalize(Poly.var("np") + Poly.var("ncols"))
+        assert square_system.normalize(normal) is normal
 
     def test_later_equality_renormalizes_earlier(self):
         inv = InvariantSystem()

@@ -1,5 +1,6 @@
 """Expression -> HSM conversion tests (Section VIII-A mechanization)."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.expr.poly import Poly
@@ -7,6 +8,7 @@ from repro.expr.rewrite import InvariantSystem
 from repro.hsm.convert import expr_to_hsm, pset_to_hsm
 from repro.hsm.hsm import enumerate_hsm
 from repro.lang.parser import parse_expr
+from tests.expr.test_poly import rebuilt
 
 
 def plain_inv():
@@ -80,3 +82,28 @@ class TestConversion:
             return
         expected = [(i // q) * a + i % q + b for i in range(12)]
         assert enumerate_hsm(h, {}) == expected
+
+
+TRANSPOSES = [
+    "(id % nrows) * nrows + id / nrows",
+    "2 * ((id / 2) % nrows) * nrows + (id / (2 * nrows)) * 2 + id % 2",
+]
+
+
+@pytest.mark.parametrize("rect", [False, True])
+@pytest.mark.parametrize("source", TRANSPOSES)
+def test_transpose_hsms_match_the_rebuilding_substitution(source, rect, monkeypatch):
+    """The Fig. 6 destinations convert to the same HSMs when every
+    substitution rebuilds its polynomial, as before the identity shortcut."""
+
+    def convert():
+        inv = InvariantSystem()
+        inv.assume_positive("nrows", "ncols", "np")
+        inv.add_equality("np", Poly.var("nrows") * Poly.var("ncols"))
+        inv.add_equality("ncols", 2 * Poly.var("nrows") if rect else Poly.var("nrows"))
+        domain = pset_to_hsm(Poly.const(0), Poly.var("np"))
+        return expr_to_hsm(parse_expr(source), domain, inv)
+
+    fast = convert()
+    monkeypatch.setattr(Poly, "substitute", rebuilt)
+    assert convert() == fast

@@ -62,6 +62,20 @@ class TestBound:
         bound = Bound({L("i") + 1}).substitute({"i": L("i") - 1})
         assert bound.exprs == frozenset({L("i")})
 
+    def test_unrelated_bindings_return_the_same_objects(self):
+        bound = Bound({L("i") + 1, L(5)})
+        rng = SymRange(bound, Bound.of("j"))
+        pset = ProcSet([rng, SymRange.make(7, 9)])
+        bindings = {"k": L("i")}
+        assert bound.substitute(bindings) is bound
+        assert rng.substitute(bindings) is rng
+        assert pset.substitute(bindings) is pset
+        moved = pset.substitute({"j": L("k")})
+        assert moved is not pset
+        assert moved.ranges[0].lb is bound
+        assert moved.ranges[0].ub == Bound.of("k")
+        assert moved.ranges[1] is pset.ranges[1]
+
 
 class TestSymRange:
     def test_emptiness_decided(self, oracle):
