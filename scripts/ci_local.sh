@@ -141,7 +141,7 @@ step "sweep-smoke: routed ladder vs full climb, engine behaviour lock" \
   python -m pytest tests/core/test_ladder_routing.py tests/core/test_engine_lock.py \
       -m ladder_slow -q
 step "serve-smoke: daemon serves, caches, and drains" bash -c '
-  rm -rf .ci-serve &&
+  rm -rf .ci-serve
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &
   daemon=$!
   for _ in $(seq 1 100); do [ -f .ci-serve/daemon.json ] && break; sleep 0.2; done
@@ -164,7 +164,7 @@ step "serve-smoke: traced daemon drives the service benchmark" bash -c '
   rm -f traced-run.json
   exit "$status"'
 step "telemetry-smoke: stream + /metrics scrape + stitched trace" bash -c '
-  rm -rf .ci-serve &&
+  rm -rf .ci-serve
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &
   daemon=$!
   for _ in $(seq 1 100); do [ -f .ci-serve/daemon.json ] && break; sleep 0.2; done

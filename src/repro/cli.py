@@ -34,7 +34,7 @@ from repro.core.engine import EngineLimits
 from repro.core.errors import GiveUp, MalformedCFG
 from repro.lang import parse, programs
 from repro.obs import export, profile_program, provenance, slog
-from repro.runtime import DeadlockError
+from repro.runtime import DeadlockError, InputExhaustedError, MPLAssertionError, StepLimitError
 
 
 def _add_log_level(parser: argparse.ArgumentParser) -> None:
@@ -970,6 +970,13 @@ def _main(argv=None) -> int:
             )
         except DeadlockError as deadlock:
             print(f"validation run deadlocked: {deadlock}")
+            return 1
+        except (InputExhaustedError, MPLAssertionError, StepLimitError,
+                ZeroDivisionError, NameError, ValueError) as failure:
+            # the program itself failed at the probed np and inputs (an
+            # invalid rank is a ValueError)
+            print(f"validation run failed: {failure} (set the program's input() "
+                  "values with --inputs, or pass --no-validate)")
             return 1
         print(f"pattern: {report.pattern} ({report.confidence})")
         if report.suggestion:

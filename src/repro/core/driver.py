@@ -10,9 +10,7 @@ wider analyses until one produces an ``exact`` answer:
 2. ``cartesian-escalated`` — same client with doubled ``widen_after``,
    ``max_psets`` and ``max_steps`` (loses less precision in loops and
    survives deeper splits, at more cost);
-3. ``simple-symbolic`` — the Section VII affine client at the escalated
-   limits (simpler machinery; immune to faults in the HSM layer);
-4. ``mpi-cfg`` — the Section II MPI-CFG baseline.  Never gives up: every
+3. ``mpi-cfg`` — the Section II MPI-CFG baseline.  Never gives up: every
    send is connected to every receive that sequential facts cannot rule
    out.  Sound by construction, over-approximate by design, so the
    synthesized result is marked ``confidence="partial"``.
@@ -21,33 +19,32 @@ The first rung whose result is ``exact`` wins; if none is, the baseline
 rung is chosen (it always completes), and the report keeps every attempted
 rung's outcome so callers can still inspect the sharper partial results.
 
+Warm starts never cost an answer
+--------------------------------
+
+A rung that only tripped a budget hands its snapshot to the next rung,
+which resumes that prefix instead of recomputing it.  The prefix was
+widened under the previous rung's ``widen_after`` and can lose what a cold
+run keeps, so a warm-started rung that is not ``exact`` runs once more,
+cold, before the ladder climbs (both attempts stay in the report).
+
 Routing: skip the rungs a failed rung proves cannot answer exactly
 -----------------------------------------------------------------
 
-A rung whose non-INFO diagnostic codes are exactly ``{GIVEUP_NO_MATCH}``
-(the client's Section VI ``T``) proves something about the rungs below
-it, and the ladder skips what it proves hopeless:
-
-* **replay** — when that give-up was the run's first degradation and
-  fired before any widening in a cold run
-  (``AnalysisResult.giveup_before_widening``), none of the three
-  precision knobs had mattered yet: ``max_psets`` is read only at a
-  split, ``widen_after`` only at a widening and ``max_steps`` only at the
-  step trip.  A later rung of the same analysis whose three knobs are
-  each at least as large, with every other limit equal, repeats the same
-  deterministic steps to the same give-up, so it is skipped;
-* **dominated** — a ``simple-symbolic`` rung is skipped when a
-  ``cartesian`` rung at the same limits failed this way or was skipped
-  by the replay rule.  This one is measured, not proved: over 518
-  generator programs at two tight limit sets, the Section VII client was
-  exact only where the Cartesian client was.
-
-Everything else climbs as before: budget trips (with their warm start),
-``GIVEUP_PSET_BOUND``, ``CLIENT_FAULT`` (the Section VII client exists
-for HSM faults), mixed codes, and give-ups that fired after a widening.
-The last rung of a ladder is never skipped, so a custom ladder's answer
-of record is unchanged.  Skipped rungs are listed in
-``FallbackReport.skipped`` and counted in ``driver.rung.<name>.skipped``.
+A Cartesian rung whose non-INFO diagnostic codes are exactly
+``{GIVEUP_NO_MATCH}`` (the client's Section VI ``T``) may prove a later
+one hopeless (reason ``replay``).  When that give-up was the run's first
+degradation and fired before any widening in a cold run
+(``AnalysisResult.giveup_before_widening``), none of the three precision
+knobs had mattered yet: ``max_psets`` is read only at a split,
+``widen_after`` only at a widening and ``max_steps`` only at the step
+trip.  A later Cartesian rung whose three knobs are each at least as
+large, with every other limit equal, repeats the same deterministic steps
+to the same give-up, so it is skipped.  Everything else climbs: budget
+trips, ``GIVEUP_PSET_BOUND``, ``CLIENT_FAULT``, mixed codes, and give-ups
+after a widening.  The last rung of a ladder is never skipped.  Skipped
+rungs are listed in ``FallbackReport.skipped`` and counted in
+``driver.rung.<name>.skipped``.
 
 One program's ladder always climbs in one process.  Parallelism is per
 program: :func:`analyze_batch` and the corpus sweep fan whole programs
@@ -111,7 +108,7 @@ class RungOutcome:
 
 @dataclass(frozen=True)
 class SkippedRung:
-    """A rung the ladder did not run, and why (``replay`` / ``dominated``)."""
+    """A rung the ladder did not run, and why (``replay``)."""
 
     name: str
     reason: str
@@ -178,14 +175,6 @@ def _run_cartesian(program, limits, *, checkpointer=None, resume=None):
     )
 
 
-def _run_simple_symbolic(program, limits, *, checkpointer=None, resume=None):
-    from repro.analyses.simple_symbolic import analyze_program
-
-    return analyze_program(
-        program, limits=limits, checkpointer=checkpointer, resume=resume
-    )
-
-
 def _run_mpi_cfg_baseline(program, limits):
     """The last rung: the MPI-CFG baseline, synthesized as an AnalysisResult.
 
@@ -217,13 +206,12 @@ def _run_mpi_cfg_baseline(program, limits):
 
 
 def default_ladder(limits: Optional[EngineLimits] = None) -> List[Rung]:
-    """The standard four-rung ladder (see the module docstring)."""
+    """The standard three-rung ladder (see the module docstring)."""
     base = limits or EngineLimits()
     boosted = escalate(base)
     return [
         Rung("cartesian", _run_cartesian, base),
         Rung("cartesian-escalated", _run_cartesian, boosted),
-        Rung("simple-symbolic", _run_simple_symbolic, boosted),
         Rung("mpi-cfg", _run_mpi_cfg_baseline, base),
     ]
 
@@ -265,15 +253,11 @@ def _carryable_snapshot(result: AnalysisResult):
     return None
 
 
-#: the analysis each engine-backed rung name of :func:`default_ladder`
-#: runs.  Routing compares rungs by name, not by runner identity, so a
+#: the rung names of :func:`default_ladder` that run the Cartesian
+#: analysis.  Routing compares rungs by name, not by runner identity, so a
 #: ladder whose runners are wrapped (timed or traced) routes exactly like
 #: the default one; rungs named otherwise are never skipped
-_ANALYSIS_OF = {
-    "cartesian": "cartesian",
-    "cartesian-escalated": "cartesian",
-    "simple-symbolic": "simple-symbolic",
-}
+_CARTESIAN_RUNGS = frozenset({"cartesian", "cartesian-escalated"})
 
 
 def _replays(later: EngineLimits, failed: EngineLimits) -> bool:
@@ -292,28 +276,43 @@ def _replays(later: EngineLimits, failed: EngineLimits) -> bool:
     )
 
 
-def _skip_reason(rung: Rung, giveups) -> Optional[str]:
-    """Why ``rung`` cannot answer exactly, given the ``(analysis, limits,
-    before_widening)`` give-ups earlier rungs proved; None to run it."""
-    analysis = _ANALYSIS_OF.get(rung.name)
-    if analysis is None:
-        return None
-    for failed, limits, before_widening in giveups:
-        if before_widening and failed == analysis and _replays(rung.limits, limits):
-            return "replay"
-    if analysis == "simple-symbolic" and any(
-        failed == "cartesian" and limits == rung.limits
-        for failed, limits, _ in giveups
-    ):
-        return "dominated"
-    return None
-
-
 def _only_no_match(result: AnalysisResult) -> bool:
     """True when the run's non-INFO diagnostic codes are exactly
     ``{GIVEUP_NO_MATCH}``."""
     codes = {d.code for d in result.diagnostics if d.severity != diagnostics.INFO}
     return codes == {diagnostics.GIVEUP_NO_MATCH}
+
+
+def worst_case_runs(ladder: List[Rung]) -> int:
+    """The most runs one climb of ``ladder`` can start: one per rung, plus
+    a cold rerun of each later rung that can warm-start."""
+    return len(ladder) + sum(_supports_checkpointing(rung.run) for rung in ladder[1:])
+
+
+def _attempt(program, rung: Rung, carry, checkpointer, progress) -> RungOutcome:
+    """Run one rung (warm-started from ``carry`` when it is not None)."""
+    wants_ckpt = checkpointer is not None or carry is not None
+    with context.bound(progress=progress), obs.span(f"driver.rung.{rung.name}"):
+        context.emit({"event": "rung", "rung": rung.name})
+        if wants_ckpt and _supports_checkpointing(rung.run):
+            result, cfg, client = rung.run(
+                program, rung.limits, checkpointer=checkpointer, resume=carry
+            )
+        else:
+            result, cfg, client = rung.run(program, rung.limits)
+    outcome = RungOutcome(rung.name, result, cfg, client)
+    obs.incr(f"driver.rung.{rung.name}.{result.confidence}")
+    if outcome.resumed_from:
+        obs.incr("driver.rung.warm_start")
+    slog.info(
+        "driver.rung",
+        name=rung.name,
+        confidence=result.confidence,
+        matches=len(result.matches),
+        diagnostics=diagnostics.summarize(result.diagnostics),
+        resumed_from=outcome.resumed_from or None,
+    )
+    return outcome
 
 
 def analyze_with_fallback(
@@ -330,9 +329,9 @@ def analyze_with_fallback(
     Returns a :class:`FallbackReport`; ``report.chosen`` is the first
     ``exact`` rung, or the final (baseline) rung when none is exact.
     Rungs after the winning one are not run, and neither are the rungs a
-    failed rung's give-up proves cannot answer exactly (the replay and
-    dominance rules of the module docstring): the chosen answer is the
-    one the full climb would give, reached with fewer runs.
+    failed rung's give-up proves cannot answer exactly (see the module
+    docstring): the chosen answer is the one the full climb would give,
+    reached with fewer runs.
 
     ``checkpointer`` (a :class:`repro.core.checkpoint.Checkpointer`) and
     ``resume`` (a snapshot or path for the *first* rung) are forwarded to
@@ -341,7 +340,8 @@ def analyze_with_fallback(
     explored prefix from scratch — but only when the tripped run was
     otherwise clean (see :func:`_carryable_snapshot`); a rung whose client
     class differs from the snapshot's is detected by the engine and falls
-    back to a cold start.
+    back to a cold start.  A warm-started rung that is not ``exact`` runs
+    once more, cold, before the ladder climbs.
 
     ``progress`` (a callable of one event dict) receives a ``rung``
     event as each rung starts, plus the engine heartbeats emitted below
@@ -355,54 +355,41 @@ def analyze_with_fallback(
     rungs = ladder if ladder is not None else default_ladder(limits)
     report = FallbackReport()
     carry = resume
-    #: (analysis, limits, before_widening) of every rung proved to give up
+    #: limits of every Cartesian rung proved to give up before a widening
     giveups = []
     for index, rung in enumerate(rungs):
         # a skip argues from a cold start, and the last rung always runs
-        if carry is None and index < len(rungs) - 1:
-            reason = _skip_reason(rung, giveups)
-            if reason is not None:
-                report.ladder.append(SkippedRung(rung.name, reason))
-                if reason == "replay":
-                    giveups.append((_ANALYSIS_OF[rung.name], rung.limits, True))
-                obs.incr(f"driver.rung.{rung.name}.skipped")
-                slog.info("driver.rung_skipped", name=rung.name, reason=reason)
-                continue
-        wants_ckpt = (checkpointer is not None or carry is not None)
-        with context.bound(progress=progress), obs.span(f"driver.rung.{rung.name}"):
-            context.emit({"event": "rung", "rung": rung.name})
-            if wants_ckpt and _supports_checkpointing(rung.run):
-                result, cfg, client = rung.run(
-                    program, rung.limits, checkpointer=checkpointer, resume=carry
-                )
-            else:
-                result, cfg, client = rung.run(program, rung.limits)
-        outcome = RungOutcome(rung.name, result, cfg, client)
+        if (
+            carry is None
+            and index < len(rungs) - 1
+            and rung.name in _CARTESIAN_RUNGS
+            and any(_replays(rung.limits, limits) for limits in giveups)
+        ):
+            report.ladder.append(SkippedRung(rung.name, "replay"))
+            giveups.append(rung.limits)
+            obs.incr(f"driver.rung.{rung.name}.skipped")
+            slog.info("driver.rung_skipped", name=rung.name, reason="replay")
+            continue
+        outcome = _attempt(program, rung, carry, checkpointer, progress)
         report.ladder.append(outcome)
-        obs.incr(f"driver.rung.{rung.name}.{result.confidence}")
-        if outcome.resumed_from:
-            obs.incr("driver.rung.warm_start")
-        slog.info(
-            "driver.rung",
-            name=rung.name,
-            confidence=result.confidence,
-            matches=len(result.matches),
-            diagnostics=diagnostics.summarize(result.diagnostics),
-            resumed_from=outcome.resumed_from or None,
-        )
+        if index > 0 and outcome.resumed_from and outcome.confidence != diagnostics.EXACT:
+            # the carried prefix was widened under the previous rung's
+            # limits; a cold run of this rung may keep what it lost
+            obs.incr("driver.rung.cold_rerun")
+            outcome = _attempt(program, rung, None, checkpointer, progress)
+            report.ladder.append(outcome)
+        result = outcome.result
         if result.confidence == diagnostics.EXACT:
-            report.chosen = outcome
-            slog.info(
-                "driver.chosen", name=outcome.name, confidence=diagnostics.EXACT
-            )
-            return report
-        if rung.name in _ANALYSIS_OF and _only_no_match(result):
-            giveups.append(
-                (_ANALYSIS_OF[rung.name], rung.limits, result.giveup_before_widening)
-            )
+            break
+        if (
+            rung.name in _CARTESIAN_RUNGS
+            and result.giveup_before_widening
+            and _only_no_match(result)
+        ):
+            giveups.append(rung.limits)
         carry = _carryable_snapshot(result)
-    # nothing exact: the last rung (the baseline, for the default ladder)
-    # is the answer of record
+    # the first exact rung or else the last one (the baseline, for the
+    # default ladder) is the answer of record
     report.chosen = report.rungs[-1]
     slog.info(
         "driver.chosen",
@@ -410,8 +397,6 @@ def analyze_with_fallback(
         confidence=report.chosen.confidence,
     )
     return report
-
-
 
 
 # -- whole-program parallelism -------------------------------------------------

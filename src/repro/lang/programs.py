@@ -37,9 +37,6 @@ class ProgramSpec:
     #: "simple" (Section VII), "cartesian" (Section VIII), or "none"
     #: (expected conservative give-up / buggy program).
     client: str = "simple"
-    #: inputs consumed by ``input()`` calls, keyed by variable name the
-    #: program assigns them to; values are callables of np in the interpreter
-    #: helpers (kept simple here: documented in each entry).
     notes: str = ""
 
     def parse(self) -> Program:

@@ -17,6 +17,7 @@ are validated:
 from repro.runtime.channels import ChannelNetwork
 from repro.runtime.interpreter import (
     DeadlockError,
+    InputExhaustedError,
     Machine,
     MPLAssertionError,
     Observation,
@@ -38,6 +39,7 @@ __all__ = [
     "observe_program",
     "Observation",
     "DeadlockError",
+    "InputExhaustedError",
     "MPLAssertionError",
     "StepLimitError",
     "ChannelNetwork",

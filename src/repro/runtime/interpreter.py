@@ -45,6 +45,10 @@ class StepLimitError(RuntimeError):
     """The machine exceeded its step budget (probable livelock)."""
 
 
+class InputExhaustedError(RuntimeError):
+    """An ``input()`` call found no input left."""
+
+
 @dataclass
 class _ProcessState:
     rank: int
@@ -77,7 +81,7 @@ class _Evaluator:
             return self._state.env[expr.name]
         if isinstance(expr, InputExpr):
             if not self._state.inputs:
-                raise RuntimeError(
+                raise InputExhaustedError(
                     f"process {self._state.rank}: input() exhausted"
                 )
             return self._state.inputs.pop(0)

@@ -72,8 +72,8 @@ def compute_key(cfg_fp: str, ladder_id: str, limits: EngineLimits) -> str:
     """The content address of one analysis question.
 
     ``cfg_fp`` is the CFG structural fingerprint, ``ladder_id`` names the
-    rung sequence that would answer (e.g. ``"cartesian>cartesian-
-    escalated>simple-symbolic>mpi-cfg"``), and ``limits`` are the
+    rung sequence that would answer (e.g.
+    ``"cartesian>cartesian-escalated>mpi-cfg"``), and ``limits`` are the
     *effective* (tenant-clamped) engine limits.  The engine version is
     folded in so an upgraded analyzer never serves a previous build's
     answers.

@@ -65,6 +65,7 @@ from repro.core.driver import (
     baseline_ladder,
     default_ladder,
     fork_context,
+    worst_case_runs,
 )
 from repro.core.engine import EngineLimits
 from repro.faults import plane as faults
@@ -78,7 +79,7 @@ from repro.serve.journal import JobJournal
 from repro.serve.retry import RetryPolicy, TransientJobError
 
 #: ladder identifier baked into cache keys (rung names, in order)
-DEFAULT_LADDER_ID = "cartesian>cartesian-escalated>simple-symbolic>mpi-cfg"
+DEFAULT_LADDER_ID = "cartesian>cartesian-escalated>mpi-cfg"
 
 #: Retry-After seconds advertised on shed responses
 RETRY_AFTER_SEC = 1
@@ -600,9 +601,9 @@ class AnalysisService:
     def _attempt_timeout(self, limits: EngineLimits, ladder_kind: str) -> float:
         if self.config.job_timeout_sec is not None:
             return self.config.job_timeout_sec
-        per_rung = limits.deadline_sec or 30.0
-        rungs = len(_ladder(ladder_kind, limits))
-        return per_rung * rungs + TIMEOUT_GRACE_SEC
+        per_run = limits.deadline_sec or 30.0
+        runs = worst_case_runs(_ladder(ladder_kind, limits))
+        return per_run * runs + TIMEOUT_GRACE_SEC
 
     def _run_job(self, job: Job) -> None:
         job.state = "running"

@@ -6,9 +6,12 @@ soundness contract against the interpreter: whenever the analysis converges,
 its match relation covers — and, by exactness, equals — the dynamic one.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analyses.simple_symbolic import analyze_program
+from repro.core.driver import analyze_with_fallback
+from repro.corpus.sweep import differential_check
 from repro.lang import parse
 from repro.runtime import run_program
 
@@ -132,3 +135,46 @@ class TestFuzzNeverUnsound:
         # such a program deadlocks dynamically; statically the only sound
         # answers are give-up or an empty match set
         assert result.gave_up or not result.matches
+
+
+#: a branch on ``w``, which differs within the merged set [0..np-1]: only
+#: rank 0 sees w == 1, so send 5 reaches receive z at run time
+DIVERGENT_BRANCH = """
+    if id == 0 then
+        w = 1
+    else
+        w = 2
+    end
+    if w == 1 then
+        if id == 0 then
+            send 5 -> 1
+        elif id == 1 then
+            receive y <- 0
+        end
+    else
+        if id == 0 then
+            send 6 -> 1
+        elif id == 1 then
+            receive z <- 0
+        end
+    end
+"""
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "known unsound: a condition without id is explored as two uniform "
+        "worlds, but w differs within the set the two id branches merge "
+        "into; the ladder answers cartesian exact and misses (send 5, "
+        "receive z)"
+    ),
+)
+def test_a_branch_on_a_value_that_differs_within_a_set_is_sound():
+    program = parse(DIVERGENT_BRANCH)
+    report = analyze_with_fallback(program)
+    _, _, divergences = differential_check(
+        program, set(report.result.matches), (4, 5, 6)
+    )
+    assert divergences == []

@@ -102,7 +102,12 @@ class CorruptedState:
 
 
 class ChaosClient(ClientAnalysis):
-    """Seeded fault-injection wrapper around a real client analysis."""
+    """Seeded fault-injection wrapper around a real client analysis.
+
+    Its hooks are generated below, one per public ClientAnalysis method:
+    each FAULTABLE callback draws a fault first, every other hook is
+    forwarded to the inner client untouched.
+    """
 
     def __init__(
         self,
@@ -134,80 +139,40 @@ class ChaosClient(ClientAnalysis):
         self.log.append((callback, "raise"))
         raise ChaosError(f"injected fault in {callback!r}")
 
-    def _dispatch(self, callback: str, *args):
+    def _dispatch(self, callback: str, *args, **kwargs):
         corrupted = self._maybe_fault(callback)
         if corrupted is not None:
             return corrupted
-        return getattr(self.inner, callback)(*args)
+        return getattr(self.inner, callback)(*args, **kwargs)
 
-    # -- the full ClientAnalysis surface, uniformly wrapped ------------------
 
-    def initial(self):
-        return self._dispatch("initial")
+def _faulted(callback: str):
+    def hook(self, *args, **kwargs):
+        return self._dispatch(callback, *args, **kwargs)
 
-    def num_psets(self, state):
-        return self._dispatch("num_psets", state)
+    return hook
 
-    def describe_pset(self, state, pos):
-        return self._dispatch("describe_pset", state, pos)
 
-    def transfer(self, state, pos, node):
-        return self._dispatch("transfer", state, pos, node)
+def _forwarded(name: str):
+    # never faulted: drawing from the rng here would shift the fault
+    # schedule of every seeded run
+    def hook(self, *args, **kwargs):
+        return getattr(self.inner, name)(*args, **kwargs)
 
-    def branch(self, state, pos, node):
-        return self._dispatch("branch", state, pos, node)
+    return hook
 
-    def try_match(self, state, locs, blocked, cfg):
-        return self._dispatch("try_match", state, locs, blocked, cfg)
 
-    def can_buffer(self, state, pos, node):
-        return self._dispatch("can_buffer", state, pos, node)
+#: every public method of the client protocol; a hook added to
+#: ClientAnalysis later reaches the inner client without an edit here
+HOOKS = tuple(
+    name
+    for name, member in vars(ClientAnalysis).items()
+    if callable(member) and not name.startswith("_")
+)
+assert set(FAULTABLE) <= set(HOOKS), set(FAULTABLE) - set(HOOKS)
 
-    def buffer_send(self, state, pos, node):
-        return self._dispatch("buffer_send", state, pos, node)
-
-    def pending_sites(self, state):
-        return self._dispatch("pending_sites", state)
-
-    def is_empty(self, state, pos):
-        return self._dispatch("is_empty", state, pos)
-
-    def merge_psets(self, state, i, j):
-        return self._dispatch("merge_psets", state, i, j)
-
-    def remove_pset(self, state, pos):
-        return self._dispatch("remove_pset", state, pos)
-
-    def rename(self, state, perm):
-        return self._dispatch("rename", state, perm)
-
-    def drop_dead(self, state, locs, cfg):
-        return self._dispatch("drop_dead", state, locs, cfg)
-
-    def join(self, left, right):
-        return self._dispatch("join", left, right)
-
-    def widen(self, prev, new):
-        return self._dispatch("widen", prev, new)
-
-    def states_equal(self, left, right):
-        return self._dispatch("states_equal", left, right)
-
-    def state_fingerprint(self, state):
-        return self._dispatch("state_fingerprint", state)
-
-    # -- provenance and checkpoint hooks: forwarded, never faulted -----------
-    # They are outside FAULTABLE; drawing from the rng here would shift the
-    # fault schedule of every seeded run.
-
-    def describe_transfer(self, old, new):
-        return self.inner.describe_transfer(old, new)
-
-    def match_explanation(self):
-        return self.inner.match_explanation()
-
-    def checkpoint_extra(self):
-        return self.inner.checkpoint_extra()
-
-    def restore_extra(self, data):
-        return self.inner.restore_extra(data)
+for _name in HOOKS:
+    _hook = _faulted(_name) if _name in FAULTABLE else _forwarded(_name)
+    _hook.__name__, _hook.__qualname__ = _name, f"ChaosClient.{_name}"
+    setattr(ChaosClient, _name, _hook)
+del _name, _hook

@@ -10,13 +10,16 @@ confidence, same matches, same number of steps.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.analyses.cartesian import CartesianClient
 from repro.analyses.simple_symbolic import SimpleSymbolicClient
+from repro.core.client import ClientAnalysis
 from repro.core.engine import PCFGEngine
 from repro.lang import build_cfg, programs
-from tests.core.chaos import ChaosClient
+from tests.core.chaos import FAULTABLE, ChaosClient, ChaosError, CorruptedState
 
 PAPER = [spec.name for spec in programs.all_specs()]
 
@@ -44,3 +47,47 @@ def test_fault_free_chaos_client_carries_the_client_checkpoint_data():
     extra = wrapped.checkpoint_extra()
     assert extra is not None
     assert extra == bare.checkpoint_extra()
+
+
+#: every public method of the client protocol
+HOOKS = sorted(
+    name
+    for name, member in vars(ClientAnalysis).items()
+    if callable(member) and not name.startswith("_")
+)
+
+
+class _Inner(ClientAnalysis):
+    """Records each hook that reaches it."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattribute__(self, name):
+        if name in HOOKS:
+            return lambda *args, **kwargs: object.__getattribute__(
+                self, "calls"
+            ).append(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("name", HOOKS)
+def test_every_client_hook_draws_a_fault_or_reaches_the_inner_client(name):
+    arity = len(inspect.signature(getattr(ClientAnalysis, name)).parameters) - 1
+    args = (None,) * arity
+    inner = _Inner()
+    getattr(ChaosClient(inner, seed=0, fault_rate=0.0), name)(*args)
+    assert inner.calls == [name]
+    # at fault_rate=1.0 a faultable hook faults before the inner client
+    # runs; any other hook still reaches it and draws nothing
+    inner = _Inner()
+    chaos = ChaosClient(inner, seed=0, fault_rate=1.0)
+    if name in FAULTABLE:
+        try:
+            assert isinstance(getattr(chaos, name)(*args), CorruptedState)
+        except ChaosError:
+            pass
+        assert inner.calls == [] and [cb for cb, _ in chaos.log] == [name]
+    else:
+        getattr(chaos, name)(*args)
+        assert inner.calls == [name] and chaos.log == []

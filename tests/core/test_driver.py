@@ -56,7 +56,7 @@ def test_escalated_limits_rescue_a_budget_starved_run():
 
 def test_unanalyzable_program_falls_to_the_baseline():
     # rung 1 gives up before any widening: the escalated rung would replay
-    # that give-up and simple-symbolic is dominated, so neither runs
+    # that give-up, so it does not run
     report = analyze_with_fallback(programs.get("ring_modular"))
     assert report.rung_name == "mpi-cfg"
     assert [outcome.name for outcome in report.rungs] == [
@@ -102,11 +102,10 @@ def test_default_ladder_shape():
     assert [rung.name for rung in rungs] == [
         "cartesian",
         "cartesian-escalated",
-        "simple-symbolic",
         "mpi-cfg",
     ]
     assert rungs[1].limits.max_psets == 8
-    assert rungs[2].limits.max_psets == 8
+    assert rungs[2].limits.max_psets == 4
 
 
 def test_report_describe_names_the_answering_rung():

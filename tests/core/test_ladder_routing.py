@@ -2,8 +2,9 @@
 
 The differential lock compares the routed ``analyze_with_fallback`` with
 a reference that climbs every rung of ``default_ladder(limits)`` in order
-(warm-starting budget trips exactly as the driver does) until one is
-exact.  Rung, confidence, match set and diagnostic codes must agree.
+(warm-starting budget trips exactly as the driver does, and rerunning a
+warm-started rung cold when it is not exact) until one is exact.  Rung,
+confidence, match set and diagnostic codes must agree.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def _full_climb(program, limits):
     for rung in default_ladder(limits):
         if carry is not None and driver._supports_checkpointing(rung.run):
             result, _, _ = rung.run(program, rung.limits, resume=carry)
+            if result.resumed_from and result.confidence != diagnostics.EXACT:
+                result, _, _ = rung.run(program, rung.limits)
         else:
             result, _, _ = rung.run(program, rung.limits)
         if result.confidence == diagnostics.EXACT:
@@ -100,24 +103,19 @@ def test_early_no_match_goes_straight_to_the_baseline(name):
     assert report.rungs[0].result.giveup_before_widening
     assert [(s.name, s.reason) for s in report.skipped] == [
         ("cartesian-escalated", "replay"),
-        ("simple-symbolic", "dominated"),
     ]
     assert recorder.counters["driver.rung.cartesian-escalated.skipped"] == 1
-    assert recorder.counters["driver.rung.simple-symbolic.skipped"] == 1
 
 
 def test_give_up_after_widening_still_escalates():
     # the smoke program's rung-1 give-up (a pairwise ``id == 3`` branch it
-    # cannot split) fires after a widening, so the escalated rung runs;
-    # its own give-up then dominates simple-symbolic
+    # cannot split) fires after a widening, so the escalated rung runs
     generated = next(p for p in _smoke_corpus() if p.corpus_id == "mplg1-7403e81b")
     assert generated.seed == 1946413083
     report = analyze_with_fallback(generated.parse())
     assert _ladder_path(report) == ["cartesian", "cartesian-escalated", "mpi-cfg"]
     assert not report.rungs[0].result.giveup_before_widening
-    assert [(s.name, s.reason) for s in report.skipped] == [
-        ("simple-symbolic", "dominated")
-    ]
+    assert report.skipped == []
 
 
 def test_pset_bound_give_up_is_rescued_by_escalation():
@@ -140,6 +138,28 @@ def test_no_match_after_widening_is_rescued_by_escalation():
     assert report.result.confidence == diagnostics.EXACT
 
 
+def test_a_warm_start_that_loses_precision_reruns_cold():
+    # the escalated rung resumes the first rung's budget trip, whose prefix
+    # was widened at widen_after=2; it trips again, partial, and its cold
+    # rerun is exact
+    generated = generate(86465052)
+    assert generated.corpus_id == "mplg1-05275a1c"
+    with obs.recording() as recorder:
+        report = analyze_with_fallback(
+            generated.parse(), limits=EngineLimits(max_steps=20)
+        )
+    assert [
+        (outcome.name, outcome.confidence, bool(outcome.resumed_from))
+        for outcome in report.rungs
+    ] == [
+        ("cartesian", diagnostics.PARTIAL, False),
+        ("cartesian-escalated", diagnostics.PARTIAL, True),
+        ("cartesian-escalated", diagnostics.EXACT, False),
+    ]
+    assert report.chosen is report.rungs[-1]
+    assert recorder.counters["driver.rung.cold_rerun"] == 1
+
+
 class _FaultyCartesian(CartesianClient):
     def try_match(self, state, locs, blocked, cfg):
         raise RuntimeError("injected HSM fault")
@@ -149,20 +169,19 @@ def _faulty_cartesian(program, limits):
     return analyze_cartesian(program, client=_FaultyCartesian(), limits=limits)
 
 
-def test_client_fault_still_reaches_simple_symbolic():
+def test_client_fault_in_both_cartesian_rungs_ends_at_the_baseline():
+    # a client fault is never routed: both Cartesian rungs run, and the
+    # sound baseline answers
     ladder = default_ladder()
     ladder[0] = Rung("cartesian", _faulty_cartesian, ladder[0].limits)
     ladder[1] = Rung("cartesian-escalated", _faulty_cartesian, ladder[1].limits)
     report = analyze_with_fallback(programs.get("pingpong"), ladder=ladder)
-    assert _ladder_path(report) == [
-        "cartesian",
-        "cartesian-escalated",
-        "simple-symbolic",
-    ]
+    assert _ladder_path(report) == ["cartesian", "cartesian-escalated", "mpi-cfg"]
     assert diagnostics.CLIENT_FAULT in {
         d.code for d in report.rungs[0].result.diagnostics
     }
-    assert report.result.confidence == diagnostics.EXACT
+    assert report.rung_name == "mpi-cfg"
+    assert report.result.confidence == diagnostics.PARTIAL
     assert not report.skipped
 
 
@@ -179,7 +198,6 @@ def test_describe_names_skipped_rungs_and_the_reason():
     assert text.splitlines() == [
         "cartesian: partial (1x GIVEUP_NO_MATCH, 0 matches)",
         "cartesian-escalated: skipped (replay)",
-        "simple-symbolic: skipped (dominated)",
         "mpi-cfg: partial (no diagnostics, 1 matches)",
         "answer from rung: mpi-cfg",
     ]

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.core.driver import default_ladder
+from repro.core.driver import default_ladder, worst_case_runs
 from repro.core.engine import EngineLimits
 from repro.corpus.generator import generate
 from repro.obs import recorder as obs
@@ -224,10 +224,12 @@ class TestDegradedModes:
             service.stop()
 
     def test_attempt_watchdog_covers_every_rung_of_the_ladder(self, service):
+        # the default ladder's worst climb is four runs: cartesian, the
+        # escalated rung warm-started and then cold, and mpi-cfg
         limits = EngineLimits(deadline_sec=2.0)
         grace = TIMEOUT_GRACE_SEC
-        rungs = len(default_ladder(limits))
-        assert service._attempt_timeout(limits, "default") == 2.0 * rungs + grace
+        assert worst_case_runs(default_ladder(limits)) == 4
+        assert service._attempt_timeout(limits, "default") == 2.0 * 4 + grace
         assert service._attempt_timeout(limits, "baseline") == 2.0 + grace
 
     def test_faults_require_opt_in(self, tmp_path):

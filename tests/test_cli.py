@@ -57,6 +57,21 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "transpose" in out
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            ([], "input() exhausted"),
+            (["--np", "8", "--inputs", "2", "4"], "assertion failed"),
+        ],
+    )
+    def test_failed_validation_run_is_one_line_error(self, argv, reason, capsys):
+        assert main(["transpose_square", *argv]) == 1
+        out = capsys.readouterr().out
+        assert "communication topology" in out
+        failure = out.splitlines()[-1]
+        assert failure.startswith("validation run failed: ")
+        assert reason in failure and "--no-validate" in failure
+
 
 class TestResilienceFlags:
     def test_degraded_run_prints_diagnostics(self, capsys):
