@@ -26,7 +26,8 @@
 #                  behaviour lock (`-m ladder_slow`: the routed fallback
 #                  ladder must answer like a full climb, and every answer,
 #                  step count and explored pCFG size must match
-#                  tests/data/engine_lock.json)
+#                  tests/data/engine_lock.json), and variable renaming
+#                  over the smoke tier (the answer must not change)
 #   serve-smoke -> start a real `repro serve` daemon, replay a duplicate-heavy
 #                  corpus through scripts/loadgen.py (cache-hit-rate >= 0.9,
 #                  zero errors), SIGTERM-drain it, then run the SIGKILL
@@ -137,9 +138,9 @@ step "sweep-smoke: differential corpus sweep" bash -c '
   rm -f sweep-smoke.jsonl'
 step "sweep-smoke: differential corpus sweep (400-program stream)" \
   python -m repro sweep --tier pr --seed 1337 --count 400 --jobs 4
-step "sweep-smoke: routed ladder vs full climb, engine behaviour lock" \
+step "sweep-smoke: routed ladder vs full climb, engine behaviour lock, renaming" \
   python -m pytest tests/core/test_ladder_routing.py tests/core/test_engine_lock.py \
-      -m ladder_slow -q
+      tests/analyses/test_renaming.py -m ladder_slow -q
 step "serve-smoke: daemon serves, caches, and drains" bash -c '
   rm -rf .ci-serve
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &

@@ -607,16 +607,16 @@ class SimpleSymbolicClient(ClientAnalysis):
 
         A bound's expressions are all equal, so they usually form one
         equality class, and :meth:`ConstraintGraph.equivalents_union` asks
-        the graph once per class rather than once per expression.
+        the graph once per class rather than once per expression.  A bound
+        that gains nothing comes back as it is, and so does a set when no
+        range or bound changes.
         """
-        pset = pset.prune_empty(cg)
 
         def enrich_bound(bound: Bound) -> Bound:
-            return Bound(cg.equivalents_union(bound.exprs))
+            exprs = cg.equivalents_union(bound.exprs)
+            return bound if len(exprs) == len(bound.exprs) else Bound(exprs)
 
-        return ProcSet(
-            [SymRange(enrich_bound(r.lb), enrich_bound(r.ub)) for r in pset.ranges]
-        )
+        return pset.prune_empty(cg).map_bounds(enrich_bound)
 
     # ------------------------------------------------------------------ matching
 
@@ -1221,10 +1221,13 @@ class SimpleSymbolicClient(ClientAnalysis):
 
         ``ps<uid>::v`` goes when its namespace belongs to no set and no
         in-flight send, or when ``v`` is not live on entry to its set's CFG
-        node, and no set bound, in-flight set bound, ``dest`` or ``value``
-        mentions it.  ``id`` is live everywhere and ``np`` belongs to no
-        namespace, so both stay.  Only an exact projection is made
-        (:meth:`ConstraintGraph.without`); a widened graph keeps everything.
+        node, and no in-flight ``dest`` or ``value`` mentions it.  ``id`` is
+        live everywhere and ``np`` belongs to no namespace, so both stay.
+        A set bound or an in-flight set bound drops its forms over projected
+        variables; a bound whose forms all mention one keeps them, and so
+        keeps their variables (:func:`_settle_doomed`).  Only an exact
+        projection is made (:meth:`ConstraintGraph.without`); a widened or
+        infeasible graph keeps everything, and the state comes back as it is.
         """
         if cfg is not self._live_cfg:
             self._live_cfg, self._live_names = cfg, {}
@@ -1245,14 +1248,32 @@ class SimpleSymbolicClient(ClientAnalysis):
             )
             if carried:
                 doomed = {name for name in doomed if not name.startswith(carried)}
+            for pending in state.pendings:
+                for expr in (pending.dest, pending.value):
+                    if expr is not None:
+                        doomed.difference_update(expr.variables())
         if doomed:
-            doomed -= _mentioned(state)
+            doomed = _settle_doomed(state, doomed)
         if not doomed:
             return state
         cg = state.cg.without(doomed)
         if cg is state.cg:
             return state
-        return SymbolicState(cg, state.psets, state.pendings, state.next_uid)
+
+        def trim(bound: Bound) -> Bound:
+            kept = [e for e in bound.exprs if doomed.isdisjoint(e.variables())]
+            return bound if len(kept) == len(bound.exprs) else Bound(kept)
+
+        def trim_set(holder):
+            pset = holder.pset.map_bounds(trim)
+            return holder if pset is holder.pset else replace(holder, pset=pset)
+
+        return SymbolicState(
+            cg,
+            tuple(map(trim_set, state.psets)),
+            tuple(map(trim_set, state.pendings)),
+            state.next_uid,
+        )
 
     # ------------------------------------------------------------------- lattice
 
@@ -1432,21 +1453,32 @@ class SimpleSymbolicClient(ClientAnalysis):
         return tuple(joined)
 
 
-def _mentioned(state: SymbolicState) -> Set[str]:
-    """Every variable a set bound or an in-flight send mentions."""
-    ranges = [rng for entry in state.psets for rng in entry.pset.ranges]
-    exprs = []
-    for pending in state.pendings:
-        ranges.extend(pending.pset.ranges)
-        exprs.extend(e for e in (pending.dest, pending.value) if e is not None)
-    for rng in ranges:
-        exprs.extend(rng.lb.exprs)
-        exprs.extend(rng.ub.exprs)
-    names = set()
-    for expr in exprs:
-        for name, _ in expr._coeffs:
-            names.add(name)
-    return names
+def _settle_doomed(state: SymbolicState, doomed: Set[str]) -> Set[str]:
+    """The part of ``doomed`` that every set bound can do without.
+
+    A bound keeps its forms that mention no doomed variable.  A bound with
+    no such form stays whole, so the variables of its forms are kept; that
+    may give another bound a form back, hence the fixpoint.
+    """
+    bounds = {
+        bound
+        for holder in state.psets + state.pendings
+        for rng in holder.pset.ranges
+        for bound in (rng.lb, rng.ub)
+    }
+    touched = []
+    for bound in bounds:
+        forms = [expr.variables() for expr in bound.exprs]
+        if not all(doomed.isdisjoint(names) for names in forms):
+            touched.append(forms)
+    changed = True
+    while changed:
+        changed = False
+        for forms in touched:
+            if not any(doomed.isdisjoint(names) for names in forms):
+                doomed = doomed.difference(*forms)
+                changed = True
+    return doomed
 
 
 def _pretty(text: str) -> str:

@@ -31,8 +31,8 @@ parent and clone, and the first in-place mutation of either materializes a
 private copy (``cgraph.cow.shares`` / ``cgraph.cow.materializations``
 counters).  Closed graphs cache a canonical *fingerprint* of their
 constraint set, so :meth:`equivalent_to` is a hash comparison instead of a
-matrix walk, and COW siblings share the equality classes
-:meth:`equivalents` has computed, one variable at a time.  Nothing is
+matrix walk, and COW siblings share the equality classes and the
+:meth:`equivalents` answers computed so far, one query at a time.  Nothing is
 memoized across graphs: a process-wide closure memo hit 0.4% of closures
 on the 18 paper programs while sorting the full edge list of every closure
 for its key, and the process-wide memos held a warm 120-program batch at
@@ -45,7 +45,7 @@ the paper's prototype cost profile stays reproducible.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cgraph.namespaces import namespace_prefix
 from repro.cgraph.stats import ClosureStats, global_stats, timed
@@ -100,6 +100,9 @@ class ConstraintGraph:
         #: on first use, shared between COW siblings and replaced (never
         #: cleared in place) on semantic mutation
         self._classes: Dict[str, List[Tuple[str, int]]] = {}
+        #: :meth:`equivalents` answer per queried expression, with the
+        #: lifecycle of ``_classes``
+        self._equivalents: Dict[LinearExpr, FrozenSet[LinearExpr]] = {}
         self._stats = stats if stats is not None else global_stats()
         #: ablation switch reproducing the paper's prototype cost profile:
         #: re-run the full O(n^3) closure before every query instead of
@@ -133,13 +136,15 @@ class ConstraintGraph:
             self._stats.record_cow_materialization()
 
     def _invalidate(self) -> None:
-        """Constraint set changed: drop fingerprint and equality classes."""
+        """Constraint set changed: drop fingerprint, equality classes and
+        equivalence answers."""
         self._fingerprint = None
         # Re-bind instead of clearing: COW siblings still using the old
         # semantics keep their (still-valid) shared classes.  This must
         # happen even when the dict is currently empty — a sibling sharing
         # it could fill it later with classes of the *old* semantics.
         self._classes = {}
+        self._equivalents = {}
 
     def _edge_items(self) -> tuple:
         """Canonical tuple of all explicit constraints (sorted edge list)."""
@@ -228,6 +233,7 @@ class ConstraintGraph:
             clone._shared = True
             clone._fingerprint = self._fingerprint
             clone._classes = self._classes
+            clone._equivalents = self._equivalents
             self._stats.record_cow_share()
         clone._closed = self._closed
         clone._infeasible = self._infeasible
@@ -297,8 +303,14 @@ class ConstraintGraph:
 
     def _assume_diff(self, x: str, y: str, c: int) -> None:
         """Assert ``y <= x + c``, keeping a closed graph closed through
-        :meth:`close_incremental` instead of a later full closure."""
+        :meth:`close_incremental` instead of a later full closure.  A closed
+        graph that already holds the constraint is left as it is."""
         if self._closed_for_update():
+            bound = self._bound
+            if x in bound and y in bound:
+                existing = 0 if x == y else bound[x].get(y)
+                if existing is not None and existing <= c:
+                    return
             self.close_incremental(x, y, c)
         else:
             self.add_diff(x, y, c)
@@ -580,7 +592,7 @@ class ConstraintGraph:
             total += coeff * value
         return total
 
-    def equivalents(self, expr: LinearExpr) -> Set[LinearExpr]:
+    def equivalents(self, expr: LinearExpr) -> FrozenSet[LinearExpr]:
         """All ``var + c`` / constant expressions provably equal to ``expr``.
 
         ``expr`` must be of shape ``var + c0`` or a constant; this is the
@@ -596,9 +608,19 @@ class ConstraintGraph:
         member per class and skip the members it returned.
 
         Each query reads only the equality class of its base variable
-        (:meth:`_class_of`).
+        (:meth:`_class_of`).  The answer is memoized with the lifecycle of
+        the classes, so it is shared: callers must not mutate it.
         """
         self._ensure_closed()
+        known = self._equivalents.get(expr)
+        if known is not None:
+            return known
+        result = frozenset(self._equivalent_forms(expr))
+        if self._optimized():
+            self._equivalents[expr] = result
+        return result
+
+    def _equivalent_forms(self, expr: LinearExpr) -> Set[LinearExpr]:
         result: Set[LinearExpr] = {expr}
         if self._infeasible:
             return result
@@ -620,14 +642,17 @@ class ConstraintGraph:
                 result.add(LinearExpr._raw(constant - forward, ((other, 1),)))
         return result
 
-    def equivalents_union(self, exprs: Iterable[LinearExpr]) -> Set[LinearExpr]:
+    def equivalents_union(self, exprs: Iterable[LinearExpr]) -> FrozenSet[LinearExpr]:
         """Union of :meth:`equivalents` over ``exprs``, one query per
         equality class: an expression an earlier query returned is in that
-        query's class, so its own query would return the same set."""
-        result: Set[LinearExpr] = set()
+        query's class, so its own query would return the same set.  When
+        one class covers every expression, that class's shared answer comes
+        back as it is (callers must not mutate it)."""
+        result: FrozenSet[LinearExpr] = frozenset()
         for expr in exprs:
             if expr not in result:
-                result |= self.equivalents(expr)
+                found = self.equivalents(expr)
+                result = found if not result else result | found
         return result
 
     def _class_of(self, base: str) -> List[Tuple[str, int]]:

@@ -315,8 +315,9 @@ class ProcSet:
         return None if any_unknown else True
 
     def prune_empty(self, order: Order) -> "ProcSet":
-        """Drop provably-empty component ranges."""
-        return ProcSet([r for r in self._ranges if r.is_empty(order) is not True])
+        """Drop provably-empty component ranges (``self`` when none is)."""
+        ranges = [r for r in self._ranges if r.is_empty(order) is not True]
+        return self if len(ranges) == len(self._ranges) else ProcSet(ranges)
 
     def single_range(self) -> Optional[SymRange]:
         """The sole component when the union has exactly one range."""

@@ -8,14 +8,27 @@ can still *name* such a variable without a single constraint on it, which
 carries no information: a join keeps a row for a name that only one side
 holds, and hash-consing ignores unconstrained rows, so a state can stand
 in for an equal one at another pCFG node.
+
+A set bound holds every form its equality class offers, some of them over
+dead variables.  Such a form is dropped with its variable, as long as the
+bound keeps another form; ``dest`` and ``value`` of an in-flight send are
+never trimmed, so their variables stay.
 """
 
 import pytest
 
 from repro.analyses.cartesian import analyze_cartesian
-from repro.cgraph.constraint_graph import ZERO
+from repro.analyses.simple_symbolic import (
+    Pending,
+    PSetEntry,
+    SimpleSymbolicClient,
+    SymbolicState,
+)
+from repro.cgraph.constraint_graph import ZERO, ConstraintGraph
 from repro.core.driver import analyze_with_fallback
+from repro.expr.linear import LinearExpr
 from repro.lang import programs
+from repro.procset.interval import Bound, ProcSet, SymRange
 
 
 @pytest.mark.parametrize("name", programs.names())
@@ -48,3 +61,82 @@ def test_a_dead_loop_carried_variable_no_longer_splits_iterations():
     assert report.result.confidence == "exact"
     assert sorted(report.result.matches) == []
     assert report.result.steps == 7
+
+
+# -- dead forms leave set bounds ------------------------------------------------
+
+Y = LinearExpr.var("ps1::y")
+TOP = Bound.of(LinearExpr.var("np") - 1)
+
+
+class _Liveness:
+    """CFG stand-in for ``drop_dead``: only ``id`` is live anywhere."""
+
+    def live_in(self, node_id):
+        return frozenset({"id"})
+
+
+def _graph(**consts) -> ConstraintGraph:
+    """``np >= 4``, ``0 <= ps1::id <= np - 1`` and ``ps1::<name> == value``."""
+    cg = ConstraintGraph()
+    cg.add_lower("np", 4)
+    cg.add_lower("ps1::id", 0)
+    cg.add_diff("np", "ps1::id", -1)
+    for name, value in consts.items():
+        cg.set_const(f"ps1::{name}", value)
+    return cg
+
+
+def _state(cg, lb, ub=TOP, pendings=()):
+    pset = ProcSet([SymRange(lb, ub)])
+    return SymbolicState(cg, (PSetEntry(1, pset),), tuple(pendings), 2)
+
+
+def _drop(state):
+    return SimpleSymbolicClient().drop_dead(state, (0,), _Liveness())
+
+
+def test_a_dead_form_leaves_its_bound_and_its_variable_is_projected():
+    state = _state(_graph(y=5), Bound({LinearExpr.const(2), Y - 3}))
+    dropped = _drop(state)
+    (rng,) = dropped.psets[0].pset.ranges
+    assert rng.lb.exprs == {LinearExpr.const(2)}
+    assert rng.ub is TOP
+    assert "ps1::y" not in dropped.cg.variables()
+
+
+def test_a_bound_of_dead_forms_only_keeps_them_and_their_variable():
+    # the sole form of ``lb`` keeps ``y``, so ``ub`` keeps its ``y`` form too
+    lb, ub = Bound.of(Y - 3), Bound({LinearExpr.const(2), Y - 3})
+    state = _state(_graph(y=5, z=1), lb, ub)
+    dropped = _drop(state)
+    (rng,) = dropped.psets[0].pset.ranges
+    assert rng.lb is lb and rng.ub is ub
+    assert dropped.psets[0] is state.psets[0]
+    assert "ps1::y" in dropped.cg.variables()
+    assert "ps1::z" not in dropped.cg.variables()
+
+
+def test_a_variable_an_in_flight_dest_mentions_keeps_every_form():
+    bound = Bound({LinearExpr.const(2), Y - 3})
+    pending = Pending(7, 1, ProcSet([SymRange(bound, bound)]), Y, None, "int")
+    state = _state(_graph(y=5, z=1), bound, pendings=[pending])
+    dropped = _drop(state)
+    assert dropped.psets[0].pset.ranges[0].lb is bound
+    assert dropped.pendings[0] is pending
+    assert "ps1::y" in dropped.cg.variables()
+    assert "ps1::z" not in dropped.cg.variables()
+
+
+def test_a_widened_graph_returns_the_state_unchanged():
+    # ``w <= 3`` is dropped while ``z <= 5`` and ``w <= z`` are kept, and
+    # they chain past it: the result is flagged widened, not closed
+    older, newer = _graph(y=5), _graph(y=5)
+    for cg, w_cap in ((older, 3), (newer, 4)):
+        cg.add_upper("ps1::z", 5)
+        cg.add_diff("ps1::z", "ps1::w", 0)
+        cg.add_upper("ps1::w", w_cap)
+    cg = older.widen(newer)
+    assert cg._closed is not True
+    state = _state(cg, Bound({LinearExpr.const(2), Y - 3}))
+    assert _drop(state) is state

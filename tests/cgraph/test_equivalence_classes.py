@@ -4,6 +4,9 @@
   ``equivalents(e)``, ``equivalents(m) == equivalents(e)``.  Process-set
   enrichment (``equivalents_union``) asks once per class on the strength
   of it.
+* ``equivalents`` memoizes its answers with the lifecycle of the classes:
+  a memoized answer equals a fresh computation on a rebuilt graph, before
+  and after a mutation, on both sides of a copy-on-write copy.
 * The ``var + c`` / constant fast path of ``entails_leq`` gives the same
   three-valued verdict as the general evaluation through ``lhs - rhs``,
   kept here as the reference.
@@ -134,6 +137,41 @@ def test_equivalents_union_equals_the_union_of_every_query(ops, picks):
     for expr in exprs:
         expected |= g.equivalents(expr)
     assert g.equivalents_union(exprs) == expected
+
+
+def _fresh_equivalents(g: ConstraintGraph, expr):
+    """``equivalents`` on a rebuilt copy of ``g``, which has no memo."""
+    return ConstraintGraph.from_state(g.to_state()).equivalents(expr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(_op, max_size=14), mutation=_base_op)
+def test_memoized_equivalents_equal_a_fresh_computation(ops, mutation):
+    g = _build(ops)
+    forms = _forms()
+    for expr in forms:
+        g.equivalents(expr)  # fill the memo
+    clone = g.copy()
+    mutated = _apply(clone, mutation)
+    for expr in forms:
+        assert g.equivalents(expr) == _fresh_equivalents(g, expr), (g, expr)
+        assert mutated.equivalents(expr) == _fresh_equivalents(mutated, expr), (
+            mutated,
+            mutation,
+            expr,
+        )
+    # the mutation of the copy left the original's answers as they were
+    for expr in forms:
+        assert g.equivalents(expr) == _fresh_equivalents(g, expr), (g, expr)
+
+
+def test_the_ablations_memoize_no_equivalents():
+    # both ablations reproduce the memo-free cost profile
+    for flags in ({"naive_copy": True}, {"naive_closure": True}):
+        g = ConstraintGraph(**flags)
+        g.add_eq_diff("x", "y", 1)
+        assert LinearExpr.var("y") in g.equivalents(LinearExpr.var("x") + 1)
+        assert g._equivalents == {}
 
 
 def reference_entails_leq(g: ConstraintGraph, lhs, rhs):
