@@ -6,7 +6,8 @@
 #                  ruff is not installed; CI installs it from PyPI)
 #   test        -> PYTHONPATH=src python -m pytest -x -q      (one local
 #                  interpreter stands in for the 3.9-3.12 matrix)
-#   chaos       -> the fault-injection suite at a fixed seed (the base of
+#   chaos       -> client faults injected through the fault plane at the
+#                  engine's callback guard, at a fixed seed (the base of
 #                  REPRO_FAULT_SEED, default 1337, printed so failures
 #                  reproduce exactly)
 #   fault-smoke -> the fault-plane test suite plus the seeded invariant
@@ -79,7 +80,7 @@ REPRO_FAULT_SEED="${REPRO_FAULT_SEED:-1337}"
 echo
 echo "(chaos seed: REPRO_FAULT_SEED=${REPRO_FAULT_SEED}; reproduce failures with" \
   "REPRO_FAULT_SEED=${REPRO_FAULT_SEED} pytest tests/core/test_chaos.py -m chaos)"
-step "chaos: fault-injection suite" \
+step "chaos: client faults through the fault plane" \
   env REPRO_FAULT_SEED="${REPRO_FAULT_SEED}" python -m pytest tests/core/test_chaos.py -m chaos -q
 FAULT_SEED="${FAULT_SEED:-1337}"
 export FAULT_SEED

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cgraph.constraint_graph import ConstraintGraph, edge_diff
 from repro.cgraph.namespaces import GLOBALS, qualify
@@ -329,31 +330,6 @@ class SimpleSymbolicClient(ClientAnalysis):
 
     def _repair_bounds(self, state: SymbolicState, target: str) -> SymbolicState:
         """Rewrite symbolic bounds so they no longer mention ``target``."""
-
-        def repair_bound(bound: Bound) -> Bound:
-            keep = {e for e in bound.exprs if not e.mentions(target)}
-            stale = [e for e in bound.exprs if e.mentions(target)]
-            keep |= {
-                alt
-                for alt in state.cg.equivalents_union(stale)
-                if not alt.mentions(target)
-            }
-            if not keep:
-                raise GiveUp(
-                    f"process-set bound lost its last expression when "
-                    f"{_pretty(target)} was overwritten",
-                    code=GIVEUP_PSET_BOUND,
-                )
-            return Bound(keep)
-
-        def repair_pset(pset: ProcSet) -> ProcSet:
-            return ProcSet(
-                [
-                    SymRange(repair_bound(r.lb), repair_bound(r.ub))
-                    for r in pset.ranges
-                ]
-            )
-
         mentions = any(
             r.lb.mentions(target) or r.ub.mentions(target)
             for e in state.psets
@@ -361,8 +337,14 @@ class SimpleSymbolicClient(ClientAnalysis):
         )
         if not mentions:
             return state
+        repair = partial(
+            _reexpress,
+            cg=state.cg,
+            stale=lambda expr: expr.mentions(target),
+            dropped=_pretty(target),
+        )
         state.psets = tuple(
-            PSetEntry(e.uid, repair_pset(e.pset)) for e in state.psets
+            PSetEntry(e.uid, e.pset.map_bounds(repair)) for e in state.psets
         )
         return state
 
@@ -1139,21 +1121,12 @@ class SimpleSymbolicClient(ClientAnalysis):
                 )
             return verdict
 
-        def fix_bound(bound: Bound) -> Bound:
-            dying = [e for e in bound.exprs if doomed(e)]
-            if not dying:
-                return bound
-            exprs = {e for e in bound.exprs if not doomed(e)}
-            exprs |= {
-                alt for alt in cg.equivalents_union(dying) if not doomed(alt)
-            }
-            if not exprs:
-                raise GiveUp(
-                    "a process-set bound could not be re-expressed when its "
-                    "defining namespace was merged away",
-                    code=GIVEUP_PSET_BOUND,
-                )
-            return Bound(exprs)
+        fix_bound = partial(
+            _reexpress,
+            cg=cg,
+            stale=doomed,
+            dropped="namespace " + ", ".join(f"ps{uid}" for uid in doomed_uids),
+        )
 
         def fix_expr(expr: Optional[LinearExpr]) -> Optional[LinearExpr]:
             if expr is None or not doomed(expr):
@@ -1479,6 +1452,29 @@ def _settle_doomed(state: SymbolicState, doomed: Set[str]) -> Set[str]:
                 doomed = doomed.difference(*forms)
                 changed = True
     return doomed
+
+
+def _reexpress(
+    bound: Bound,
+    cg: ConstraintGraph,
+    stale: Callable[[LinearExpr], bool],
+    dropped: str,
+) -> Bound:
+    """``bound`` without its ``stale`` forms: keep the others, add the
+    members of ``cg.equivalents_union`` of the stale ones that are not
+    stale, and give up when no form is left.  ``dropped`` names what the
+    stale forms mention, for the give-up message."""
+    rejected = [e for e in bound.exprs if stale(e)]
+    if not rejected:
+        return bound
+    exprs = {e for e in bound.exprs if not stale(e)}
+    exprs |= {alt for alt in cg.equivalents_union(rejected) if not stale(alt)}
+    if not exprs:
+        raise GiveUp(
+            f"a process-set bound could not be re-expressed without {dropped}",
+            code=GIVEUP_PSET_BOUND,
+        )
+    return Bound(exprs)
 
 
 def _pretty(text: str) -> str:

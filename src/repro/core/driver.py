@@ -64,6 +64,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 from repro.core import diagnostics
 from repro.core.engine import AnalysisResult, EngineLimits
 from repro.core.topology import MatchRecord, StaticTopology
+from repro.faults import plane as faults
 from repro.obs import context, slog
 from repro.obs import recorder as obs
 
@@ -415,7 +416,9 @@ def _pool_call(task: tuple) -> tuple:
     is recording) the call runs under a private recorder and its counter
     snapshot travels home with the value: a forked worker's incrs would
     otherwise land in its inherited copy of the parent recorder and be
-    lost."""
+    lost.  A fork also copies the parent's fault plane, whose counts
+    would never reach the parent's coverage, so the worker drops it."""
+    faults.uninstall()
     fn, item, capture = task
     if not capture:
         return fn(item), None

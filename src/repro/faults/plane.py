@@ -1,21 +1,25 @@
 """Deterministic, seeded cross-layer fault plane.
 
-Every prior robustness mechanism injects faults into *one* layer: the
-chaos suite perturbs the engine, the crash suite SIGKILLs the daemon.
-This module is the shared switchboard those layers (and everything
-between them) register with, so one seeded schedule can misbehave
-anywhere in the pipeline and the invariant harness
-(:mod:`repro.faults.invariants`) can check the end-to-end answer stays
-sound.
+This module is the package's one fault injector: the switchboard every
+layer of the pipeline registers with, so one seeded schedule can
+misbehave anywhere from a client-analysis callback to the HTTP response,
+and the invariant harness (:mod:`repro.faults.invariants`) can check the
+end-to-end answer stays sound.  (The crash suite's SIGKILLs of the
+daemon are the one fault it does not model.)
 
 Design, mirroring :mod:`repro.obs.provenance`:
 
 * **Named injection points** (:data:`CATALOG`) live at trust boundaries:
   disk writes in the checkpointer/cache/journal, cache reads, the
-  daemon's attempt worker, queue and clock, the HTTP response path, and
-  the ``/metrics`` render.  Instrumented code calls
-  :func:`check(point) <check>`; the call answers ``None`` ("behave") or
-  a :class:`PlannedFault` ("misbehave now, like this").
+  daemon's attempt worker, queue and clock, the HTTP response path, the
+  ``/metrics`` render, and the engine's client-callback guard.
+  Instrumented code calls :func:`check(point) <check>`; the call
+  answers ``None`` ("behave") or a :class:`PlannedFault` ("misbehave
+  now, like this").
+* **The client boundary** is ``PCFGEngine._call``, the guard that turns
+  any exception escaping a client callback into a ``CLIENT_FAULT``.  Its
+  ``client.*`` points make a bare client raise :class:`InjectedFault` or
+  answer a :class:`CorruptedState`, so the shipping guard contains them.
 * **Zero cost when disabled**: the process-global plane is ``None`` by
   default and :func:`check` is a single attribute test — production
   code pays one ``is None`` branch per boundary crossing.
@@ -65,7 +69,41 @@ CATALOG: "Dict[str, str]" = {
     "daemon.queue.overflow": "the admission queue reports full",
     "http.client.disconnect": "the HTTP client hangs up before the response",
     "metrics.render.fail": "the /metrics registry render raises mid-scrape",
+    "client.callback.raise": "a guarded client-analysis callback raises",
+    "client.state.corrupt": "a state-returning client callback returns a CorruptedState",
 }
+
+#: the guarded client callbacks whose return value is a client state:
+#: the ones ``client.state.corrupt`` can answer with a
+#: :class:`CorruptedState` instead of calling the client
+STATE_CALLBACKS = frozenset({
+    "initial", "transfer", "buffer_send", "merge_psets", "remove_pset",
+    "rename", "drop_dead", "join", "widen",
+})
+
+
+class InjectedFault(RuntimeError):
+    """What a ``client.*`` fault raises: an exception the engine never
+    expects from a client, so its callback guard must contain it."""
+
+
+class CorruptedState:
+    """A client-state stand-in that raises on any attribute access.
+
+    Models a client bug that returns garbage: the damage surfaces only
+    when a later callback touches the state, far from where it was made.
+    """
+
+    def __init__(self, origin: str):
+        object.__setattr__(self, "_origin", origin)
+
+    def __getattr__(self, name):
+        raise InjectedFault(
+            f"corrupted state (injected at {self._origin!r}) accessed via .{name}"
+        )
+
+    def __repr__(self):
+        return f"<CorruptedState from {self._origin!r}>"
 
 
 @dataclass(frozen=True)
@@ -150,9 +188,11 @@ class FaultPlane:
 
     Thread-safe — daemon worker threads, HTTP request threads, and the
     parent side of process pools all consult the same plane.  Worker
-    *processes* do not inherit a live plane (the module global resets on
-    fork via the schedule being consulted parent-side); process-crossing
-    faults are decided in the parent and shipped with the task.
+    *processes* run without one: a fork copies the live plane, so the
+    daemon's attempt child and the driver's pool workers uninstall it
+    first thing (a child's arrivals would never reach the parent's
+    coverage).  Process-crossing faults are decided in the parent and
+    shipped with the task.
     """
 
     def __init__(self, schedule: FaultSchedule):
@@ -261,4 +301,7 @@ __all__ = [
     "engaged",
     "check",
     "corrupt_bytes",
+    "STATE_CALLBACKS",
+    "InjectedFault",
+    "CorruptedState",
 ]

@@ -291,6 +291,8 @@ def _attempt_child(
     ``stream`` the ladder's progress events are forwarded over the pipe
     as ``("progress", event)`` messages ahead of the reply.  The child
     exits on its own if ``parent_pid``, the daemon, dies first."""
+    # a fork copies the daemon's fault plane: faults are decided parent-side
+    faults.uninstall()
     # a fork inherits the daemon's drain handler; terminate() must end us
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _exit_with_parent(parent_pid)

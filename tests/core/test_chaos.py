@@ -1,11 +1,19 @@
-"""Fault-injection tests: the engine survives a hostile client.
+"""Client faults through the fault plane: the engine survives a hostile client.
 
 Run explicitly with ``pytest tests/core/test_chaos.py -m chaos``; the
-``chaos`` marker keeps these out of the default tier-1 run.  The fault
-schedule is fully determined by the base of ``REPRO_FAULT_SEED`` (env var,
-``<base>[:<case>]``, default 1337) — every assertion message carries the
-offending seed so CI failures reproduce locally with
-``REPRO_FAULT_SEED=<seed> pytest ... -m chaos``.
+``chaos`` marker keeps these out of the default tier-1 run.  The faults
+are the fault plane's two client-boundary points, checked at the engine's
+callback guard (``PCFGEngine._call``) while a bare client runs:
+
+* ``client.callback.raise`` makes a guarded callback raise;
+* ``client.state.corrupt`` makes a state-returning callback answer a
+  :class:`~repro.faults.plane.CorruptedState`, so the damage surfaces in
+  a later callback, far from the fault site.
+
+Each run's schedule is labelled ``<base>:<case>``.  The base is the base
+of ``REPRO_FAULT_SEED`` (env var, ``<base>[:<case>]``, default 1337);
+every assertion message carries the label, and CI failures reproduce
+locally with ``REPRO_FAULT_SEED=<base> pytest ... -m chaos``.
 
 Soundness under faults: an injected fault can only *remove* behavior from
 the exploration (a node falls to ``T`` instead of producing successors),
@@ -19,6 +27,8 @@ termination/no-crash guarantee.)
 
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,14 +37,23 @@ from repro.analyses.simple_symbolic import SimpleSymbolicClient
 from repro.core import diagnostics
 from repro.core.diagnostics import CLIENT_FAULT
 from repro.core.engine import EngineLimits, PCFGEngine
+from repro.faults import plane
+from repro.faults.plane import FaultSchedule, PlannedFault
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
 from repro.obs import provenance
-from tests.core.chaos import ChaosClient, default_seed
 
 pytestmark = pytest.mark.chaos
 
-BASE_SEED = default_seed()
+_FROM_ENV = FaultSchedule.from_env()
+BASE_SEED = int(_FROM_ENV.label.partition(":")[0]) if _FROM_ENV else 1337
+
+RAISE = "client.callback.raise"
+CORRUPT = "client.state.corrupt"
+
+#: arrivals per point a seeded schedule may fire at; every run below
+#: makes fewer guarded callbacks than this
+HORIZON = 1_000
 
 #: full corpus: every program must survive chaos without an exception
 CORPUS = [spec.name for spec in programs.all_specs()]
@@ -68,38 +87,51 @@ def clean_run(name):
     return _CLEAN_CACHE[name]
 
 
-def chaos_run(name, seed, fault_rate=0.08, strict=False, only=None):
+def client_schedule(case, fault_rate):
+    """Schedule ``<BASE_SEED>:<case>``: each of the first HORIZON arrivals
+    at each client point fires with probability ``fault_rate``."""
+    rng = Random(f"repro-client-faults:{BASE_SEED}:{case}")
+    plans = [
+        PlannedFault(point, hit=arrival)
+        for point in (RAISE, CORRUPT)
+        for arrival in range(1, HORIZON + 1)
+        if rng.random() < fault_rate
+    ]
+    return FaultSchedule(plans, label=f"{BASE_SEED}:{case}", focus=RAISE)
+
+
+def chaos_run(name, schedule, strict=False):
+    """Run ``name`` with a bare client under ``schedule``; return the
+    result and the plane, whose coverage says what fired."""
     program = programs.get(name).parse()
     cfg = build_cfg(program)
-    client = ChaosClient(
-        SimpleSymbolicClient(), seed=seed, fault_rate=fault_rate, only=only
-    )
     limits = EngineLimits(max_steps=2_000, strict=strict)
-    result = PCFGEngine(cfg, client, limits).run()
-    return result, client
+    with plane.engaged(schedule) as fault_plane:
+        result = PCFGEngine(cfg, SimpleSymbolicClient(), limits).run()
+    return result, fault_plane
 
 
 def test_chaos_seed_sweep_never_crashes():
-    """No (program, seed) combination makes run() raise — ever."""
+    """No (program, schedule) combination makes run() raise — ever."""
     crashes = []
     for name in CORPUS:
         for offset in range(8):
-            seed = BASE_SEED + offset
+            schedule = client_schedule(offset, fault_rate=0.08)
             try:
-                result, client = chaos_run(name, seed)
+                result, fault_plane = chaos_run(name, schedule)
             except BaseException as exc:  # noqa: BLE001 - the point of the test
-                crashes.append((name, seed, repr(exc)))
+                crashes.append((name, schedule.label, repr(exc)))
                 continue
             assert result.confidence in (
                 diagnostics.EXACT,
                 diagnostics.PARTIAL,
                 diagnostics.GAVE_UP,
-            ), f"REPRO_FAULT_SEED={seed} program={name}: bad confidence"
-            if client.log:
+            ), f"schedule {schedule.label} program={name}: bad confidence"
+            if fault_plane.fired_points():
                 # at least one injected fault: the result must admit it
                 assert result.diagnostics, (
-                    f"REPRO_FAULT_SEED={seed} program={name}: faults injected "
-                    f"{client.log} but result claims no diagnostics"
+                    f"schedule {schedule.label} program={name}: faults injected "
+                    f"{fault_plane.coverage()} but result claims no diagnostics"
                 )
     assert not crashes, (
         f"engine crashed (REPRO_FAULT_SEED base {BASE_SEED}): {crashes}"
@@ -107,18 +139,17 @@ def test_chaos_seed_sweep_never_crashes():
 
 
 def test_chaos_faults_become_client_fault_diagnostics():
-    """Raised injections surface as CLIENT_FAULT with the callback named."""
+    """Injected faults surface as CLIENT_FAULT with the callback named."""
     seen_callbacks = set()
     for offset in range(16):
-        seed = BASE_SEED + offset
-        result, client = chaos_run("exchange_with_root", seed, fault_rate=0.2)
-        raised = [cb for cb, kind in client.log]
-        if not raised:
+        schedule = client_schedule(offset, fault_rate=0.2)
+        result, fault_plane = chaos_run("exchange_with_root", schedule)
+        if not fault_plane.fired_points():
             continue
         faults = [d for d in result.diagnostics if d.code == CLIENT_FAULT]
         assert faults, (
-            f"REPRO_FAULT_SEED={seed}: injected {client.log} but no "
-            f"CLIENT_FAULT diagnostic"
+            f"schedule {schedule.label}: injected {fault_plane.fired_points()} "
+            f"but no CLIENT_FAULT diagnostic"
         )
         seen_callbacks.update(d.callback for d in faults if d.callback)
     # the sweep must actually have exercised the guard on real callbacks
@@ -132,21 +163,23 @@ def test_chaos_faults_become_client_fault_diagnostics():
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    seed=st.integers(min_value=0, max_value=2**16),
+    case=st.integers(min_value=0, max_value=2**16),
     name=st.sampled_from(CLEAN_EXACT),
 )
-def test_chaos_matches_subset_of_clean(seed, name):
+def test_chaos_matches_subset_of_clean(case, name):
     """Soundness under faults: degraded matches never exceed the clean set."""
     clean = clean_run(name)
     assert clean.confidence == diagnostics.EXACT, (
         f"{name} is no longer clean-exact; update CLEAN_EXACT"
     )
-    result, client = chaos_run(name, seed)
+    schedule = client_schedule(case, fault_rate=0.08)
+    result, fault_plane = chaos_run(name, schedule)
     assert set(result.matches) <= set(clean.matches), (
-        f"REPRO_FAULT_SEED={seed} program={name}: degraded run invented matches "
-        f"{set(result.matches) - set(clean.matches)} (faults: {client.log})"
+        f"schedule {schedule.label} program={name}: degraded run invented "
+        f"matches {set(result.matches) - set(clean.matches)} "
+        f"(faults: {fault_plane.fired_points()})"
     )
-    if not client.log:
+    if not fault_plane.fired_points():
         # no fault fired: the run must be byte-for-byte as good as clean
         assert result.confidence == diagnostics.EXACT
         assert set(result.matches) == set(clean.matches)
@@ -156,12 +189,17 @@ def test_chaos_fault_in_initial_gives_up_cleanly():
     """A fault on the very first callback yields gave_up, not a traceback."""
     hit = False
     for offset in range(64):
-        seed = BASE_SEED + offset
-        result, client = chaos_run(
-            "pingpong", seed, fault_rate=1.0, only=["initial"]
+        # a cold run's first guarded callback, and its first
+        # state-returning one, is ``initial``
+        point = Random(f"repro-client-faults:{BASE_SEED}:{offset}").choice(
+            (RAISE, CORRUPT)
         )
+        schedule = FaultSchedule(
+            [PlannedFault(point, hit=1)], label=f"{BASE_SEED}:{offset}", focus=point
+        )
+        result, fault_plane = chaos_run("pingpong", schedule)
         assert result.confidence == diagnostics.GAVE_UP, (
-            f"REPRO_FAULT_SEED={seed}: expected gave_up, got {result.confidence}"
+            f"schedule {schedule.label}: expected gave_up, got {result.confidence}"
         )
         assert result.gave_up
         assert result.diagnostics
@@ -173,21 +211,19 @@ def test_chaos_fault_in_initial_gives_up_cleanly():
 def test_chaos_strict_mode_aborts_on_first_fault():
     """strict=True turns the first injected fault into a global abort."""
     for offset in range(32):
-        seed = BASE_SEED + offset
-        result, client = chaos_run(
-            "exchange_with_root", seed, fault_rate=0.3, strict=True
-        )
-        if not client.log:
+        schedule = client_schedule(offset, fault_rate=0.3)
+        result, fault_plane = chaos_run("exchange_with_root", schedule, strict=True)
+        if not fault_plane.fired_points():
             assert result.confidence == diagnostics.EXACT
             continue
         assert result.confidence == diagnostics.GAVE_UP, (
-            f"REPRO_FAULT_SEED={seed}: strict run degraded instead of aborting"
+            f"schedule {schedule.label}: strict run degraded instead of aborting"
         )
         # abort-on-first: exactly one diagnostic, nothing localized
         assert len(result.diagnostics) == 1
         assert not result.top_nodes
         return
-    pytest.fail("no fault injected across 32 seeds; raise fault_rate")
+    pytest.fail("no fault injected across 32 schedules; raise fault_rate")
 
 
 def test_chaos_diagnostics_carry_resolvable_provenance():
@@ -204,27 +240,28 @@ def test_chaos_diagnostics_carry_resolvable_provenance():
     checked = 0
     for name in ("exchange_with_root", "pingpong", "ring_modular"):
         for offset in range(8):
-            seed = BASE_SEED + offset
+            schedule = client_schedule(offset, fault_rate=0.2)
             with provenance.recording() as prov:
-                result, client = chaos_run(name, seed, fault_rate=0.2)
+                result, fault_plane = chaos_run(name, schedule)
             for diag in result.diagnostics:
                 assert diag.provenance_id is not None, (
-                    f"REPRO_FAULT_SEED={seed} program={name}: diagnostic "
-                    f"{diag.code} has no provenance_id (faults: {client.log})"
+                    f"schedule {schedule.label} program={name}: diagnostic "
+                    f"{diag.code} has no provenance_id "
+                    f"(faults: {fault_plane.fired_points()})"
                 )
                 event = prov.get(diag.provenance_id)
                 assert event is not None, (
-                    f"REPRO_FAULT_SEED={seed} program={name}: provenance_id "
+                    f"schedule {schedule.label} program={name}: provenance_id "
                     f"{diag.provenance_id} does not resolve"
                 )
                 assert event.kind in degradation_kinds, (
-                    f"REPRO_FAULT_SEED={seed} program={name}: {diag.code} links "
-                    f"to a {event.kind!r} event"
+                    f"schedule {schedule.label} program={name}: {diag.code} "
+                    f"links to a {event.kind!r} event"
                 )
                 chain = prov.chain(event.event_id)
                 assert chain[0].kind == "run_start", (
-                    f"REPRO_FAULT_SEED={seed} program={name}: causal chain of "
-                    f"{diag.code} does not reach run_start"
+                    f"schedule {schedule.label} program={name}: causal chain "
+                    f"of {diag.code} does not reach run_start"
                 )
                 checked += 1
     assert checked, "no diagnostics produced across the provenance sweep"
@@ -234,13 +271,11 @@ def test_chaos_corrupted_state_is_contained():
     """CorruptedState damage surfaces later but still lands in diagnostics."""
     corrupted_seen = False
     for offset in range(64):
-        seed = BASE_SEED + offset
-        result, client = chaos_run(
-            "exchange_with_root", seed, fault_rate=0.15
-        )
-        if any(kind == "corrupt" for _, kind in client.log):
+        schedule = client_schedule(offset, fault_rate=0.15)
+        result, fault_plane = chaos_run("exchange_with_root", schedule)
+        if fault_plane.coverage()[CORRUPT]["fired"]:
             corrupted_seen = True
             assert result.diagnostics, (
-                f"REPRO_FAULT_SEED={seed}: corruption injected but no diagnostics"
+                f"schedule {schedule.label}: corruption injected but no diagnostics"
             )
     assert corrupted_seen, "no corruption injected across the sweep"

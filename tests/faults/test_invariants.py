@@ -17,6 +17,9 @@ def test_channel_routing_covers_catalog():
         for name in CATALOG
     }
     assert routed <= {"service", "http", "ckpt", "metrics"}
+    # client faults are judged through the inline daemon -> driver -> engine path
+    for name in ("client.callback.raise", "client.state.corrupt"):
+        assert invariants._channel_for(type("S", (), {"focus": name})()) == "service"
 
 
 #: a sweep case focused on ``daemon.clock.pressure``: a service-channel
@@ -39,13 +42,22 @@ def test_single_ckpt_case_passes(tmp_path):
 
 
 def test_single_metrics_case_passes(tmp_path):
-    """metrics.render.fail is the last catalog point: its case index is
-    len(CATALOG) - 1.  The scrape channel must survive the injected render
-    failure with nothing but parseable 200s."""
+    """The scrape channel must survive the injected render failure with
+    nothing but parseable 200s."""
     case = invariants.run_case(1337, list(CATALOG).index("metrics.render.fail"), tmp_path)
     assert case.channel == "metrics"
     assert case.ok, case.violations
     assert case.coverage["metrics.render.fail"]["fired"] >= 1
+
+
+@pytest.mark.parametrize("point", ["client.callback.raise", "client.state.corrupt"])
+def test_single_client_fault_case_passes(tmp_path, point):
+    """A client fault at the first arrival, judged by the service
+    channel: the answer is exact-or-accounted and sound."""
+    case = invariants.run_case(1337, list(CATALOG).index(point), tmp_path)
+    assert case.channel == "service"
+    assert case.ok, case.violations
+    assert case.coverage[point]["fired"] >= 1
 
 
 def test_report_merges_coverage(tmp_path):

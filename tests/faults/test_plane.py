@@ -7,8 +7,10 @@ import pytest
 from repro.faults import plane
 from repro.faults.plane import (
     CATALOG,
+    CorruptedState,
     FaultPlane,
     FaultSchedule,
+    InjectedFault,
     PlannedFault,
     corrupt_bytes,
 )
@@ -19,6 +21,22 @@ def test_catalog_names_are_scoped():
     # family keys off "<scope>.write.<mode>" in atomic_write_text
     for name in CATALOG:
         assert 2 <= len(name.split(".")) <= 3, name
+
+
+def test_client_points_are_appended_after_the_pipeline_points():
+    # appending keeps every earlier point's rotation index (case k of a
+    # sweep focuses point k mod len(CATALOG))
+    names = list(CATALOG)
+    assert len(names) == 15
+    assert names[12] == "metrics.render.fail"
+    assert names[13:] == ["client.callback.raise", "client.state.corrupt"]
+
+
+def test_corrupted_state_raises_an_injected_fault_on_any_access():
+    state = CorruptedState("transfer")
+    with pytest.raises(InjectedFault, match="injected at 'transfer'"):
+        state.psets
+    assert repr(state) == "<CorruptedState from 'transfer'>"
 
 
 def test_check_is_none_when_disabled():
