@@ -91,12 +91,12 @@ step "fault-smoke: seeded invariant sweep (coverage-gated)" bash -c '
       --require-coverage --report fault-smoke.jsonl
   status=$?
   if [ "$status" -ne 0 ] && [ -f fault-smoke.jsonl ]; then
-    echo "replay failed cases with:"
+    echo "replay failed cases, and cases whose focus never fired, with:"
     python -c "
 import json
 for line in open(\"fault-smoke.jsonl\"):
     doc = json.loads(line)
-    if doc.get(\"ok\") is False:
+    if doc.get(\"ok\") is False or doc.get(\"focus_fired\") is False:
         print(\"  python -m repro faults --replay\", doc[\"label\"])
 "
   fi

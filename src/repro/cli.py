@@ -720,7 +720,8 @@ def build_faults_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--require-coverage", action="store_true",
-        help="also fail if any catalog point never fired across the sweep",
+        help="also fail if any catalog point never fired across the sweep, "
+             "or any case's focus point never fired in that case",
     )
     parser.add_argument(
         "--state-root", metavar="DIR", default=None,
@@ -792,19 +793,26 @@ def faults_main(argv) -> int:
 
     failures = report.failures
     unexercised = report.unexercised()
+    unfired = report.unfired_foci
     print(
         f"{len(report.cases)} case(s): {len(report.cases) - len(failures)} ok, "
         f"{len(failures)} failed; "
-        f"{len(CATALOG) - len(unexercised)}/{len(CATALOG)} fault points fired"
+        f"{len(CATALOG) - len(unexercised)}/{len(CATALOG)} fault points fired; "
+        f"{len(unfired)} case(s) never fired their focus"
     )
     if unexercised:
         print(f"never fired: {', '.join(unexercised)}")
+    for case_result in unfired:
+        print(f"focus never fired: case {case_result.case} ({case_result.focus})")
     for case_result in failures:
         print(f"replay with: REPRO_FAULT_SEED={case_result.label}")
     if failures:
         return 1
     if args.require_coverage and unexercised and not args.replay:
         print("error: --require-coverage set and some points never fired")
+        return 1
+    if args.require_coverage and unfired:
+        print("error: --require-coverage set and some cases never fired their focus")
         return 1
     return 0
 

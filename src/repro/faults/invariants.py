@@ -96,6 +96,11 @@ class CaseResult:
         self.ok = False
         self.violations.append(f"{invariant}: {detail}")
 
+    @property
+    def focus_fired(self) -> bool:
+        """Whether the point this case exists to test ever fired."""
+        return self.coverage.get(self.focus, {}).get("fired", 0) > 0
+
     def to_json(self) -> dict:
         return {
             "case": self.case,
@@ -103,6 +108,7 @@ class CaseResult:
             "focus": self.focus,
             "channel": self.channel,
             "ok": self.ok,
+            "focus_fired": self.focus_fired,
             "violations": self.violations,
         }
 
@@ -133,6 +139,11 @@ class SweepReport:
             if cell["fired"] == 0
         ]
 
+    @property
+    def unfired_foci(self) -> List[CaseResult]:
+        """Cases that tested nothing of their focus: it never fired."""
+        return [case for case in self.cases if not case.focus_fired]
+
     def summary(self) -> dict:
         return {
             "base_seed": self.base_seed,
@@ -142,6 +153,7 @@ class SweepReport:
                 f"REPRO_FAULT_SEED={case.label}" for case in self.failures
             ],
             "unexercised_points": self.unexercised(),
+            "unfired_focus": [case.label for case in self.unfired_foci],
             "coverage": self.merged_coverage(),
         }
 
@@ -520,6 +532,12 @@ def _run_http_case(state_dir: Path, programs, case: CaseResult) -> None:
     _check_cache_integrity(state_dir, case)
 
 
+def _disconnects_fired() -> int:
+    """How often the armed plane has torn an HTTP response so far."""
+    active = plane.active()
+    return active.coverage()["http.client.disconnect"]["fired"] if active else 0
+
+
 def _run_metrics_case(state_dir: Path, programs, case: CaseResult) -> None:
     """Metrics channel: scrape ``/metrics`` while the fault plane injects
     render failures mid-scrape.  The invariants: every scrape answers 200
@@ -548,20 +566,18 @@ def _run_metrics_case(state_dir: Path, programs, case: CaseResult) -> None:
         except Exception as exc:
             case.fail("service-answers", f"submit raised {exc!r}")
         for attempt in range(4):
+            torn = _disconnects_fired()
             try:
                 with urllib.request.urlopen(base + "/metrics", timeout=5.0) as resp:
                     code, text = resp.status, resp.read().decode("utf-8")
             except urllib.error.HTTPError as exc:
-                case.fail(
-                    "metrics-scrape",
-                    f"scrape {attempt}: HTTP {exc.code} (must always be 200)",
-                )
-                continue
+                code, text = exc.code, f"HTTP {exc.code} (must always be 200)"
             except (OSError, http.client.HTTPException) as exc:
-                case.fail("metrics-scrape", f"scrape {attempt}: {exc!r}")
-                continue
+                code, text = 0, repr(exc)
+            if _disconnects_fired() > torn:
+                continue  # an extra http.client.disconnect tore this scrape
             if code != 200:
-                case.fail("metrics-scrape", f"scrape {attempt}: status {code}")
+                case.fail("metrics-scrape", f"scrape {attempt}: {text}")
                 continue
             problems = metrics_mod.validate_exposition(text)
             if problems:

@@ -141,11 +141,15 @@ class FaultSchedule:
         firing on its first arrival — guarantees a full sweep rotation
         exercises every registered point.  A seeded 0-2 extra faults land
         on other points at later arrivals, so cases also probe fault
-        *combinations*, not just singletons.
+        *combinations*, not just singletons.  Extras are drawn from the
+        ``client.*`` points only when the focus is one: a client fault
+        can end an engine run before the focus point is ever reached.
         """
         names = list(CATALOG)
         rng = Random(f"repro-faults:{base_seed}:{case_index}")
         focus = names[case_index % len(names)]
+        client = focus.startswith("client.")
+        extras = [name for name in names if client or not name.startswith("client.")]
         plans = [
             PlannedFault(
                 point=focus,
@@ -155,7 +159,7 @@ class FaultSchedule:
             )
         ]
         for _ in range(rng.randrange(3)):
-            extra = rng.choice(names)
+            extra = rng.choice(extras)
             plans.append(
                 PlannedFault(
                     point=extra,

@@ -8,10 +8,12 @@ robustness property lives here so it can be tested without sockets.
 Life of a job
 -------------
 
-1. **Admission** (:meth:`AnalysisService.submit`): parse the program
-   (a parse error is the client's bug — rejected immediately, never
-   queued), clamp the requested budgets to the tenant's QoS envelope,
-   compute the content-addressed cache key.  A cache hit returns the
+1. **Admission** (:meth:`AnalysisService.submit`): on a text's first
+   sighting, parse the program (a parse error is the client's bug —
+   rejected immediately, never queued) and fingerprint its CFG; a text
+   seen before is found by its digest and not parsed again.  Clamp the
+   requested budgets to the tenant's QoS envelope and compute the
+   content-addressed cache key.  A cache hit returns the
    stored result in O(1) without touching the queue.  A key already
    queued/running *coalesces*: the duplicate attaches to the in-flight
    job instead of doubling the work.  Otherwise admission is
@@ -47,6 +49,7 @@ records stay addressable, and the journal is compacted.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import queue
@@ -55,10 +58,13 @@ import signal
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+# loaded here, not in the last rung, so a forked attempt imports nothing
+from repro.baselines import mpi_cfg  # noqa: F401
 from repro.core.checkpoint import cfg_fingerprint
 from repro.core.driver import (
     analyze_with_fallback,
@@ -86,7 +92,8 @@ RETRY_AFTER_SEC = 1
 #: extra seconds on top of the ladder's worst-case deadline before the
 #: watchdog declares an attempt hung
 TIMEOUT_GRACE_SEC = 5.0
-#: result-cache entries held in memory (the disk keeps the rest)
+#: result-cache entries held in memory (the disk keeps the rest); also
+#: the bound of the admitted-text digest map
 CACHE_ENTRIES = 4096
 
 
@@ -344,6 +351,9 @@ class AnalysisService:
         #: cache key -> in-flight job, for request coalescing
         self._inflight: Dict[str, Job] = {}
         self._lock = threading.Lock()
+        #: SHA-256 of an admitted program text -> its CFG fingerprint, LRU
+        self._fingerprints: "OrderedDict[bytes, str]" = OrderedDict()
+        self._fingerprints_lock = threading.Lock()
         self._draining = threading.Event()
         self._stopped = threading.Event()
         self._threads: List[threading.Thread] = []
@@ -487,10 +497,26 @@ class AnalysisService:
         )
 
     def _admission_identity(self, request: AnalyzeRequest) -> Tuple[str, EngineLimits]:
-        """Parse + fingerprint + key.  Raises ParseError for client bugs."""
-        program = parse(request.program)
-        cfg = build_cfg(program)
-        cfg_fp = cfg_fingerprint(cfg)
+        """Fingerprint + key.  Raises ParseError for client bugs.
+
+        The key is a pure function of the text's CFG fingerprint and the
+        limits, so a text admitted before is keyed from the fingerprint
+        remembered under its digest; only a first sighting parses.  A
+        text that fails to parse is never remembered.
+        """
+        # surrogatepass: JSON can decode to a lone surrogate, which the
+        # parser rejects; the digest must not raise first
+        digest = hashlib.sha256(request.program.encode("utf-8", "surrogatepass")).digest()
+        with self._fingerprints_lock:
+            cfg_fp = self._fingerprints.get(digest)
+            if cfg_fp is not None:
+                self._fingerprints.move_to_end(digest)
+        if cfg_fp is None:
+            cfg_fp = cfg_fingerprint(build_cfg(parse(request.program)))
+            with self._fingerprints_lock:
+                self._fingerprints[digest] = cfg_fp
+                while len(self._fingerprints) > CACHE_ENTRIES:
+                    self._fingerprints.popitem(last=False)
         limits = self.effective_limits(request)
         key = compute_key(cfg_fp, DEFAULT_LADDER_ID, limits)
         return key, limits

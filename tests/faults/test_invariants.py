@@ -3,8 +3,11 @@ seeded sweep (fault_slow)."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro.cli import faults_main
 from repro.faults import invariants
 from repro.faults.plane import CATALOG
 
@@ -50,6 +53,16 @@ def test_single_metrics_case_passes(tmp_path):
     assert case.coverage["metrics.render.fail"]["fired"] >= 1
 
 
+def test_metrics_case_does_not_judge_a_scrape_its_extra_tore(tmp_path):
+    """Case 162 of seed 1337 adds an ``http.client.disconnect`` extra to
+    a metrics case: the torn scrape is that fault, not a metrics defect."""
+    case = invariants.run_case(1337, 162, tmp_path)
+    assert case.channel == "metrics"
+    assert case.coverage["http.client.disconnect"]["fired"] >= 1
+    assert case.ok, case.violations
+    assert case.focus_fired
+
+
 @pytest.mark.parametrize("point", ["client.callback.raise", "client.state.corrupt"])
 def test_single_client_fault_case_passes(tmp_path, point):
     """A client fault at the first arrival, judged by the service
@@ -70,12 +83,43 @@ def test_report_merges_coverage(tmp_path):
     assert report.summary()["failures"] == 0
 
 
+def test_replayed_ckpt_case_fires_its_focus(tmp_path):
+    """Case 2 of seed 1337 is focused on a torn checkpoint write; a
+    client-fault extra must not end its engine run before that write."""
+    report = tmp_path / "report.jsonl"
+    code = faults_main([
+        "--replay", "1337:2", "--require-coverage", "--report", str(report),
+        "--state-root", str(tmp_path / "state"),
+    ])
+    assert code == 0
+    case = json.loads(report.read_text().splitlines()[0])
+    assert case["focus"] == "ckpt.write.torn"
+    assert case["focus_fired"] is True
+
+
+def test_require_coverage_fails_a_case_whose_focus_never_fired(tmp_path, monkeypatch, capsys):
+    def unfired(base_seed, case_index, state_root):
+        return invariants.CaseResult(
+            case=case_index, label=f"{base_seed}:{case_index}",
+            focus="ckpt.write.torn", channel="ckpt",
+            coverage={"ckpt.write.torn": {"hits": 0, "fired": 0}},
+        )
+
+    monkeypatch.setattr(invariants, "run_case", unfired)
+    argv = ["--replay", "1337:2", "--state-root", str(tmp_path)]
+    assert faults_main(argv) == 0  # counted, but only the gate fails it
+    assert "1 case(s) never fired their focus" in capsys.readouterr().out
+    assert faults_main(argv + ["--require-coverage"]) == 1
+    assert "focus never fired: case 2 (ckpt.write.torn)" in capsys.readouterr().out
+
+
 @pytest.mark.fault_slow
 def test_full_sweep_two_rotations(tmp_path):
     """Two full catalog rotations: every point fires, zero violations."""
     report = invariants.run_sweep(1337, 2 * len(CATALOG), tmp_path)
     assert report.failures == [], [c.violations for c in report.failures]
     assert report.unexercised() == []
+    assert report.unfired_foci == []
 
 
 @pytest.mark.fault_slow
@@ -87,3 +131,4 @@ def test_acceptance_sweep_200_cases(tmp_path):
         (c.label, c.violations) for c in report.failures
     ]
     assert report.unexercised() == []
+    assert [c.label for c in report.unfired_foci] == []

@@ -78,6 +78,16 @@ def test_schedule_rotation_covers_catalog():
     assert focuses == set(CATALOG)
 
 
+def test_extras_skip_client_points_unless_the_focus_is_one():
+    """A client fault can end an engine run before a checkpoint write, so
+    it must not ride as an extra on a case whose focus is elsewhere."""
+    for case in range(60):
+        schedule = FaultSchedule.for_case(1337, case)
+        if not schedule.focus.startswith("client."):
+            extras = [plan.point for plan in schedule.plans[1:]]
+            assert not any(point.startswith("client.") for point in extras), schedule.label
+
+
 def test_from_env_parses_base_and_case(monkeypatch):
     monkeypatch.setenv(plane.SEED_ENV, "42:3")
     schedule = FaultSchedule.from_env()

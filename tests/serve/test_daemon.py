@@ -5,15 +5,27 @@ in-process (inline-isolation) service, no sockets."""
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.core.checkpoint import cfg_fingerprint
 from repro.core.driver import default_ladder, worst_case_runs
 from repro.core.engine import EngineLimits
-from repro.corpus.generator import generate
+from repro.corpus.generator import generate, seed_stream
+from repro.lang import parse, programs
+from repro.lang.cfg import build_cfg
 from repro.obs import recorder as obs
+from repro.serve import daemon
+from repro.serve.cache import compute_key
 from repro.serve.daemon import (
+    DEFAULT_LADDER_ID,
     TIMEOUT_GRACE_SEC,
     AnalysisService,
     AnalyzeRequest,
@@ -98,6 +110,188 @@ class TestSubmit:
             assert first.wait(30)
         finally:
             service.stop()
+
+
+def _full_path_key(service: AnalysisService, request: AnalyzeRequest) -> str:
+    """The key from a full parse, CFG build and fingerprint of the text."""
+    cfg_fp = cfg_fingerprint(build_cfg(parse(request.program)))
+    return compute_key(cfg_fp, DEFAULT_LADDER_ID, service.effective_limits(request))
+
+
+def _count_parses(monkeypatch) -> list:
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return parse(source)
+
+    monkeypatch.setattr(daemon, "parse", counted)
+    return calls
+
+
+class TestAdmissionDigests:
+    """Admission remembers each parsed text's CFG fingerprint under the
+    text's SHA-256, so a repeat is keyed without any program work."""
+
+    def test_resubmission_hits_without_program_work(self, service, monkeypatch):
+        request = AnalyzeRequest(program=_program(31))
+        status, job = service.submit(request)
+        assert status == "accepted" and job.wait(30)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a repeat must not redo program work")
+
+        for name in ("parse", "build_cfg", "cfg_fingerprint"):
+            monkeypatch.setattr(daemon, name, refuse)
+        status, result = service.submit(request)
+        assert status == "hit"
+        assert result == job.result
+
+    @pytest.mark.parametrize("body", [
+        '{"program": "this is not MPL ((("}',
+        '{"program": "x = 1\\ud800"}',  # JSON decodes it to a lone surrogate
+    ])
+    def test_unparseable_text_is_rejected_every_time(self, service, monkeypatch, body):
+        request = AnalyzeRequest.from_json(json.loads(body))
+        parses = _count_parses(monkeypatch)
+        for _ in range(3):
+            status, message = service.submit(request)
+            assert status == "rejected" and "parse error" in message
+        assert len(parses) == 3  # never remembered: each submission parses
+        assert len(service._fingerprints) == 0
+
+    def test_whitespace_variant_parses_and_hits_the_same_key(self, service, monkeypatch):
+        source = _program(32)
+        status, job = service.submit(AnalyzeRequest(program=source))
+        assert status == "accepted" and job.wait(30)
+        parses = _count_parses(monkeypatch)
+        variant = AnalyzeRequest(program="\n" + source.replace("\n", "\n\n") + "\n")
+        status, result = service.submit(variant)
+        assert status == "hit" and result == job.result
+        assert parses == [variant.program]
+        assert service._admission_identity(variant)[0] == job.key
+        assert len(parses) == 1
+
+    def test_tenants_with_different_budgets_get_different_keys(self, tmp_path):
+        service = _service(tmp_path, tenants={
+            "default": TenantBudget(),
+            "small": TenantBudget(name="small", deadline_sec=2.0, max_steps=100),
+        })
+        try:
+            source = _program(33)
+            wide = AnalyzeRequest(program=source)
+            small = AnalyzeRequest(program=source, tenant="small")
+            status, job = service.submit(wide)
+            assert status == "accepted" and job.wait(30)
+            key_wide, _ = service._admission_identity(wide)
+            key_small, limits = service._admission_identity(small)
+            assert key_wide != key_small
+            assert limits.max_steps == 100
+            assert key_small == _full_path_key(service, small)
+            assert service.submit(small)[0] == "accepted"
+        finally:
+            service.stop()
+
+    def test_map_evicts_its_oldest_entry(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(daemon, "CACHE_ENTRIES", 2)
+        service = _service(tmp_path)
+        try:
+            first, second, third = (AnalyzeRequest(program=_program(seed))
+                                    for seed in (34, 35, 36))
+            # a repeat of ``first`` makes ``second`` the least recently used
+            for request in (first, second, first, third):
+                service._admission_identity(request)
+            assert len(service._fingerprints) == 2
+            parses = _count_parses(monkeypatch)
+            service._admission_identity(first)
+            service._admission_identity(third)
+            assert parses == []
+            service._admission_identity(second)
+            assert parses == [second.program]
+        finally:
+            service.stop()
+
+    def test_concurrent_admissions_keep_keys_and_bound(self, tmp_path, monkeypatch):
+        """Handler threads share the map: a hit racing an eviction of the
+        same entry must neither raise nor return a wrong key."""
+        monkeypatch.setattr(daemon, "CACHE_ENTRIES", 3)
+        service = _service(tmp_path)
+        requests = [AnalyzeRequest(program=f"x = {value}") for value in range(5)]
+        expected = [_full_path_key(service, request) for request in requests]
+        errors = []
+
+        def admit(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(1500):
+                    index = rng.randrange(len(requests))
+                    key, _ = service._admission_identity(requests[index])
+                    if key != expected[index]:
+                        errors.append(f"wrong key for text {index}")
+            except Exception as exc:  # a race surfaces here
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=admit, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            service.stop()
+        assert errors == []
+        assert len(service._fingerprints) <= 3
+
+    def test_remembered_key_equals_the_full_path_key(self, service):
+        sources = [spec.source for spec in programs.all_specs()]
+        sources += [generate(seed).source for seed in seed_stream(4242, 100)]
+        assert len(sources) == 118
+        for source in sources:
+            request = AnalyzeRequest(program=source)
+            expected = _full_path_key(service, request)
+            assert service._admission_identity(request)[0] == expected  # first sighting
+            assert service._admission_identity(request)[0] == expected  # remembered
+
+
+#: forks one attempt on ``ring_modular`` (it answers at ``mpi-cfg``) in a
+#: fresh interpreter and prints the rung and the ``repro`` modules the
+#: child imported
+_FORKED_ATTEMPT = """
+import json, os, sys
+import repro.serve.daemon as daemon
+from repro.core.engine import EngineLimits
+from repro.lang import programs
+source = programs.get("ring_modular").source
+before = set(sys.modules)
+read_end, write_end = os.pipe()
+pid = os.fork()
+if pid == 0:
+    rendered, _ = daemon._attempt(source, EngineLimits(), "default")
+    added = sorted(name for name in set(sys.modules) - before if name.startswith("repro"))
+    os.write(write_end, json.dumps([rendered["rung"], added]).encode())
+    os._exit(0)
+os.close(write_end)
+with os.fdopen(read_end, "rb") as reply:
+    print(reply.read().decode())
+os.waitpid(pid, 0)
+"""
+
+
+def test_forked_attempt_imports_nothing():
+    root = Path(__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-c", _FORKED_ATTEMPT],
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rung, added = json.loads(done.stdout)
+    assert rung == "mpi-cfg"
+    assert added == []
 
 
 class TestQoS:
