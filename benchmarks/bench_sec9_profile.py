@@ -25,15 +25,14 @@ from pathlib import Path
 from benchmarks.conftest import header
 from repro import analyze, programs
 from repro.analyses.simple_symbolic import SimpleSymbolicClient
-from repro.cgraph.stats import ClosureStats
-from repro.obs import Profile, profile_program
+from repro.obs import Profile, build_profile, profile_program, recording
 
 
 def _profiled_run(naive: bool) -> Profile:
     """One profiled analysis of the fan-out broadcast, via the obs layer.
 
     Returns the :class:`Profile` the ``repro profile`` CLI would produce;
-    its ClosureStats-compatible accessors keep the table code below intact.
+    its closure accessors feed the table below.
     """
     profile, result = profile_program(programs.get("broadcast_fanout"), naive=naive)
     assert not result.gave_up
@@ -99,14 +98,15 @@ def test_sec9_corpus_aggregate(emit):
     ]
     modes = {}
     for naive in (True, False):
-        stats = ClosureStats()
-        start = time.perf_counter()
-        for name in names:
-            client = SimpleSymbolicClient(stats=stats, naive_closure=naive)
-            result, _, _ = analyze(programs.get(name), client)
-            assert not result.gave_up, name
-        stats.total_time = time.perf_counter() - start
-        modes[naive] = stats
+        with recording() as recorder:
+            start = time.perf_counter()
+            for name in names:
+                client = SimpleSymbolicClient(naive_closure=naive)
+                result, _, _ = analyze(programs.get(name), client)
+                assert not result.gave_up, name
+            total = time.perf_counter() - start
+        mode = "naive" if naive else "optimized"
+        modes[naive] = build_profile("corpus", mode, total, recorder)
     naive, optimized = modes[True], modes[False]
     emit(
         header("E8b — corpus-aggregate closure counts"),

@@ -90,7 +90,6 @@ if str(SRC) not in sys.path:
 
 from repro import analyze, programs  # noqa: E402
 from repro.analyses.constprop import propagate_constants  # noqa: E402
-from repro.cgraph.stats import reset_global_stats  # noqa: E402
 from repro.core.checkpoint import Checkpointer  # noqa: E402
 from repro.core.driver import analyze_batch  # noqa: E402
 from repro.corpus.generator import generate, seed_stream  # noqa: E402
@@ -118,10 +117,8 @@ TIMED_RUNS = 5
 
 
 def _reset() -> None:
-    """Per-run isolation: closure stats, obs recorder, and provenance."""
-    reset_global_stats()
+    """Per-run isolation: the obs recorder and context (provenance too)."""
     obs_recorder.reset()
-    provenance.reset()
     # collect garbage left by the previous run so a collection triggered by
     # an earlier workload's debris never lands inside a timed window
     gc.collect()
@@ -360,8 +357,7 @@ def measure_provenance_overhead() -> dict:
                     workload()
 
             def spill_run(workload=workload, spill_path=spill_path):
-                # fresh journal per run so the file never grows unboundedly
-                spill_path.write_text("")
+                # each recorder truncates its spill file: a fresh journal per run
                 with provenance.recording(
                     capacity=PROV_SPILL_CAPACITY, spill_path=str(spill_path)
                 ):

@@ -34,7 +34,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cgraph.constraint_graph import ConstraintGraph, edge_diff
 from repro.cgraph.namespaces import GLOBALS, qualify
-from repro.cgraph.stats import ClosureStats
 from repro.core.client import (
     Alternatives,
     ClientAnalysis,
@@ -61,7 +60,7 @@ from repro.lang.ast import (
     Var,
 )
 from repro.lang.cfg import CFGNode, NodeKind
-from repro.obs import provenance
+from repro.obs import context
 from repro.obs import recorder as obs
 from repro.procset.interval import Bound, ProcSet, SymRange
 
@@ -140,7 +139,6 @@ class SimpleSymbolicClient(ClientAnalysis):
         min_np: int = 4,
         buffering: bool = True,
         max_pendings: int = 4,
-        stats: Optional[ClosureStats] = None,
         ambiguity_depth: int = 3,
         naive_closure: bool = False,
         naive_copy: bool = False,
@@ -148,7 +146,6 @@ class SimpleSymbolicClient(ClientAnalysis):
         self.min_np = min_np
         self.buffering = buffering
         self.max_pendings = max_pendings
-        self.stats = stats
         self.ambiguity_depth = ambiguity_depth
         #: Section IX ablation: re-close the constraint graph on every query
         self.naive_closure = naive_closure
@@ -172,11 +169,7 @@ class SimpleSymbolicClient(ClientAnalysis):
     # ------------------------------------------------------------------ basics
 
     def initial(self) -> SymbolicState:
-        cg = ConstraintGraph(
-            self.stats,
-            naive_closure=self.naive_closure,
-            naive_copy=self.naive_copy,
-        )
+        cg = ConstraintGraph(self.naive_closure, self.naive_copy)
         cg.add_lower("np", self.min_np)
         id0 = qualify(0, "id")
         cg.add_lower(id0, 0)
@@ -271,7 +264,7 @@ class SimpleSymbolicClient(ClientAnalysis):
             expr = self.affine(node.stmt.value, entry.uid)
             value = state.cg.eval_const(expr) if expr is not None else None
             self.print_observations.setdefault(node.node_id, set()).add(value)
-            if provenance.enabled():
+            if context.current().provenance is not None:
                 self._last_print = (node.node_id, value)
             return state
         if node.kind == NodeKind.ASSERT:
@@ -603,7 +596,7 @@ class SimpleSymbolicClient(ClientAnalysis):
     # ------------------------------------------------------------------ matching
 
     def try_match(self, state, locs, blocked, cfg) -> List[MatchResult]:
-        self._match_trace = [] if provenance.enabled() else None
+        self._match_trace = [] if context.current().provenance is not None else None
         return self._match_search(state, locs, cfg, self.ambiguity_depth)
 
     def match_explanation(self):

@@ -10,8 +10,9 @@ Process-set namespaces: each process set owns a private copy of every
 variable (including ``id``); helpers in :mod:`repro.cgraph.namespaces`
 qualify, copy, rename and drop whole namespaces as sets split and merge.
 
-Instrumentation: every transitive closure records its cost in
-:class:`~repro.cgraph.stats.ClosureStats`, reproducing the Section IX
+Instrumentation: every transitive closure and copy-on-write event reports
+to :mod:`repro.obs` (``cgraph.closure.*``, ``cgraph.cow.*``);
+:func:`repro.obs.profile.build_profile` folds those into the Section IX
 performance profile (closure counts, average variable counts, closure time
 share).
 """
@@ -25,14 +26,10 @@ from repro.cgraph.namespaces import (
     rename_namespace,
     unqualify,
 )
-from repro.cgraph.stats import ClosureStats, global_stats, reset_global_stats
 
 __all__ = [
     "ConstraintGraph",
     "INF",
-    "ClosureStats",
-    "global_stats",
-    "reset_global_stats",
     "qualify",
     "unqualify",
     "namespace_of",

@@ -8,12 +8,14 @@ Section VII-A state analysis.
 
 Consistency is maintained by transitive closure (Floyd–Warshall, O(n^3)),
 by an incremental single-constraint update (O(n^2)), or by the closed form
-of a client update; all are instrumented through :mod:`repro.cgraph.stats`
-because reproducing the paper's Section IX profile requires counting
-exactly these operations.  A graph that is closed stays closed through the
-client's own updates: an asserted inequality goes through the incremental
-update, a namespace copy onto fresh names and the binding ``x := y + c``
-write the closed matrix directly, and folding one namespace into another
+of a client update; each reports to :mod:`repro.obs` (a
+``cgraph.closure.{full,incremental}`` span plus the ``.calls`` counter
+and the ``.vars``/``.time`` histograms) because reproducing the paper's
+Section IX profile requires counting exactly these operations.  A graph
+that is closed stays closed through the client's own updates: an
+asserted inequality goes through the incremental update, a namespace
+copy onto fresh names and the binding ``x := y + c`` write the closed
+matrix directly, and folding one namespace into another
 (:meth:`ConstraintGraph.fold_namespace`, two process sets merging) reads
 the closed matrix once into a closed result.  Each yields the matrix that
 the slower path it replaces would, so the full closure runs only on
@@ -48,7 +50,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.cgraph.namespaces import namespace_prefix
-from repro.cgraph.stats import ClosureStats, global_stats, timed
 from repro.expr.linear import LinearExpr
 from repro.obs import recorder as _obs
 
@@ -62,6 +63,14 @@ INF = None
 #: implied constraints: queries treat it as closed (re-closing could undo
 #: the widening), but the closed-form updates close it first
 _WIDENED = "widened"
+
+
+def _record_closure(kind: str, num_vars: int, span) -> None:
+    """Record one ``kind`` closure ("full" or "incremental") over
+    ``num_vars`` variables, timed by its ``cgraph.closure.<kind>`` span."""
+    _obs.incr(f"cgraph.closure.{kind}.calls")
+    _obs.observe(f"cgraph.closure.{kind}.vars", num_vars)
+    _obs.observe(f"cgraph.closure.{kind}.time", span.elapsed)
 
 
 def clear_closure_caches() -> None:
@@ -79,12 +88,7 @@ class ConstraintGraph:
     arise from contradictory constraints and absorb all further additions.
     """
 
-    def __init__(
-        self,
-        stats: Optional[ClosureStats] = None,
-        naive_closure: bool = False,
-        naive_copy: bool = False,
-    ):
+    def __init__(self, naive_closure: bool = False, naive_copy: bool = False):
         # _bound[x][y] = c  <=>  y <= x + c  (edge x --c--> y)
         self._bound: Dict[str, Dict[str, int]] = {ZERO: {}}
         #: True (closed), False (edges added since the last closure) or
@@ -103,7 +107,6 @@ class ConstraintGraph:
         #: :meth:`equivalents` answer per queried expression, with the
         #: lifecycle of ``_classes``
         self._equivalents: Dict[LinearExpr, FrozenSet[LinearExpr]] = {}
-        self._stats = stats if stats is not None else global_stats()
         #: ablation switch reproducing the paper's prototype cost profile:
         #: re-run the full O(n^3) closure before every query instead of
         #: tracking closedness (Section IX's dominant cost)
@@ -133,7 +136,7 @@ class ConstraintGraph:
         if self._shared:
             self._bound = {src: dict(dsts) for src, dsts in self._bound.items()}
             self._shared = False
-            self._stats.record_cow_materialization()
+            _obs.incr("cgraph.cow.materializations")
 
     def _invalidate(self) -> None:
         """Constraint set changed: drop fingerprint, equality classes and
@@ -216,15 +219,13 @@ class ConstraintGraph:
     # -- basics ---------------------------------------------------------------
 
     def copy(self) -> "ConstraintGraph":
-        """Copy sharing the stats sink.
+        """A copy of this graph.
 
         Copy-on-write by default: the bound matrix is shared until either
         side mutates.  With ``naive_copy`` the pre-PR-2 eager deep copy is
         performed instead.
         """
-        clone = ConstraintGraph(
-            self._stats, self.naive_closure, naive_copy=self.naive_copy
-        )
+        clone = ConstraintGraph(self.naive_closure, self.naive_copy)
         if self.naive_copy:
             clone._bound = {src: dict(dsts) for src, dsts in self._bound.items()}
         else:
@@ -234,7 +235,7 @@ class ConstraintGraph:
             clone._fingerprint = self._fingerprint
             clone._classes = self._classes
             clone._equivalents = self._equivalents
-            self._stats.record_cow_share()
+            _obs.incr("cgraph.cow.shares")
         clone._closed = self._closed
         clone._infeasible = self._infeasible
         return clone
@@ -373,9 +374,9 @@ class ConstraintGraph:
         names = [ZERO] + sorted(self.variables())
         index = {name: i for i, name in enumerate(names)}
         n = len(names)
-        with _obs.span("cgraph.closure.full"), timed() as clock:
+        with _obs.span("cgraph.closure.full") as span:
             bound, infeasible = self._floyd_warshall(names, index, n)
-        self._stats.record_full(n - 1, clock.elapsed)
+        _record_closure("full", n - 1, span)
         self._bound = bound
         self._shared = False
         self._infeasible = self._infeasible or infeasible
@@ -436,7 +437,7 @@ class ConstraintGraph:
             return
         self.add_var(x)
         self.add_var(y)
-        with _obs.span("cgraph.closure.incremental"), timed() as clock:
+        with _obs.span("cgraph.closure.incremental") as span:
             existing = self._bound[x].get(y)
             if x == y:
                 if c < 0:
@@ -463,7 +464,7 @@ class ConstraintGraph:
                             row[v] = total
         if self._closed is not _WIDENED:
             self._closed = True
-        self._stats.record_incremental(len(self._bound) - 1, clock.elapsed)
+        _record_closure("incremental", len(self._bound) - 1, span)
 
     # -- queries ---------------------------------------------------------------
 
@@ -729,7 +730,7 @@ class ConstraintGraph:
         self._ensure_closed()
         if self._closed is not True or self._infeasible:
             return self
-        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
+        result = ConstraintGraph(self.naive_closure, self.naive_copy)
         bound = result._bound = {}
         for src, dsts in self._bound.items():
             if src not in names:
@@ -783,7 +784,7 @@ class ConstraintGraph:
         ``target`` in a closed graph: the target's row and column are the
         base's, shifted by ``offset``.  O(n); equals the two incremental
         closures it replaces."""
-        with _obs.span("cgraph.closure.incremental"), timed() as clock:
+        with _obs.span("cgraph.closure.incremental") as span:
             self._materialize()
             self._invalidate()
             bound = self._bound
@@ -795,7 +796,7 @@ class ConstraintGraph:
                     dsts[target] = c + offset
             bound[base][target] = offset
             bound[target] = row
-        self._stats.record_incremental(len(bound) - 1, clock.elapsed)
+        _record_closure("incremental", len(bound) - 1, span)
 
     def rename(self, mapping: Mapping[str, str]) -> None:
         """Rename variables (used when process-set ids change)."""
@@ -858,7 +859,7 @@ class ConstraintGraph:
         ``(m(s), t)`` and ``(s, m(t))`` are both the minimum over ``o`` of
         ``bound[s][o] + bound[o][t]``.  O(|S|^2 n).
         """
-        with _obs.span("cgraph.closure.incremental"), timed() as clock:
+        with _obs.span("cgraph.closure.incremental") as span:
             self._materialize()
             self._invalidate()
             bound = self._bound
@@ -891,7 +892,7 @@ class ConstraintGraph:
                         source_row[mapping[t]] = best
             for name in mapping.values():
                 bound.setdefault(name, {})
-        self._stats.record_incremental(len(bound) - 1, clock.elapsed)
+        _record_closure("incremental", len(bound) - 1, span)
 
     def fold_namespace(self, survivor: object, doomed: object) -> "ConstraintGraph":
         """The namespaces of two merged process sets folded into one.
@@ -919,7 +920,7 @@ class ConstraintGraph:
         for name in bound:
             if name.startswith(drop):
                 sigma.setdefault(keep + name[len(drop):], name)
-        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
+        result = ConstraintGraph(self.naive_closure, self.naive_copy)
         rows = result._bound = {}
         for u, sigma_u in sigma.items():
             row = rows[u] = {}
@@ -946,7 +947,7 @@ class ConstraintGraph:
             return other.copy()
         if other._infeasible:
             return self.copy()
-        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
+        result = ConstraintGraph(self.naive_closure, self.naive_copy)
         for name in self.variables() | other.variables():
             result.add_var(name)
         for src, dsts in self._bound.items():
@@ -979,7 +980,7 @@ class ConstraintGraph:
             return newer.copy()
         if newer._infeasible:
             return self.copy()
-        result = ConstraintGraph(self._stats, self.naive_closure, self.naive_copy)
+        result = ConstraintGraph(self.naive_closure, self.naive_copy)
         for name in self.variables() | newer.variables():
             result.add_var(name)
         kept = result._bound

@@ -1,149 +1,10 @@
-"""Instrumentation counters for constraint-graph closures.
+"""Kept only for the frozen benchmark harness, which imports it.
 
-The paper's Section IX profile attributes 92.5% of analysis time to keeping
-the dataflow state consistent: 217 executions of the O(n^3) transitive
-closure (average 52.3 variables) plus 78 executions of a cheaper O(n^2)
-incremental variant (average 66.3 variables).  These counters let the
-benchmark harness reproduce that profile shape on our implementation.
-
-``ClosureStats`` keeps its historical report shape, but every recorded
-closure is also forwarded onto the :mod:`repro.obs` metrics API
-(``cgraph.closure.*`` counters and histograms) so the Section IX profile
-exporter and the engine's span tree see the same events.  The forwarding is
-a no-op while observability is disabled.
+Closure and copy-on-write events are counted by :mod:`repro.obs` alone
+(``cgraph.closure.*`` and ``cgraph.cow.*``); the Section IX profile is
+built from a recorder by :func:`repro.obs.profile.build_profile`.
 """
 
-from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import List
-
-from repro.obs import recorder as _obs
-
-
-@dataclass
-class ClosureStats:
-    """Aggregated cost of closure operations."""
-
-    full_calls: int = 0
-    full_vars: List[int] = field(default_factory=list)
-    full_time: float = 0.0
-    incremental_calls: int = 0
-    incremental_vars: List[int] = field(default_factory=list)
-    incremental_time: float = 0.0
-    #: copy-on-write events: copies that shared the bound matrix, and
-    #: shared matrices that had to be materialized before a mutation
-    cow_shares: int = 0
-    cow_materializations: int = 0
-    #: wall time of everything else, filled in by harnesses that time the
-    #: enclosing analysis
-    total_time: float = 0.0
-
-    def record_full(self, num_vars: int, elapsed: float) -> None:
-        """Record one O(n^3) full closure."""
-        self.full_calls += 1
-        self.full_vars.append(num_vars)
-        self.full_time += elapsed
-        _obs.incr("cgraph.closure.full.calls")
-        _obs.observe("cgraph.closure.full.vars", num_vars)
-        _obs.observe("cgraph.closure.full.time", elapsed)
-
-    def record_incremental(self, num_vars: int, elapsed: float) -> None:
-        """Record one O(n^2) incremental closure."""
-        self.incremental_calls += 1
-        self.incremental_vars.append(num_vars)
-        self.incremental_time += elapsed
-        _obs.incr("cgraph.closure.incremental.calls")
-        _obs.observe("cgraph.closure.incremental.vars", num_vars)
-        _obs.observe("cgraph.closure.incremental.time", elapsed)
-
-    def record_cow_share(self) -> None:
-        """Record one copy that shared its bound matrix copy-on-write."""
-        self.cow_shares += 1
-        _obs.incr("cgraph.cow.shares")
-
-    def record_cow_materialization(self) -> None:
-        """Record one shared matrix privatized ahead of a mutation."""
-        self.cow_materializations += 1
-        _obs.incr("cgraph.cow.materializations")
-
-    @property
-    def closure_time(self) -> float:
-        """Total seconds spent inside closure operations."""
-        return self.full_time + self.incremental_time
-
-    def avg_full_vars(self) -> float:
-        """Average variable count per full closure."""
-        return sum(self.full_vars) / len(self.full_vars) if self.full_vars else 0.0
-
-    def avg_incremental_vars(self) -> float:
-        """Average variable count per incremental closure."""
-        if not self.incremental_vars:
-            return 0.0
-        return sum(self.incremental_vars) / len(self.incremental_vars)
-
-    def closure_share(self) -> float:
-        """Fraction of total analysis time spent in closures (0..1)."""
-        if self.total_time <= 0:
-            return 0.0
-        return min(1.0, self.closure_time / self.total_time)
-
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.full_calls = 0
-        self.full_vars = []
-        self.full_time = 0.0
-        self.incremental_calls = 0
-        self.incremental_vars = []
-        self.incremental_time = 0.0
-        self.cow_shares = 0
-        self.cow_materializations = 0
-        self.total_time = 0.0
-
-    def report(self) -> str:
-        """Human-readable summary in the paper's Section IX terms."""
-        lines = [
-            f"full closures (O(n^3)):        {self.full_calls} calls, "
-            f"avg {self.avg_full_vars():.1f} vars, {self.full_time:.4f}s",
-            f"incremental closures (O(n^2)): {self.incremental_calls} calls, "
-            f"avg {self.avg_incremental_vars():.1f} vars, "
-            f"{self.incremental_time:.4f}s",
-        ]
-        if self.cow_shares:
-            lines.append(
-                f"COW shares/materializations:   {self.cow_shares}/"
-                f"{self.cow_materializations}"
-            )
-        if self.total_time > 0:
-            lines.append(
-                f"closure share of total time:   {100 * self.closure_share():.1f}% "
-                f"({self.closure_time:.4f}s of {self.total_time:.4f}s)"
-            )
-        return "\n".join(lines)
-
-
-_GLOBAL = ClosureStats()
-
-
-def global_stats() -> ClosureStats:
-    """The process-wide closure statistics instance."""
-    return _GLOBAL
-
-
-def reset_global_stats() -> ClosureStats:
-    """Zero and return the process-wide statistics."""
-    _GLOBAL.reset()
-    return _GLOBAL
-
-
-class timed:
-    """Tiny context manager yielding elapsed seconds via ``.elapsed``."""
-
-    def __enter__(self) -> "timed":
-        self._start = time.perf_counter()
-        self.elapsed = 0.0
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = time.perf_counter() - self._start
+def reset_global_stats() -> None:
+    """No-op: there are no process-wide closure statistics any more."""

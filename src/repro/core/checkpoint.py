@@ -53,7 +53,7 @@ from repro.core.diagnostics import Diagnostic
 from repro.core.pcfg import ExploredPCFG, PCFGEdge
 from repro.core.topology import MatchRecord, StaticTopology
 from repro.faults import plane as faults
-from repro.obs import provenance
+from repro.obs import context
 from repro.obs import recorder as obs
 
 #: snapshot format version; bump on any incompatible payload change
@@ -303,7 +303,7 @@ def capture_run(engine, result, states, visits, worklist, seq_next) -> Snapshot:
         },
         "client_extra": encode(client.checkpoint_extra()),
     }
-    prov = provenance.active()
+    prov = context.current().provenance
     if prov is not None:
         # the flight-recorder journal rides along (already JSON-plain), so
         # a resumed run continues the interrupted run's causal history

@@ -256,7 +256,7 @@ class PCFGEngine:
         limits = self.limits
         result = AnalysisResult(topology=StaticTopology())
         client = self.client
-        prov = self._prov = provenance.active()
+        prov = self._prov = context.current().provenance
         self._plane = faults.active()
         if prov is not None:
             self._run_event = prov.emit(

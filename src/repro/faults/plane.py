@@ -7,7 +7,7 @@ and the invariant harness (:mod:`repro.faults.invariants`) can check the
 end-to-end answer stays sound.  (The crash suite's SIGKILLs of the
 daemon are the one fault it does not model.)
 
-Design, mirroring :mod:`repro.obs.provenance`:
+Design:
 
 * **Named injection points** (:data:`CATALOG`) live at trust boundaries:
   disk writes in the checkpointer/cache/journal, cache reads, the

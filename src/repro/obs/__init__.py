@@ -28,8 +28,12 @@ thread, the attempt child, the driver rung).  Request-level spans
 per-process span shards, which :mod:`repro.obs.trace` stitches back into
 one Chrome trace.
 
-Two sinks stand on their own: :mod:`repro.obs.provenance` (the causal
-flight recorder behind ``repro explain``) and :mod:`repro.obs.slog`
+The same context carries the causal flight recorder behind ``repro
+explain`` (:mod:`repro.obs.provenance`; ``provenance.recording()`` binds
+one), and the constraint graph's closure and copy-on-write events are
+plain ``cgraph.*`` counters, histograms and spans on the recorder, from
+which :func:`repro.obs.profile.closure_summary` builds the Section IX
+closure block.  One sink stands on its own: :mod:`repro.obs.slog`
 (structured JSON logging to stderr, the ``--log-level`` / ``REPRO_LOG``
 knob, which stamps lines with the context's trace ids).  Both Chrome
 traces, ``repro explain --trace`` and ``repro trace``, come from the one

@@ -1,9 +1,10 @@
 """The per-thread observability context: where this thread reports.
 
-One engine step or served request reports into three places: a
+One engine step or served request reports into four places: a
 recorder (span/counter aggregates), a trace (span shards stitched by
-``repro trace``) and a progress hook (the streaming job endpoint).  A
-:class:`Context` names all three for the current thread, and
+``repro trace``), a progress hook (the streaming job endpoint) and a
+provenance flight recorder (the causal journal behind ``repro explain``).
+A :class:`Context` names all four for the current thread, and
 :func:`bound` installs one for a scope.  Each process/thread boundary
 binds what it owns, once:
 
@@ -14,11 +15,14 @@ binds what it owns, once:
 * a process-isolated attempt child binds the shipped trace and the
   recorder whose counters travel home with its reply;
 * the precision ladder binds the caller's ``progress`` hook around each
-  rung, so engine heartbeats reach it without any signature change.
+  rung, so engine heartbeats reach it without any signature change;
+* :func:`repro.obs.provenance.recording` binds a fresh ``provenance``
+  recorder, which the engine reads once per run.
 
 Readers are :func:`repro.obs.recorder.span` (recorder plus, for
 request-level layers, a shard record), :func:`repro.obs.slog.log`
-(``trace``/``span`` fields) and :func:`emit` (progress events).  A
+(``trace``/``span`` fields), :func:`emit` (progress events), and the
+engine, the checkpointer and the symbolic client (``provenance``).  A
 thread that never bound anything holds no context at all, so disabled
 mode costs one thread-local read per span.
 
@@ -91,12 +95,16 @@ def mint(trace_id: Optional[str] = None) -> TraceContext:
 @dataclass(frozen=True)
 class Context:
     """What the current thread reports into; None fields fall back to the
-    process defaults (the global recorder; no trace; no progress)."""
+    process defaults (the global recorder; no trace; no progress; no
+    provenance)."""
 
     trace: Optional[TraceContext] = None
     #: a :class:`repro.obs.recorder.Recorder` shadowing the global one
     recorder: Optional[Any] = None
     progress: Optional[ProgressHook] = None
+    #: a :class:`repro.obs.provenance.ProvenanceRecorder` journaling the
+    #: engine's state-changing events
+    provenance: Optional[Any] = None
 
 
 _EMPTY = Context()

@@ -4,10 +4,12 @@ The paper's Section IX attributes 92.5% of analysis time to constraint-graph
 consistency maintenance.  :func:`profile_program` re-measures that cost
 profile on any program: it runs the simple symbolic analysis under a fresh
 :class:`~repro.obs.recorder.Recorder`, then folds the span/counter/histogram
-aggregates and the closure statistics into a :class:`Profile` that
+aggregates into a :class:`Profile` whose ``closure`` block
+(:func:`closure_summary`) is read off the ``cgraph.closure.*`` and
+``cgraph.cow.*`` instruments the constraint graph reports to.  The profile
 
-* prints a Section IX-style cost table (:meth:`Profile.table`), whose
-  closure-share lines are exactly ``ClosureStats.report()``, and
+* prints a Section IX-style cost table (:meth:`Profile.table`), ending
+  with the closure block's report text, and
 * serializes to JSON (:meth:`Profile.to_json`) for the CI build artifact
   and for ``benchmarks/bench_sec9_profile.py``.
 """
@@ -51,7 +53,7 @@ class Profile:
     histograms: Dict[str, Any] = field(default_factory=dict)
     engine: Dict[str, Any] = field(default_factory=dict)
 
-    # -- ClosureStats-compatible accessors (the benches read these) ----------
+    # -- closure accessors (the benches read these) --------------------------
 
     @property
     def full_calls(self) -> int:
@@ -86,8 +88,8 @@ class Profile:
         """A Section IX-style cost table.
 
         The per-phase rows come from the span aggregates; the closing
-        closure-share block is ``ClosureStats.report()`` verbatim, so the
-        two instruments stay mutually consistent.
+        closure-share block is ``closure["report"]`` verbatim, read off the
+        same recorder.
         """
         title = f"Section IX cost profile — {self.program} ({self.mode})"
         bar = "=" * len(title)
@@ -129,32 +131,58 @@ class Profile:
         return "\n".join(lines)
 
 
+def closure_summary(snapshot: Dict[str, dict], total_time: float) -> Dict[str, Any]:
+    """The Section IX closure block of a recorder snapshot.
+
+    Calls come from the ``cgraph.closure.{full,incremental}.calls``
+    counters, average variable counts from the ``.vars`` histograms, and
+    seconds from the ``.time`` histograms (the durations of the
+    ``cgraph.closure.*`` spans).  ``share`` is closure time over
+    ``total_time``; ``report`` renders the block as text.
+    """
+    counters, histograms = snapshot["counters"], snapshot["histograms"]
+
+    def histogram(name: str, key: str) -> float:
+        found = histograms.get(f"cgraph.closure.{name}")
+        return found[key] if found else 0.0
+
+    closure: Dict[str, Any] = {}
+    for kind in ("full", "incremental"):
+        closure[f"{kind}_calls"] = counters.get(f"cgraph.closure.{kind}.calls", 0)
+        closure[f"{kind}_time"] = histogram(f"{kind}.time", "total")
+        closure[f"avg_{kind}_vars"] = histogram(f"{kind}.vars", "mean")
+    closure_time = closure["full_time"] + closure["incremental_time"]
+    closure["closure_time"] = closure_time
+    closure["share"] = min(1.0, closure_time / total_time) if total_time > 0 else 0.0
+    lines = [
+        f"full closures (O(n^3)):        {closure['full_calls']} calls, "
+        f"avg {closure['avg_full_vars']:.1f} vars, {closure['full_time']:.4f}s",
+        f"incremental closures (O(n^2)): {closure['incremental_calls']} calls, "
+        f"avg {closure['avg_incremental_vars']:.1f} vars, "
+        f"{closure['incremental_time']:.4f}s",
+    ]
+    shares = counters.get("cgraph.cow.shares", 0)
+    if shares:
+        materializations = counters.get("cgraph.cow.materializations", 0)
+        lines.append(f"COW shares/materializations:   {shares}/{materializations}")
+    if total_time > 0:
+        lines.append(
+            f"closure share of total time:   {100 * closure['share']:.1f}% "
+            f"({closure_time:.4f}s of {total_time:.4f}s)"
+        )
+    closure["report"] = "\n".join(lines)
+    return closure
+
+
 def build_profile(
     program: str,
     mode: str,
     total_time: float,
-    stats,
     recorder: Recorder,
     result=None,
 ) -> Profile:
-    """Fold closure stats + recorder aggregates (+ engine result) together.
-
-    ``stats`` is a :class:`~repro.cgraph.stats.ClosureStats`; its
-    ``total_time`` should already be set so ``report()`` includes the
-    closure-share line.
-    """
+    """Fold a recorder's aggregates (+ the engine result) into a profile."""
     snapshot = recorder.snapshot()
-    closure = {
-        "full_calls": stats.full_calls,
-        "full_time": stats.full_time,
-        "avg_full_vars": stats.avg_full_vars(),
-        "incremental_calls": stats.incremental_calls,
-        "incremental_time": stats.incremental_time,
-        "avg_incremental_vars": stats.avg_incremental_vars(),
-        "closure_time": stats.closure_time,
-        "share": stats.closure_share(),
-        "report": stats.report(),
-    }
     engine: Dict[str, Any] = {}
     if result is not None:
         engine = {
@@ -175,7 +203,7 @@ def build_profile(
         program=program,
         mode=mode,
         total_time=total_time,
-        closure=closure,
+        closure=closure_summary(snapshot, total_time),
         spans=snapshot["spans"],
         counters=snapshot["counters"],
         histograms=snapshot["histograms"],
@@ -194,22 +222,16 @@ def profile_program(
 
     Returns ``(profile, result)``.  A dedicated recorder is installed for
     the duration of the run (the caller's enable/disable state is
-    untouched), and a dedicated :class:`ClosureStats` captures the closure
-    counts, exactly like the Section IX harness.
+    untouched), so the profile counts exactly this run's closures.
     """
     from repro.analyses.simple_symbolic import SimpleSymbolicClient, analyze_program
-    from repro.cgraph.stats import ClosureStats
 
-    stats = ClosureStats()
     if client is None:
-        client = SimpleSymbolicClient(stats=stats, naive_closure=naive)
-    elif client.stats is not None:
-        stats = client.stats
+        client = SimpleSymbolicClient(naive_closure=naive)
     with recording() as recorder:
         start = perf_counter()
         result, _cfg, _client = analyze_program(program_or_spec, client)
         total = perf_counter() - start
-    stats.total_time = total
     label = name or getattr(program_or_spec, "name", None) or "<program>"
     mode = "naive" if naive else "optimized"
-    return build_profile(label, mode, total, stats, recorder, result), result
+    return build_profile(label, mode, total, recorder, result), result

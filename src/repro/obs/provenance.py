@@ -19,13 +19,16 @@ state-changing engine event as a :class:`ProvenanceEvent` carrying
 Memory is bounded: events live in a ring buffer of ``capacity`` entries;
 when the ring overflows, the oldest event is either dropped (counted in
 ``evicted``) or appended to a JSONL *spill file* so the full journal
-survives (``spill_path``).  Lookups transparently fall back to the spill
-file, so causal chains remain resolvable after eviction.
+survives (``spill_path``; a new recorder truncates it, so the file only
+ever holds one run).  Lookups transparently fall back to the spill file,
+read by :func:`read_journal`, so causal chains remain resolvable after
+eviction.
 
-Like the metrics recorder, the flight recorder is process-global, disabled
-by default, and zero-cost when disabled: the engine fetches
-:func:`active` once per run and guards every emit site with a single
-``is not None`` check.
+The flight recorder is a field of the thread's :mod:`repro.obs.context`,
+installed for a scope by :func:`recording` and absent by default.  It is
+zero-cost when absent: the engine reads ``context.current().provenance``
+once per run and guards every emit site with a single ``is not None``
+check.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs import slog
+from repro.obs import context, slog
 
 #: default ring capacity (events); explain runs may raise it
 DEFAULT_CAPACITY = 65536
@@ -169,6 +172,10 @@ class ProvenanceRecorder:
         self._next_id = 1
         self._start = perf_counter()
         self._spill_cache: Optional[Dict[int, ProvenanceEvent]] = None
+        if self.spill_path is not None:
+            # the spill file is this run's: a previous run's events would
+            # duplicate ids in the journal and answer stale lookups
+            open(self.spill_path, "w", encoding="utf-8").close()
 
     # -- recording -------------------------------------------------------------
 
@@ -236,19 +243,11 @@ class ProvenanceRecorder:
         if self.spill_path is None:
             return None
         if self._spill_cache is None:
-            self._spill_cache = {}
             try:
-                text = Path(self.spill_path).read_text(encoding="utf-8")
+                spilled = read_journal(self.spill_path)
             except OSError:
-                text = ""
-            for line in text.splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    spilled = ProvenanceEvent.from_dict(json.loads(line))
-                except (ValueError, KeyError):
-                    continue
-                self._spill_cache[spilled.event_id] = spilled
+                spilled = []
+            self._spill_cache = {event.event_id: event for event in spilled}
         return self._spill_cache.get(event_id)
 
     def events_for_node(self, locs: tuple) -> List[ProvenanceEvent]:
@@ -321,77 +320,32 @@ class ProvenanceRecorder:
         return counts
 
 
-# -- module-level switchboard (mirrors repro.obs.recorder) ---------------------
-
-_active: Optional[ProvenanceRecorder] = None
-
-
-def active() -> Optional[ProvenanceRecorder]:
-    """The installed flight recorder, or None when disabled."""
-    return _active
-
-
-def enabled() -> bool:
-    """True iff provenance is currently being recorded."""
-    return _active is not None
-
-
-def enable(
-    capacity: int = DEFAULT_CAPACITY, spill_path: Optional[str] = None
-) -> ProvenanceRecorder:
-    """Install (and return) a flight recorder.
-
-    Keeps the current recorder when one is already installed and no
-    arguments force a change — mirroring :func:`repro.obs.enable`.
-    """
-    global _active
-    if _active is None:
-        _active = ProvenanceRecorder(capacity=capacity, spill_path=spill_path)
-    return _active
-
-
-def disable() -> None:
-    """Stop recording (the recorder object survives for whoever holds it)."""
-    global _active
-    _active = None
-
-
-def reset() -> None:
-    """Drop the recorder entirely: the pristine disabled state."""
-    disable()
+def read_journal(path) -> List[ProvenanceEvent]:
+    """Parse a JSONL journal back into events (malformed lines skipped)."""
+    events: List[ProvenanceEvent] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        try:
+            document = json.loads(line)
+        except ValueError:
+            continue
+        if not isinstance(document, dict):
+            continue
+        try:
+            events.append(ProvenanceEvent.from_dict(document))
+        except (ValueError, KeyError):
+            continue
+    return events
 
 
 @contextmanager
 def recording(
     capacity: int = DEFAULT_CAPACITY, spill_path: Optional[str] = None
 ) -> Iterator[ProvenanceRecorder]:
-    """Temporarily install a fresh flight recorder, restoring the previous
-    state on exit — how ``repro explain`` / ``repro profile --trace``
-    isolate their journals."""
-    global _active
-    previous = _active
+    """Bind a fresh flight recorder into this thread's context for the
+    scope of the ``with`` — how ``repro explain`` / ``repro profile
+    --trace`` isolate their journals."""
     recorder = ProvenanceRecorder(capacity=capacity, spill_path=spill_path)
-    _active = recorder
-    try:
+    with context.bound(provenance=recorder):
         yield recorder
-    finally:
-        _active = previous
-
-
-def emit(
-    kind: str,
-    node_key: Optional[tuple] = None,
-    parents: Tuple[Optional[int], ...] = (),
-    detail: str = "",
-    data: Optional[dict] = None,
-    step: int = 0,
-    dur: float = 0.0,
-) -> Optional[int]:
-    """Record one event on the active recorder (None when disabled)."""
-    recorder = _active
-    if recorder is None:
-        return None
-    return recorder.emit(
-        kind, node_key=node_key, parents=parents, detail=detail,
-        data=data, step=step, dur=dur,
-    )

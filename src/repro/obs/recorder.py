@@ -71,6 +71,9 @@ class _NullSpan:
 
     __slots__ = ()
 
+    #: a disabled span measures nothing
+    elapsed = 0.0
+
     def __enter__(self) -> "_NullSpan":
         return self
 
@@ -186,9 +189,13 @@ class HistogramStats:
 
 
 class _Span:
-    """A live span: measures one enter/exit and feeds the recorder."""
+    """A live span: measures one enter/exit and feeds the recorder.
 
-    __slots__ = ("_recorder", "name", "_start", "_child_time")
+    After exit, ``elapsed`` holds the measured seconds, so a caller that
+    also wants the duration as a histogram value times the region once.
+    """
+
+    __slots__ = ("_recorder", "name", "_start", "_child_time", "elapsed")
 
     def __init__(self, recorder: "Recorder", name: str):
         self._recorder = recorder
@@ -201,7 +208,7 @@ class _Span:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        elapsed = perf_counter() - self._start
+        elapsed = self.elapsed = perf_counter() - self._start
         recorder = self._recorder
         stack = recorder._stack
         stack.pop()

@@ -1,10 +1,11 @@
 """Shared test/benchmark scaffolding.
 
 ``tests/conftest.py`` and ``benchmarks/conftest.py`` both need the same
-isolation guarantee: no closure stats, obs recorder state,
-flight-recorder provenance, or structured-logging sink may leak from one
-test into the next.  The reset logic lives here — once — and the two
-conftests re-export :func:`observability_fixture` as their autouse fixture.
+isolation guarantee: no obs recorder or context state (the bound
+flight-recorder provenance included), fault plane, or structured-logging
+sink may leak from one test into the next.  The reset logic lives here —
+once — and the two conftests re-export :func:`observability_fixture` as
+their autouse fixture.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ import pytest
 
 def reset_state() -> None:
     """Reset every piece of cross-cutting global state to a clean slate."""
-    from repro.cgraph.stats import reset_global_stats
     from repro.faults import plane as fault_plane
-    from repro.obs import provenance, slog
+    from repro.obs import slog
     from repro.obs import recorder as obs_recorder
 
-    reset_global_stats()
     obs_recorder.reset()
-    provenance.reset()
     fault_plane.reset()
     slog.configure(None)
     obs_recorder.configure_sink(None)

@@ -12,7 +12,6 @@ widenings included.
 from repro import analyze, obs, programs
 from repro.analyses.simple_symbolic import SimpleSymbolicClient
 from repro.cgraph.constraint_graph import ConstraintGraph
-from repro.cgraph.stats import ClosureStats
 from repro.core.driver import analyze_with_fallback
 
 
@@ -35,7 +34,7 @@ def test_naive_closure_reaches_every_graph(monkeypatch):
         created.append(self)
 
     monkeypatch.setattr(ConstraintGraph, "__init__", recording_init)
-    client = SimpleSymbolicClient(stats=ClosureStats(), naive_closure=True)
+    client = SimpleSymbolicClient(naive_closure=True)
     result, _, _ = analyze(programs.get("broadcast_fanout"), client)
     assert not result.gave_up
     assert len(created) > 1

@@ -14,8 +14,8 @@ at the end shows that they do.
 
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cgraph.constraint_graph import _WIDENED, ZERO, ConstraintGraph
-from repro.cgraph.stats import ClosureStats
 from repro.expr.linear import LinearExpr
 from tests.cgraph.test_equivalence_classes import VARS, _apply, _op
 
@@ -277,16 +277,16 @@ def test_assign_on_a_widened_graph_keeps_the_flag():
 
 
 def test_closed_form_updates_run_no_full_closure():
-    stats = ClosureStats()
-    g = ConstraintGraph(stats)
-    g.add_diff("x", "y", 1)
-    g.add_lower("x", 0)
-    g.close()
-    calls = stats.full_calls
-    g.assume_leq(LinearExpr.var("y"), LinearExpr.const(4))
-    g.copy_namespace_from(["x", "y"], {"x": "x'", "y": "y'"})
-    g.assign("z", LinearExpr.var("x'") + 2)
-    assert g.diff_bound(ZERO, "y'") == 4
-    assert g.diff_bound("z", ZERO) == -2  # z = x' + 2 >= 2
-    assert stats.full_calls == calls
-    assert stats.incremental_calls == 3
+    with obs.recording() as recorder:
+        g = ConstraintGraph()
+        g.add_diff("x", "y", 1)
+        g.add_lower("x", 0)
+        g.close()
+        calls = recorder.counters["cgraph.closure.full.calls"]
+        g.assume_leq(LinearExpr.var("y"), LinearExpr.const(4))
+        g.copy_namespace_from(["x", "y"], {"x": "x'", "y": "y'"})
+        g.assign("z", LinearExpr.var("x'") + 2)
+        assert g.diff_bound(ZERO, "y'") == 4
+        assert g.diff_bound("z", ZERO) == -2  # z = x' + 2 >= 2
+    assert recorder.counters["cgraph.closure.full.calls"] == calls
+    assert recorder.counters["cgraph.closure.incremental.calls"] == 3

@@ -2,9 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cgraph.constraint_graph import ZERO, ConstraintGraph
-from repro.cgraph.stats import ClosureStats
 from repro.expr.linear import LinearExpr
+from repro.obs.profile import closure_summary
 
 X, Y, Z = "x", "y", "z"
 
@@ -378,19 +379,21 @@ class TestClosureSoundness:
 
 class TestInstrumentation:
     def test_stats_recorded(self):
-        stats = ClosureStats()
-        g = ConstraintGraph(stats)
-        g.set_const(X, 1)
-        g.close()
-        assert stats.full_calls >= 1
-        g.close_incremental(ZERO, Y, 5)
-        assert stats.incremental_calls == 1
-        assert stats.avg_incremental_vars() > 0
+        with obs.recording() as recorder:
+            g = ConstraintGraph()
+            g.set_const(X, 1)
+            g.close()
+            assert recorder.counters["cgraph.closure.full.calls"] >= 1
+            g.close_incremental(ZERO, Y, 5)
+        assert recorder.counters["cgraph.closure.incremental.calls"] == 1
+        assert recorder.histograms["cgraph.closure.incremental.vars"].mean > 0
+        assert recorder.spans["cgraph.closure.incremental"].count == 1
 
     def test_report_text(self):
-        stats = ClosureStats()
-        stats.record_full(10, 0.5)
-        stats.total_time = 1.0
-        report = stats.report()
+        recorder = obs.Recorder()
+        recorder.incr("cgraph.closure.full.calls")
+        recorder.observe("cgraph.closure.full.vars", 10)
+        recorder.observe("cgraph.closure.full.time", 0.5)
+        report = closure_summary(recorder.snapshot(), total_time=1.0)["report"]
         assert "full closures" in report
         assert "50.0%" in report

@@ -14,8 +14,8 @@ pin the two properties that make that safe:
 
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
 from repro.cgraph.constraint_graph import ConstraintGraph
-from repro.cgraph.stats import ClosureStats
 from repro.expr.linear import LinearExpr
 
 VARS = ["x", "y", "z", "w"]
@@ -39,14 +39,14 @@ def _diff_snapshot(g: ConstraintGraph):
 
 class TestCowIsolation:
     def test_copy_shares_until_mutation(self):
-        stats = ClosureStats()
-        g = ConstraintGraph(stats)
-        g.add_diff("x", "y", 3)
-        child = g.copy()
-        assert stats.cow_shares == 1
-        assert stats.cow_materializations == 0
-        child.add_diff("x", "y", 1)  # tighten forces a private matrix
-        assert stats.cow_materializations >= 1
+        with obs.recording() as recorder:
+            g = ConstraintGraph()
+            g.add_diff("x", "y", 3)
+            child = g.copy()
+            assert recorder.counters.get("cgraph.cow.shares", 0) == 1
+            assert recorder.counters.get("cgraph.cow.materializations", 0) == 0
+            child.add_diff("x", "y", 1)  # tighten forces a private matrix
+        assert recorder.counters.get("cgraph.cow.materializations", 0) >= 1
 
     def test_child_mutation_never_aliases_parent(self):
         g = ConstraintGraph()
@@ -116,16 +116,16 @@ class TestFingerprintEquivalence:
         """The satellite bugfix: a fingerprint comparison, not two closures
         — even in naive mode, where every query used to pay two O(n^3)
         closures."""
-        stats = ClosureStats()
-        g = ConstraintGraph(stats, naive_closure=True)
-        h = ConstraintGraph(stats, naive_closure=True)
-        g.add_diff("x", "y", 1)
-        h.add_diff("x", "y", 1)
-        g.close()
-        h.close()
-        calls = stats.full_calls
-        assert g.equivalent_to(h)
-        assert stats.full_calls == calls
+        with obs.recording() as recorder:
+            g = ConstraintGraph(naive_closure=True)
+            h = ConstraintGraph(naive_closure=True)
+            g.add_diff("x", "y", 1)
+            h.add_diff("x", "y", 1)
+            g.close()
+            h.close()
+            calls = recorder.counters["cgraph.closure.full.calls"]
+            assert g.equivalent_to(h)
+        assert recorder.counters["cgraph.closure.full.calls"] == calls
 
     def test_fingerprint_tracks_mutation(self):
         g = ConstraintGraph()

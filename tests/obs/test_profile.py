@@ -2,7 +2,6 @@
 
 import json
 
-from repro.cgraph.stats import global_stats
 from repro.lang import programs
 from repro.obs import Profile, profile_program
 from repro.obs import recorder as obs
@@ -39,9 +38,14 @@ class TestEngineInstrumentation:
         assert run["self_time"] < run["total_time"]
 
     def test_profile_isolated_from_global_state(self):
-        before = global_stats().full_calls
+        def full_calls():
+            return obs.active_recorder().snapshot()["counters"].get(
+                "cgraph.closure.full.calls", 0
+            )
+
+        before = full_calls()
         _profile()
-        assert global_stats().full_calls == before
+        assert full_calls() == before
         assert not obs.enabled()
 
     def test_disabled_mode_adds_no_entries(self):
@@ -68,7 +72,7 @@ class TestProfileDocument:
     def test_table_consistent_with_closure_report(self):
         profile, _ = _profile()
         table = profile.table()
-        # the closure block is ClosureStats.report() verbatim
+        # the closure block's report text is in the table verbatim
         assert profile.closure["report"] in table
         assert "Section IX cost profile" in table
         assert "engine.step" in table

@@ -9,7 +9,7 @@ from repro.core import diagnostics
 from repro.core.engine import EngineLimits, PCFGEngine
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
-from repro.obs import provenance
+from repro.obs import context, provenance
 from repro.obs.provenance import ProvenanceEvent, ProvenanceRecorder, _plain
 
 
@@ -105,6 +105,20 @@ class TestRecorder:
         assert len(lines) == rec.evicted
         assert json.loads(lines[0])["kind"] == "run_start"
 
+    def test_get_skips_non_object_spill_lines(self, tmp_path):
+        spill = tmp_path / "journal.jsonl"
+        rec = ProvenanceRecorder(capacity=16, spill_path=str(spill))
+        spill.write_text('[1, 2]\n"text"\n7\nnot json\n{"kind": "x"}\n')
+        assert rec.get(1) is None
+
+    def test_a_new_recorder_starts_its_spill_file_empty(self, tmp_path):
+        spill = tmp_path / "journal.jsonl"
+        stale = ProvenanceEvent(event_id=1, kind="transfer")
+        spill.write_text(json.dumps(stale.to_dict()) + "\n")
+        rec = ProvenanceRecorder(capacity=16, spill_path=str(spill))
+        assert spill.read_text() == ""
+        assert rec.get(1) is None
+
     def test_chain_is_causal_order_and_deduplicated(self):
         rec = ProvenanceRecorder()
         root = rec.emit("run_start")
@@ -168,24 +182,24 @@ class TestSnapshotPreload:
 
 
 class TestSwitchboard:
+    """The flight recorder is a field of the thread's obs context."""
+
     def test_disabled_by_default(self):
-        assert provenance.active() is None
-        assert not provenance.enabled()
-        assert provenance.emit("transfer") is None
+        assert context.current().provenance is None
 
     def test_enable_disable_reset(self):
-        rec = provenance.enable()
-        assert provenance.active() is rec
-        assert provenance.enable() is rec  # idempotent
-        provenance.disable()
-        assert provenance.active() is None
+        with provenance.recording() as rec:
+            assert context.current().provenance is rec
+            context.reset()  # test isolation drops the thread's context
+            assert context.current().provenance is None
+        assert context.current().provenance is None
 
     def test_recording_restores_previous(self):
-        outer = provenance.enable()
-        with provenance.recording() as inner:
-            assert provenance.active() is inner
-            provenance.emit("transfer")
-        assert provenance.active() is outer
+        with provenance.recording() as outer:
+            with provenance.recording() as inner:
+                assert context.current().provenance is inner
+                context.current().provenance.emit("transfer")
+            assert context.current().provenance is outer
         assert inner.total_events == 1
         assert outer.total_events == 0
 
@@ -200,7 +214,7 @@ class TestEngineIntegration:
     def test_disabled_run_records_nothing(self):
         result, _ = self._run("pingpong")
         assert result.confidence == diagnostics.EXACT
-        assert provenance.active() is None
+        assert context.current().provenance is None
 
     def test_run_produces_a_resolvable_dag(self):
         with provenance.recording() as prov:

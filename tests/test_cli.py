@@ -178,15 +178,19 @@ class TestProfileSubcommand:
 
         trace = tmp_path / "trace.json"
         journal = tmp_path / "journal.jsonl"
-        assert main(
-            ["profile", "pingpong", "--no-json",
-             "--trace", str(trace), "--journal", str(journal)]
-        ) == 0
+        argv = ["profile", "pingpong", "--no-json",
+                "--trace", str(trace), "--journal", str(journal)]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         assert "wrote Chrome trace" in out
         validate_chrome_trace(json.loads(trace.read_text()))
         events = read_journal(journal)
         assert events and events[0].kind == "run_start"
+        # a second run rewrites the journal instead of appending to it
+        assert main(argv) == 0
+        assert [e.event_id for e in read_journal(journal)] == [
+            e.event_id for e in events
+        ]
 
 
 class TestExplainSubcommand:
@@ -280,20 +284,22 @@ class TestExplainSubcommand:
         from repro.obs.export import read_journal
 
         journal = tmp_path / "journal.jsonl"
-        assert main(
-            ["explain", "exchange_with_root", "--capacity", "16",
-             "--journal", str(journal)]
-        ) == 0
+        argv = ["explain", "exchange_with_root", "--capacity", "16",
+                "--journal", str(journal)]
+        assert main(argv) == 0
         ids = [e.event_id for e in read_journal(journal)]
         # evicted prefix spilled + live ring appended: gap-free history
         assert ids == list(range(1, len(ids) + 1))
         assert len(ids) > 16
+        # a second run rewrites the journal instead of appending to it
+        assert main(argv) == 0
+        assert [e.event_id for e in read_journal(journal)] == ids
 
     def test_explain_recorder_is_torn_down(self):
-        from repro.obs import provenance
+        from repro.obs import context
 
         assert main(["explain", "pingpong"]) == 0
-        assert provenance.active() is None
+        assert context.current().provenance is None
 
 
 class TestLogLevelFlag:
