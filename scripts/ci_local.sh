@@ -28,8 +28,10 @@
 #                  behaviour lock (`-m ladder_slow`: the routed fallback
 #                  ladder must answer like a full climb, and every answer,
 #                  step count and explored pCFG size must match
-#                  tests/data/engine_lock.json), and variable renaming
-#                  over the smoke tier (the answer must not change)
+#                  tests/data/engine_lock.json), variable renaming
+#                  over the smoke tier (the answer must not change), and
+#                  the two-sided node check (every exact smoke answer
+#                  claims exactly the node pairs its runs make)
 #   serve-smoke -> start a real `repro serve` daemon, replay a duplicate-heavy
 #                  corpus through scripts/loadgen.py (cache-hit-rate >= 0.9,
 #                  zero errors), SIGTERM-drain it, then run the SIGKILL
@@ -152,9 +154,9 @@ step "sweep-smoke: differential corpus sweep" bash -c '
   rm -f sweep-smoke.jsonl'
 step "sweep-smoke: differential corpus sweep (400-program stream)" \
   python -m repro sweep --tier pr --seed 1337 --count 400 --jobs 4
-step "sweep-smoke: routed ladder vs full climb, engine behaviour lock, renaming" \
+step "sweep-smoke: routed ladder vs full climb, engine behaviour lock, renaming, two-sided check" \
   python -m pytest tests/core/test_ladder_routing.py tests/core/test_engine_lock.py \
-      tests/analyses/test_renaming.py -m ladder_slow -q
+      tests/analyses/test_renaming.py tests/analyses/test_two_sided.py -m ladder_slow -q
 step "serve-smoke: daemon serves, caches, and drains" bash -c '
   rm -rf .ci-serve
   python -m repro serve --state-dir .ci-serve --port 0 --workers 2 &

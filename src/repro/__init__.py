@@ -30,7 +30,7 @@ from repro.core import AnalysisResult, PCFGEngine
 from repro.lang import build_cfg, parse, programs
 from repro.runtime import run_program
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 __all__ = [
     "analyze",

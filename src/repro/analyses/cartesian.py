@@ -23,8 +23,9 @@ from repro.analyses.simple_symbolic import (
     SimpleSymbolicClient,
     SymbolicState,
     _cap_list,
-    _pretty,
+    _describe,
 )
+from repro.cgraph.constraint_graph import ConstraintGraph
 from repro.cgraph.namespaces import qualify
 from repro.core.client import MatchResult
 from repro.expr.poly import Poly
@@ -34,6 +35,7 @@ from repro.hsm.hsm import HSM
 from repro.hsm.prover import HSMProver
 from repro.lang.ast import Assert, Compare, Expr, Recv, Send, Var
 from repro.lang.cfg import CFGNode, NodeKind
+from repro.procset.interval import canonical
 
 
 class CartesianClient(SimpleSymbolicClient):
@@ -134,23 +136,7 @@ class CartesianClient(SimpleSymbolicClient):
         entry = state.psets[pos]
         if self.affine(node.stmt.dest, entry.uid) is not None:
             return True
-        return self._hsm_for(node.stmt.dest, entry) is not None
-
-    def buffer_send(self, state: SymbolicState, pos: int, node: CFGNode) -> SymbolicState:
-        assert isinstance(node.stmt, Send)
-        entry = state.psets[pos]
-        new = state.copy()
-        new.pendings = new.pendings + (
-            Pending(
-                send_node=node.node_id,
-                origin_uid=entry.uid,
-                pset=entry.pset,
-                dest=self.affine(node.stmt.dest, entry.uid),
-                value=self.affine(node.stmt.value, entry.uid),
-                mtype=node.stmt.mtype,
-            ),
-        )
-        return new
+        return self._hsm_for(node.stmt.dest, entry, state.cg) is not None
 
     def try_match(self, state, locs, blocked, cfg) -> List[MatchResult]:
         results = super().try_match(state, locs, blocked, cfg)  # arms _match_trace
@@ -199,13 +185,15 @@ class CartesianClient(SimpleSymbolicClient):
                     return [result]
         return []
 
-    def _hsm_for(self, expr: Expr, entry: PSetEntry) -> Optional[HSM]:
+    def _hsm_for(
+        self, expr: Expr, entry: PSetEntry, cg: ConstraintGraph
+    ) -> Optional[HSM]:
         """The HSM of a message expression over a whole process set."""
         rng = entry.pset.single_range()
         if rng is None:
             return None
-        size = _range_size_poly(rng)
-        start = _bound_poly(rng.lb)
+        size = _range_size_poly(cg, rng)
+        start = _bound_poly(cg, rng.lb)
         if size is None or start is None:
             return None
         if self._depersonalize(expr, entry.uid) is None:
@@ -238,11 +226,12 @@ class CartesianClient(SimpleSymbolicClient):
             return None
 
         # Section VIII-B currently requires sProcs == senders, rProcs == receivers
-        send_hsm = self._hsm_for(send_stmt.dest, s_entry)
+        cg = state.cg
+        send_hsm = self._hsm_for(send_stmt.dest, s_entry, cg)
         if send_hsm is None:
             return None
-        r_size = _range_size_poly(r_rng)
-        r_start = _bound_poly(r_rng.lb)
+        r_size = _range_size_poly(cg, r_rng)
+        r_start = _bound_poly(cg, r_rng.lb)
         if r_size is None or r_start is None:
             return None
         receiver_set = pset_to_hsm(r_start, r_size)
@@ -274,8 +263,8 @@ class CartesianClient(SimpleSymbolicClient):
             if record is not None:
                 record["identity"] = "recv expression not HSM-convertible"
             return None
-        s_size = _range_size_poly(s_rng)
-        s_start = _bound_poly(s_rng.lb)
+        s_size = _range_size_poly(cg, s_rng)
+        s_start = _bound_poly(cg, s_rng.lb)
         if s_size is None or s_start is None:
             return None
         sender_set = pset_to_hsm(s_start, s_size)
@@ -295,9 +284,7 @@ class CartesianClient(SimpleSymbolicClient):
             del pendings[index]
             new.pendings = tuple(pendings)
         # whole receiver set matched: havoc the received variable
-        target_name = qualify(r_entry.uid, recv_stmt.target)
-        new = self._repair_bounds(new, target_name)
-        new.cg.assign(target_name, None)
+        new.cg.assign(qualify(r_entry.uid, recv_stmt.target), None)
         new.psets = tuple(psets)
         return MatchResult(
             state=new,
@@ -305,8 +292,8 @@ class CartesianClient(SimpleSymbolicClient):
             recv_pos=r_pos,
             send_node=send_node.node_id,
             recv_node=recv_node.node_id,
-            sender_desc=_pretty(str(s_entry.pset)),
-            receiver_desc=_pretty(str(r_entry.pset)),
+            sender_desc=_describe(cg, s_entry.pset),
+            receiver_desc=_describe(cg, r_entry.pset),
             pending_index=pending[0] if pending else None,
             mtype_send=send_stmt.mtype,
             mtype_recv=recv_stmt.mtype,
@@ -337,19 +324,20 @@ def _expr_to_poly(expr: Expr) -> Optional[Poly]:
     return None
 
 
-def _bound_poly(bound) -> Optional[Poly]:
-    """A process-set bound as a polynomial over uniform parameters."""
-    for expr in bound.exprs:
-        names = expr.variables()
-        if all("::" not in name for name in names):
-            return Poly.coerce(expr)
-    return None
+def _bound_poly(cg: ConstraintGraph, bound) -> Optional[Poly]:
+    """A process-set bound as a polynomial over uniform parameters: the
+    canonical one of its equal forms that name no namespace variable."""
+    forms = [
+        form for form in cg.equivalents(bound)
+        if all("::" not in name for name in form.variables())
+    ]
+    return Poly.coerce(canonical(forms)) if forms else None
 
 
-def _range_size_poly(rng) -> Optional[Poly]:
+def _range_size_poly(cg: ConstraintGraph, rng) -> Optional[Poly]:
     """``ub - lb + 1`` as a polynomial over uniform parameters."""
-    lb = _bound_poly(rng.lb)
-    ub = _bound_poly(rng.ub)
+    lb = _bound_poly(cg, rng.lb)
+    ub = _bound_poly(cg, rng.ub)
     if lb is None or ub is None:
         return None
     return ub - lb + Poly.const(1)

@@ -596,17 +596,16 @@ class ConstraintGraph:
     def equivalents(self, expr: LinearExpr) -> FrozenSet[LinearExpr]:
         """All ``var + c`` / constant expressions provably equal to ``expr``.
 
-        ``expr`` must be of shape ``var + c0`` or a constant; this is the
-        bound-equivalence-set operation the Section VII process-set
-        representation relies on.
+        ``expr`` must be of shape ``var + c0`` or a constant (any other
+        expression comes back alone).  The Section VII client asks it for
+        the printable and polynomial forms of a process-set bound.
 
         The result is a function of ``expr``'s equality *class*: for every
         ``m`` in ``equivalents(e)``, ``equivalents(m) == equivalents(e)``.
         A closed DBM's tight equalities are transitive; ``join`` (pointwise
         max of closed DBMs) keeps them, and ``widen`` keeps an equality
         pair only where the closed newer graph entails it, so it keeps the
-        composed pair too.  Callers enriching a bound therefore query one
-        member per class and skip the members it returned.
+        composed pair too.
 
         Each query reads only the equality class of its base variable
         (:meth:`_class_of`).  The answer is memoized with the lifecycle of
@@ -643,19 +642,6 @@ class ConstraintGraph:
                 result.add(LinearExpr._raw(constant - forward, ((other, 1),)))
         return result
 
-    def equivalents_union(self, exprs: Iterable[LinearExpr]) -> FrozenSet[LinearExpr]:
-        """Union of :meth:`equivalents` over ``exprs``, one query per
-        equality class: an expression an earlier query returned is in that
-        query's class, so its own query would return the same set.  When
-        one class covers every expression, that class's shared answer comes
-        back as it is (callers must not mutate it)."""
-        result: FrozenSet[LinearExpr] = frozenset()
-        for expr in exprs:
-            if expr not in result:
-                found = self.equivalents(expr)
-                result = found if not result else result | found
-        return result
-
     def _class_of(self, base: str) -> List[Tuple[str, int]]:
         """``[(other, forward)]`` with ``other == base + forward``: the
         entries of row ``base`` whose opposite entry is tight.
@@ -678,10 +664,13 @@ class ConstraintGraph:
     # -- transfer ---------------------------------------------------------------
 
     def havoc(self, name: str) -> None:
-        """Forget everything about a variable (e.g. ``x = input()``)."""
+        """Forget everything about a variable (e.g. ``x = input()``).
+
+        A variable the graph holds no constraint on has nothing to forget,
+        so the graph is left as it is (a shared matrix stays shared)."""
         self._ensure_closed()
-        if name not in self._bound:
-            self.add_var(name)
+        bound = self._bound
+        if not bound.get(name) and not any(name in dsts for dsts in bound.values()):
             return
         self._materialize()
         self._invalidate()
@@ -894,7 +883,12 @@ class ConstraintGraph:
                 bound.setdefault(name, {})
         _record_closure("incremental", len(bound) - 1, span)
 
-    def fold_namespace(self, survivor: object, doomed: object) -> "ConstraintGraph":
+    def fold_namespace(
+        self,
+        survivor: object,
+        doomed: object,
+        bind: Optional[Mapping[str, LinearExpr]] = None,
+    ) -> "ConstraintGraph":
         """The namespaces of two merged process sets folded into one.
 
         Equals joining two projections of this graph: one without the
@@ -903,23 +897,32 @@ class ConstraintGraph:
         namespace.  With σ mapping ``ps<survivor>::x`` to ``ps<doomed>::x``
         (and every other name to itself), entry ``(u, v)`` is
         ``max(b[u][v], b[σu][σv])`` and is absent when either side is.
-        Both projections of a closed graph are exact and the join of closed
-        graphs is closed, so one pass over this graph's closed matrix
-        builds a closed result.  The result keeps this graph's closedness
-        flag (a widened input gives a widened result) and its feasibility.
+        ``bind`` names result variables that equal a ``var + c`` form (or a
+        constant) of this graph in *both* projections — the merged set's
+        bounds, which may read either namespace — so their entries are read
+        off that form's row and column on each side; any other form leaves
+        its variable unconstrained.  Both projections of a closed graph are
+        exact (a bound variable is an alias of its form) and the join of
+        closed graphs is closed, so one pass over this graph's closed
+        matrix builds a closed result.  The result keeps this graph's
+        closedness flag (a widened input gives a widened result) and its
+        feasibility.
         """
         self._ensure_closed()
         keep, drop = namespace_prefix(survivor), namespace_prefix(doomed)
         bound = self._bound
+        bind = bind or {}
         # result name -> the name of its counterpart on the doomed side
         sigma = {
             name: drop + name[len(keep):] if name.startswith(keep) else name
             for name in bound
-            if not name.startswith(drop)
+            if not name.startswith(drop) and name not in bind
         }
         for name in bound:
             if name.startswith(drop):
-                sigma.setdefault(keep + name[len(drop):], name)
+                renamed = keep + name[len(drop):]
+                if renamed not in bind:
+                    sigma.setdefault(renamed, name)
         result = ConstraintGraph(self.naive_closure, self.naive_copy)
         rows = result._bound = {}
         for u, sigma_u in sigma.items():
@@ -933,6 +936,30 @@ class ConstraintGraph:
                     oc = theirs.get(sigma_v)
                     if oc is not None:
                         row[v] = c if c > oc else oc
+        aliases = {}
+        for name, expr in bind.items():
+            rows[name] = {}
+            constant = expr.as_constant()
+            form = (ZERO, constant) if constant is not None else expr.split_var_plus_const()
+            if form is not None and form[0] in bound:
+                aliases[name] = form
+
+        def entry(x: str, y: str) -> Optional[int]:
+            return 0 if x == y else bound.get(x, {}).get(y)
+
+        for name, (x, c) in aliases.items():
+            row = rows[name]
+            for v, sigma_v in sigma.items():
+                out = (entry(x, v), entry(x, sigma_v))
+                if None not in out:
+                    row[v] = max(out) - c
+                into = (entry(v, x), entry(sigma_v, x))
+                if None not in into:
+                    rows[v][name] = max(into) + c
+            for other, (y, d) in aliases.items():
+                between = entry(x, y)
+                if other != name and between is not None:
+                    row[other] = between + d - c
         result._infeasible = self._infeasible
         result._closed = self._closed
         return result

@@ -9,12 +9,12 @@ partial topology, and the accumulated diagnostics — so a later run can
 continue exactly where the interrupted one stopped and converge to the
 identical :class:`~repro.core.engine.AnalysisResult`.
 
-Snapshot format (``repro-ckpt/1``)
+Snapshot format (``repro-ckpt/2``)
 ----------------------------------
 
 One JSON document::
 
-    {"format": "repro-ckpt/1", "checksum": "<sha256 of payload>", "payload": {...}}
+    {"format": "repro-ckpt/2", "checksum": "<sha256 of payload>", "payload": {...}}
 
 The payload is produced by a *structural codec*: plain scalars pass
 through, containers are tagged (``{"__t__": "tuple", "v": [...]}``), and
@@ -57,7 +57,7 @@ from repro.obs import context
 from repro.obs import recorder as obs
 
 #: snapshot format version; bump on any incompatible payload change
-FORMAT = "repro-ckpt/1"
+FORMAT = "repro-ckpt/2"
 
 
 class SnapshotError(Exception):
@@ -536,19 +536,13 @@ def _register_builtin_codecs() -> None:
     from repro.expr.linear import LinearExpr
     from repro.expr.poly import Monomial, Poly
     from repro.hsm.hsm import HSM
-    from repro.procset.interval import Bound, ProcSet, SymRange
+    from repro.procset.interval import ProcSet, SymRange
 
     register_codec(
         LinearExpr,
         "linexpr",
         lambda e: {"c": e.constant, "k": sorted(e.coeffs.items())},
         lambda d: LinearExpr(d["c"], dict(d["k"])),
-    )
-    register_codec(
-        Bound,
-        "bound",
-        lambda b: sorted(b.exprs, key=str),
-        lambda exprs: Bound(exprs),
     )
     register_codec(
         SymRange,

@@ -2,8 +2,8 @@
 
 These are the workhorse of the Section VII client analysis: process-set
 bounds (``[1 .. np-1]``), message expressions (``id + 1``, ``i``, ``0``) and
-the equivalence sets attached to range bounds are all affine expressions over
-program variables.
+the equal forms the constraint graph lists for a bound are all affine
+expressions over program variables.
 
 The representation is canonical: a mapping from variable name to a non-zero
 integer coefficient, plus an integer constant.  Two ``LinearExpr`` objects
@@ -38,8 +38,8 @@ class LinearExpr:
             for name, coeff in coeffs.items():
                 if coeff != 0:
                     clean[name] = int(coeff)
-        # single-variable expressions (the overwhelmingly common shape on the
-        # enrichment hot path) need no sort
+        # single-variable expressions (the overwhelmingly common shape of
+        # bounds and their equal forms) need no sort
         if len(clean) > 1:
             self._coeffs: Tuple[Tuple[str, int], ...] = tuple(sorted(clean.items()))
         else:

@@ -1,9 +1,21 @@
-"""Symbolic ranges ``[lb..ub]`` with equivalence-set bounds."""
+"""Symbolic ranges ``[lb..ub]`` of process ranks.
+
+A bound is one affine expression.  Inside a stored client state each bound
+is a variable of the constraint graph (``ps<uid>::.lb<k>`` and
+``ps<uid>::.ub<k>``, see :mod:`repro.analyses.simple_symbolic`), so every
+fact the graph knows about it — what it equals, what it is below — is one
+graph query away, and the graph's join and widening act on bounds like on
+any other variable.  The set operations here build new bounds from old ones
+(``lb + 1``, the larger of two bounds) and leave storing them to the client.
+
+Every order comparison is delegated to an :class:`Order` oracle — in
+practice the client analysis' constraint graph.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.expr.linear import LinearExpr
 
@@ -25,199 +37,96 @@ class Order:
         return constant <= 0
 
 
-class Bound:
-    """A range bound: a non-empty set of provably-equal affine expressions."""
+def eq(order: Order, a: LinearExpr, b: LinearExpr) -> Optional[bool]:
+    """Three-valued ``a == b``."""
+    if a == b:
+        return True
+    forward = order.entails_leq(a, b)
+    backward = order.entails_leq(b, a)
+    if forward is True and backward is True:
+        return True
+    if forward is False or backward is False:
+        return False
+    return None
 
-    __slots__ = ("_exprs",)
 
-    def __init__(self, exprs: Iterable[LinearExpr]):
-        frozen = frozenset(exprs)
-        if not frozen:
-            raise ValueError("a bound needs at least one expression")
-        self._exprs = frozen
+def lt(order: Order, a: LinearExpr, b: LinearExpr) -> Optional[bool]:
+    """Three-valued ``a < b``."""
+    return order.entails_leq(a + 1, b)
 
-    @classmethod
-    def of(cls, expr) -> "Bound":
-        """Bound from a single int / str / LinearExpr."""
-        return cls({LinearExpr.coerce(expr)})
 
-    @property
-    def exprs(self) -> FrozenSet[LinearExpr]:
-        """All equivalent expressions of this bound."""
-        return self._exprs
+def canonical(forms: Iterable[LinearExpr]) -> LinearExpr:
+    """The form a reader sees among equal ones: a constant first, then the
+    fewest variables, then the least by text."""
 
-    def canonical(self) -> LinearExpr:
-        """A deterministic representative (constants first, then shortest)."""
-        def key(expr: LinearExpr) -> Tuple:
-            return (0 if expr.is_constant() else 1, len(expr.coeffs), str(expr))
+    def key(expr: LinearExpr) -> Tuple:
+        return (0 if expr.is_constant() else 1, len(expr.coeffs), str(expr))
 
-        return min(self._exprs, key=key)
-
-    def shift(self, delta: int) -> "Bound":
-        """Add an integer to every representative."""
-        return Bound({expr + delta for expr in self._exprs})
-
-    def translate(self, delta: LinearExpr) -> "Bound":
-        """Add a symbolic (process-uniform) offset to every representative."""
-        return Bound({expr + delta for expr in self._exprs})
-
-    def widen_with(self, other: "Bound") -> Optional["Bound"]:
-        """Equivalence-set intersection; None when nothing is common.
-
-        This is the paper's widening on process-set bounds: only the
-        expressions valid in both states survive.
-        """
-        common = self._exprs & other._exprs
-        return Bound(common) if common else None
-
-    def union_with(self, other: "Bound") -> "Bound":
-        """Union of equivalence sets (both describe the same value)."""
-        return Bound(self._exprs | other._exprs)
-
-    def mentions(self, name: str) -> bool:
-        """True iff any representative mentions the variable."""
-        return any(expr.mentions(name) for expr in self._exprs)
-
-    def substitute(self, bindings) -> "Bound":
-        """Substitute variables in every representative (``self`` when no
-        representative mentions a bound variable)."""
-        if not any(
-            name in bindings for expr in self._exprs for name in expr.variables()
-        ):
-            return self
-        return Bound({expr.substitute(bindings) for expr in self._exprs})
-
-    # -- comparisons via an oracle ------------------------------------------
-
-    def leq(self, other: "Bound", order: Order) -> Optional[bool]:
-        """Three-valued ``self <= other`` using any representative pair."""
-        for mine in self._exprs:
-            for theirs in other._exprs:
-                verdict = order.entails_leq(mine, theirs)
-                if verdict is not None:
-                    return verdict
-        return None
-
-    def eq(self, other: "Bound", order: Order) -> Optional[bool]:
-        """Three-valued ``self == other``."""
-        if self._exprs & other._exprs:
-            return True
-        forward = self.leq(other, order)
-        backward = other.leq(self, order)
-        if forward is True and backward is True:
-            return True
-        if forward is False or backward is False:
-            return False
-        return None
-
-    def lt(self, other: "Bound", order: Order) -> Optional[bool]:
-        """Three-valued ``self < other``."""
-        verdict = self.shift(1).leq(other, order)
-        return verdict
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Bound):
-            return NotImplemented
-        return self._exprs == other._exprs
-
-    def __hash__(self) -> int:
-        return hash(self._exprs)
-
-    def __str__(self) -> str:
-        return str(self.canonical())
-
-    def __repr__(self) -> str:
-        names = ", ".join(sorted(str(e) for e in self._exprs))
-        return f"Bound({names})"
+    return min(forms, key=key)
 
 
 @dataclass(frozen=True)
 class SymRange:
     """A contiguous symbolic range ``[lb..ub]`` of process ranks."""
 
-    lb: Bound
-    ub: Bound
+    lb: LinearExpr
+    ub: LinearExpr
 
     @classmethod
     def make(cls, lb, ub) -> "SymRange":
         """Range from int/str/LinearExpr bounds."""
-        return cls(Bound.of(lb), Bound.of(ub))
+        return cls(LinearExpr.coerce(lb), LinearExpr.coerce(ub))
 
     @classmethod
     def point(cls, expr) -> "SymRange":
         """The singleton range ``[e..e]``."""
-        bound = Bound.of(expr)
+        bound = LinearExpr.coerce(expr)
         return cls(bound, bound)
 
     # -- queries --------------------------------------------------------------
 
     def is_empty(self, order: Order) -> Optional[bool]:
         """Three-valued emptiness: ``lb > ub``?"""
-        verdict = self.lb.leq(self.ub, order)
+        verdict = order.entails_leq(self.lb, self.ub)
         if verdict is None:
             return None
         return not verdict
 
     def is_singleton(self, order: Order) -> Optional[bool]:
         """Three-valued ``lb == ub``?"""
-        return self.lb.eq(self.ub, order)
+        return eq(order, self.lb, self.ub)
 
     def contains_expr(self, expr: LinearExpr, order: Order) -> Optional[bool]:
         """Three-valued membership of a symbolic rank."""
-        point = Bound.of(expr)
-        low = self.lb.leq(point, order)
-        high = point.leq(self.ub, order)
+        low = order.entails_leq(self.lb, expr)
+        high = order.entails_leq(expr, self.ub)
         if low is True and high is True:
             return True
         if low is False or high is False:
             return False
         return None
 
-    def size(self) -> Optional[LinearExpr]:
-        """``ub - lb + 1`` using canonical representatives."""
-        return self.ub.canonical() - self.lb.canonical() + 1
+    def size(self) -> LinearExpr:
+        """``ub - lb + 1``."""
+        return self.ub - self.lb + 1
 
     # -- transforms -------------------------------------------------------------
 
-    def shift(self, delta: int) -> "SymRange":
-        """The range translated by an integer."""
-        return SymRange(self.lb.shift(delta), self.ub.shift(delta))
-
-    def translate(self, delta: LinearExpr) -> "SymRange":
-        """The range translated by a symbolic (process-uniform) offset."""
-        return SymRange(self.lb.translate(delta), self.ub.translate(delta))
-
-    def map_bounds(self, fn: Callable[[Bound], Bound]) -> "SymRange":
-        """The range with ``fn`` applied to both bounds (``self`` when
-        ``fn`` returns both unchanged)."""
-        lb, ub = fn(self.lb), fn(self.ub)
-        if lb is self.lb and ub is self.ub:
-            return self
-        return SymRange(lb, ub)
-
-    def substitute(self, bindings) -> "SymRange":
-        """Substitute variables in both bounds."""
-        return self.map_bounds(lambda bound: bound.substitute(bindings))
-
-    def widen_with(self, other: "SymRange") -> Optional["SymRange"]:
-        """Pairwise bound widening; None when either bound loses all forms."""
-        lb = self.lb.widen_with(other.lb)
-        ub = self.ub.widen_with(other.ub)
-        if lb is None or ub is None:
-            return None
-        return SymRange(lb, ub)
+    def shift(self, delta) -> "SymRange":
+        """The range translated by an integer or a process-uniform offset."""
+        return SymRange(self.lb + delta, self.ub + delta)
 
     def intersect(self, other: "SymRange", order: Order) -> Optional["SymRange"]:
         """Exact intersection, or None when bounds are incomparable."""
-        if self.lb.leq(other.lb, order) is True:
+        if order.entails_leq(self.lb, other.lb) is True:
             lb = other.lb
-        elif other.lb.leq(self.lb, order) is True:
+        elif order.entails_leq(other.lb, self.lb) is True:
             lb = self.lb
         else:
             return None
-        if self.ub.leq(other.ub, order) is True:
+        if order.entails_leq(self.ub, other.ub) is True:
             ub = self.ub
-        elif other.ub.leq(self.ub, order) is True:
+        elif order.entails_leq(other.ub, self.ub) is True:
             ub = other.ub
         else:
             return None
@@ -239,32 +148,30 @@ class SymRange:
             return [self]
         pieces: List[SymRange] = []
         # left remainder [self.lb .. overlap.lb-1]
-        left_exists = self.lb.lt(overlap.lb, order)
+        left_exists = lt(order, self.lb, overlap.lb)
         if left_exists is None:
             # lb comparison itself decided during intersect; equal bounds
             # mean no left piece
-            if self.lb.eq(overlap.lb, order) is True:
+            if eq(order, self.lb, overlap.lb) is True:
                 left_exists = False
             else:
                 return None
         if left_exists:
-            pieces.append(SymRange(self.lb, overlap.lb.shift(-1)))
+            pieces.append(SymRange(self.lb, overlap.lb - 1))
         # right remainder [overlap.ub+1 .. self.ub]
-        right_exists = overlap.ub.lt(self.ub, order)
+        right_exists = lt(order, overlap.ub, self.ub)
         if right_exists is None:
-            if self.ub.eq(overlap.ub, order) is True:
+            if eq(order, self.ub, overlap.ub) is True:
                 right_exists = False
             else:
                 return None
         if right_exists:
-            pieces.append(SymRange(overlap.ub.shift(1), self.ub))
+            pieces.append(SymRange(overlap.ub + 1, self.ub))
         return pieces
 
     def enumerate(self, env) -> List[int]:
         """Concrete members under a total variable assignment (for tests)."""
-        low = self.lb.canonical().evaluate(env)
-        high = self.ub.canonical().evaluate(env)
-        return list(range(low, high + 1))
+        return list(range(self.lb.evaluate(env), self.ub.evaluate(env) + 1))
 
     def __str__(self) -> str:
         return f"[{self.lb}..{self.ub}]"
@@ -323,25 +230,9 @@ class ProcSet:
         """The sole component when the union has exactly one range."""
         return self._ranges[0] if len(self._ranges) == 1 else None
 
-    def shift(self, delta: int) -> "ProcSet":
-        """Translate all ranges by an integer."""
+    def shift(self, delta) -> "ProcSet":
+        """Translate all ranges by an integer or a process-uniform offset."""
         return ProcSet([r.shift(delta) for r in self._ranges])
-
-    def translate(self, delta: LinearExpr) -> "ProcSet":
-        """Translate all ranges by a symbolic (process-uniform) offset."""
-        return ProcSet([r.translate(delta) for r in self._ranges])
-
-    def map_bounds(self, fn: Callable[[Bound], Bound]) -> "ProcSet":
-        """The set with ``fn`` applied to every bound (``self`` when ``fn``
-        returns every bound unchanged)."""
-        ranges = [r.map_bounds(fn) for r in self._ranges]
-        if all(new is old for new, old in zip(ranges, self._ranges)):
-            return self
-        return ProcSet(ranges)
-
-    def substitute(self, bindings) -> "ProcSet":
-        """Substitute variables in all bounds."""
-        return self.map_bounds(lambda bound: bound.substitute(bindings))
 
     def union_with(self, other: "ProcSet", order: Order) -> "ProcSet":
         """Concatenate and coalesce provably-adjacent ranges."""
@@ -355,7 +246,7 @@ class ProcSet:
                         continue
                     a, b = merged[i], merged[j]
                     # a directly precedes b:  a.ub + 1 == b.lb
-                    if a.ub.shift(1).eq(b.lb, order) is True:
+                    if eq(order, a.ub + 1, b.lb) is True:
                         coalesced = SymRange(a.lb, b.ub)
                         rest = [merged[k] for k in range(len(merged)) if k not in (i, j)]
                         merged = rest + [coalesced]
@@ -369,24 +260,20 @@ class ProcSet:
             )
         return ProcSet(merged)
 
-    def widen_with(self, other: "ProcSet") -> Optional["ProcSet"]:
-        """Positional range widening; None on shape mismatch or lost bounds."""
-        if len(self._ranges) != len(other._ranges):
-            return None
-        widened = []
-        for mine, theirs in zip(self._ranges, other._ranges):
-            result = mine.widen_with(theirs)
-            if result is None:
-                return None
-            widened.append(result)
-        return ProcSet(widened)
-
     def enumerate(self, env) -> List[int]:
         """Concrete members under a total assignment (for tests)."""
         members: List[int] = []
         for rng in self._ranges:
             members.extend(rng.enumerate(env))
         return sorted(set(members))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProcSet):
+            return NotImplemented
+        return self._ranges == other._ranges
+
+    def __hash__(self) -> int:
+        return hash(self._ranges)
 
     def __str__(self) -> str:
         if not self._ranges:

@@ -9,10 +9,11 @@ carries no information: a join keeps a row for a name that only one side
 holds, and hash-consing ignores unconstrained rows, so a state can stand
 in for an equal one at another pCFG node.
 
-A set bound holds every form its equality class offers, some of them over
-dead variables.  Such a form is dropped with its variable, as long as the
-bound keeps another form; ``dest`` and ``value`` of an in-flight send are
-never trimmed, so their variables stay.
+A set bound is a variable of the graph, so a dead variable it equals is
+projected out like any other, and the bound keeps every relation that the
+projection keeps (a closed graph holds them all as edges).  The bound
+variables and the variables that ``dest`` and ``value`` of an in-flight
+send read are never dropped.
 """
 
 import pytest
@@ -23,12 +24,14 @@ from repro.analyses.simple_symbolic import (
     PSetEntry,
     SimpleSymbolicClient,
     SymbolicState,
+    _store,
+    _stored,
 )
 from repro.cgraph.constraint_graph import ZERO, ConstraintGraph
 from repro.core.driver import analyze_with_fallback
 from repro.expr.linear import LinearExpr
 from repro.lang import programs
-from repro.procset.interval import Bound, ProcSet, SymRange
+from repro.procset.interval import ProcSet, SymRange
 
 
 @pytest.mark.parametrize("name", programs.names())
@@ -66,7 +69,8 @@ def test_a_dead_loop_carried_variable_no_longer_splits_iterations():
 # -- dead forms leave set bounds ------------------------------------------------
 
 Y = LinearExpr.var("ps1::y")
-TOP = Bound.of(LinearExpr.var("np") - 1)
+LB, UB = LinearExpr.var("ps1::.lb0"), LinearExpr.var("ps1::.ub0")
+TOP = LinearExpr.var("np") - 1
 
 
 class _Liveness:
@@ -88,7 +92,7 @@ def _graph(**consts) -> ConstraintGraph:
 
 
 def _state(cg, lb, ub=TOP, pendings=()):
-    pset = ProcSet([SymRange(lb, ub)])
+    pset = _store(cg, 1, ProcSet([SymRange(lb, ub)]))
     return SymbolicState(cg, (PSetEntry(1, pset),), tuple(pendings), 2)
 
 
@@ -97,34 +101,40 @@ def _drop(state):
 
 
 def test_a_dead_form_leaves_its_bound_and_its_variable_is_projected():
-    state = _state(_graph(y=5), Bound({LinearExpr.const(2), Y - 3}))
+    state = _state(_graph(y=5), Y - 3)
+    assert state.cg.equivalents(LB) >= {LinearExpr.const(2), Y - 3}
     dropped = _drop(state)
-    (rng,) = dropped.psets[0].pset.ranges
-    assert rng.lb.exprs == {LinearExpr.const(2)}
-    assert rng.ub is TOP
+    assert dropped.psets == state.psets
+    assert dropped.cg.equivalents(LB) == {LB, LinearExpr.const(2)}
     assert "ps1::y" not in dropped.cg.variables()
 
 
-def test_a_bound_of_dead_forms_only_keeps_them_and_their_variable():
-    # the sole form of ``lb`` keeps ``y``, so ``ub`` keeps its ``y`` form too
-    lb, ub = Bound.of(Y - 3), Bound({LinearExpr.const(2), Y - 3})
-    state = _state(_graph(y=5, z=1), lb, ub)
+def test_a_bound_whose_only_form_is_dead_keeps_its_relations():
+    # ``lb == y - 3`` with ``y`` unknown: ``y`` goes, and the bound keeps
+    # ``lb <= id`` and ``lb <= ub``, which it holds as graph edges
+    cg = _graph(z=1)
+    cg.add_upper("ps1::y", 4)
+    cg.add_diff("ps1::id", "ps1::y", 3)
+    state = _state(cg, Y - 3)
     dropped = _drop(state)
-    (rng,) = dropped.psets[0].pset.ranges
-    assert rng.lb is lb and rng.ub is ub
-    assert dropped.psets[0] is state.psets[0]
-    assert "ps1::y" in dropped.cg.variables()
+    assert "ps1::y" not in dropped.cg.variables()
     assert "ps1::z" not in dropped.cg.variables()
+    assert dropped.cg.entails_leq(LB, LinearExpr.var("ps1::id")) is True
+    assert dropped.cg.entails_leq(LB, UB) is True
+    assert dropped.cg.entails_leq(LB, LinearExpr.const(1)) is True
 
 
 def test_a_variable_an_in_flight_dest_mentions_keeps_every_form():
-    bound = Bound({LinearExpr.const(2), Y - 3})
-    pending = Pending(7, 1, ProcSet([SymRange(bound, bound)]), Y, None, "int")
-    state = _state(_graph(y=5, z=1), bound, pendings=[pending])
+    cg = _graph(y=5, z=1)
+    cg.set_const("ps2::y", 5)
+    sent = _store(cg, 2, ProcSet([SymRange.point(LinearExpr.const(2))]))
+    pending = Pending(7, 2, sent, LinearExpr.var("ps2::y"), None, "int")
+    state = _state(cg, Y - 3, pendings=[pending])
     dropped = _drop(state)
-    assert dropped.psets[0].pset.ranges[0].lb is bound
     assert dropped.pendings[0] is pending
-    assert "ps1::y" in dropped.cg.variables()
+    assert "ps2::y" in dropped.cg.variables()
+    assert LinearExpr.var("ps2::y") - 3 in dropped.cg.equivalents(LB)
+    assert "ps1::y" not in dropped.cg.variables()
     assert "ps1::z" not in dropped.cg.variables()
 
 
@@ -138,5 +148,5 @@ def test_a_widened_graph_returns_the_state_unchanged():
         cg.add_upper("ps1::w", w_cap)
     cg = older.widen(newer)
     assert cg._closed is not True
-    state = _state(cg, Bound({LinearExpr.const(2), Y - 3}))
+    state = SymbolicState(cg, (PSetEntry(1, _stored(1, 1)),), (), 2)
     assert _drop(state) is state

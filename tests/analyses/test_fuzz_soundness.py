@@ -178,3 +178,30 @@ def test_a_branch_on_a_value_that_differs_within_a_set_is_sound():
         program, set(report.result.matches), (4, 5, 6)
     )
     assert divergences == []
+
+
+#: a send that rank 0 buffers to ``w`` (its own rank) before every rank
+#: meets at the receive; the buffered message must keep dest 0 when the
+#: sets merge, and the last send then reaches rank 1's receive (5 -> 4)
+IN_FLIGHT_ACROSS_A_MERGE = """
+    w = id
+    if (id == 0) then send 9 -> w end
+    receive q <- 0
+    send w -> 1
+"""
+
+
+def test_an_in_flight_send_across_a_merge_is_sound():
+    # In-flight sends own a namespace, bound equal to the sender's when
+    # the send is buffered, so the merge that folds the sender's namespace
+    # leaves ``dest == 0`` alone.  The run deadlocks at every np; the
+    # ladder claims exactly the two pairs it makes, and no rung answers
+    # ``exact`` for it.
+    program = parse(IN_FLIGHT_ACROSS_A_MERGE)
+    report = analyze_with_fallback(program)
+    claimed = set(report.result.matches)
+    dynamic, statuses, divergences = differential_check(program, claimed, (4, 5, 6))
+    assert divergences == []
+    assert statuses == ["deadlock"] * 3
+    assert report.result.confidence != "exact"
+    assert claimed == {(3, 4), (5, 4)}

@@ -1,9 +1,9 @@
 """The two facts the cheap bound operations rely on, on random graphs.
 
 * ``equivalents`` is a function of the equality class: for every ``m`` in
-  ``equivalents(e)``, ``equivalents(m) == equivalents(e)``.  Process-set
-  enrichment (``equivalents_union``) asks once per class on the strength
-  of it.
+  ``equivalents(e)``, ``equivalents(m) == equivalents(e)``, so the
+  printable form the client picks for a process-set bound depends only on
+  the bound's class.
 * ``equivalents`` memoizes its answers with the lifecycle of the classes:
   a memoized answer equals a fresh computation on a rebuilt graph, before
   and after a mutation, on both sides of a copy-on-write copy.
@@ -125,18 +125,6 @@ def test_equivalents_is_a_function_of_the_class(ops):
         assert expr in cls
         for member in cls:
             assert g.equivalents(member) == cls, (g, expr, member)
-
-
-@settings(max_examples=100, deadline=None)
-@given(ops=st.lists(_op, max_size=14), picks=st.lists(st.integers(0, 17), max_size=4))
-def test_equivalents_union_equals_the_union_of_every_query(ops, picks):
-    g = _build(ops)
-    forms = _forms()
-    exprs = [forms[i] for i in picks]
-    expected = set()
-    for expr in exprs:
-        expected |= g.equivalents(expr)
-    assert g.equivalents_union(exprs) == expected
 
 
 def _fresh_equivalents(g: ConstraintGraph, expr):

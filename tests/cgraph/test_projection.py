@@ -14,11 +14,12 @@ from repro.analyses.simple_symbolic import (
     PSetEntry,
     SimpleSymbolicClient,
     SymbolicState,
+    _store,
 )
 from repro.cgraph.constraint_graph import _WIDENED, ZERO, ConstraintGraph
 from repro.expr.linear import LinearExpr
 from repro.lang import build_cfg, parse
-from repro.procset.interval import Bound, ProcSet, SymRange
+from repro.procset.interval import ProcSet
 from tests.cgraph.test_closed_form_updates import _closed_graph, _edges, _widened
 from tests.cgraph.test_equivalence_classes import VARS, _op
 
@@ -57,11 +58,11 @@ def test_projecting_a_closed_graph_changes_nothing_kept(graph, dropped):
 
 
 def _state(graph: ConstraintGraph) -> SymbolicState:
-    """``graph`` over the variables of namespace 1, whose one set waits at
-    the CFG exit, where nothing but ``id`` is live."""
+    """``graph`` over the variables of namespace 1, whose one set ``[0..0]``
+    waits at the CFG exit, where nothing but ``id`` is live."""
     graph.rename({name: f"ps1::{name}" for name in VARS})
-    rank = Bound.of(0)
-    return SymbolicState(graph, (PSetEntry(1, ProcSet([SymRange(rank, rank)])),))
+    pset = _store(graph, 1, ProcSet.point(0))
+    return SymbolicState(graph, (PSetEntry(1, pset),))
 
 
 def _exit_of_an_empty_program():
@@ -90,5 +91,5 @@ def test_the_hook_drops_every_dead_variable_of_a_closed_graph(graph):
     cfg, locs = _exit_of_an_empty_program()
     dropped = SimpleSymbolicClient().drop_dead(state, locs, cfg)
     assert dropped is not state
-    assert dropped.cg.variables() == set()
+    assert dropped.cg.variables() == {"ps1::.lb0", "ps1::.ub0"}
     assert state.cg._edge_items() == before

@@ -44,7 +44,7 @@ from repro.expr.poly import Poly
 from repro.hsm.hsm import HSM
 from repro.lang import programs
 from repro.lang.cfg import build_cfg
-from repro.procset.interval import Bound, ProcSet, SymRange
+from repro.procset.interval import ProcSet, SymRange
 
 # -- helpers ------------------------------------------------------------------
 
@@ -82,11 +82,7 @@ linexprs = st.builds(
     st.dictionaries(NAMES, st.integers(min_value=-3, max_value=3), max_size=2),
 )
 
-bounds = st.builds(
-    lambda exprs: Bound(exprs), st.lists(linexprs, min_size=1, max_size=2)
-)
-
-symranges = st.builds(SymRange, bounds, bounds)
+symranges = st.builds(SymRange, linexprs, linexprs)
 
 procsets = st.builds(
     lambda ranges: ProcSet(ranges), st.lists(symranges, min_size=0, max_size=3)
@@ -346,6 +342,21 @@ def test_version_skew_degrades_to_cold_start(tmp_path):
     ckpt.path.write_text(json.dumps(document))
     result = _run("pingpong", SimpleSymbolicClient, resume=ckpt.path)
     _assert_cold_start_with(result, diagnostics.CHECKPOINT_MISMATCH)
+
+
+def test_a_first_format_snapshot_is_rejected_and_the_run_cold_starts(tmp_path):
+    # repro-ckpt/1 stored each set bound as a list of equal expressions;
+    # its payload means nothing to this client, so the run starts over
+    assert FORMAT == "repro-ckpt/2"
+    ckpt = _tripped_checkpoint(tmp_path)
+    document = json.loads(ckpt.path.read_text())
+    document["format"] = "repro-ckpt/1"
+    ckpt.path.write_text(json.dumps(document))
+    result = _run("pingpong", SimpleSymbolicClient, resume=ckpt.path)
+    _assert_cold_start_with(result, diagnostics.CHECKPOINT_MISMATCH)
+    cold = _run("pingpong", SimpleSymbolicClient)
+    assert sorted(result.matches) == sorted(cold.matches)
+    assert result.steps == cold.steps
 
 
 def test_wrong_program_snapshot_degrades_to_cold_start(tmp_path):

@@ -3,9 +3,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analyses.simple_symbolic import (
+    PSetEntry,
+    SimpleSymbolicClient,
+    SymbolicState,
+    _store,
+    _stored,
+)
 from repro.cgraph.constraint_graph import ConstraintGraph
 from repro.expr.linear import LinearExpr
-from repro.procset.interval import Bound, Order, ProcSet, SymRange
+from repro.procset.interval import Order, ProcSet, SymRange, canonical, eq, lt
 
 
 def L(value):
@@ -22,59 +29,96 @@ def oracle():
 
 
 class TestBound:
+    """A bound is one expression.  Inside a client state it is a variable of
+    the constraint graph, so what the paper keeps as a bound's set of
+    equal expressions is the graph's equality class of that variable, its
+    widening is the graph's, and the canonical rule picks the form a
+    reader sees."""
+
     def test_canonical_prefers_constant(self):
-        bound = Bound({L("i"), L(2)})
-        assert bound.canonical() == L(2)
+        assert canonical({L("i"), L(2)}) == L(2)
+
+    def test_canonical_prefers_fewer_variables_then_text(self):
+        assert canonical({L("np") - 1, L("i") + L("j")}) == L("np") - 1
+        assert canonical({L("np") - 1, L("ps1::i")}) == L("np") - 1
 
     def test_shift(self):
-        bound = Bound({L("i")}).shift(3)
-        assert bound.exprs == frozenset({L("i") + 3})
+        assert SymRange.point(L("i")).shift(3).lb == L("i") + 3
 
     def test_translate_symbolic(self):
-        bound = Bound({L(0)}).translate(L("np"))
-        assert bound.exprs == frozenset({L("np")})
+        assert SymRange.point(0).shift(L("np")).ub == L("np")
 
     def test_widen_keeps_common(self):
-        a = Bound({L(1), L("i")})
-        b = Bound({L(2), L("i")})
-        assert a.widen_with(b).exprs == frozenset({L("i")})
+        # lb == i == 1, then lb == i == 2: widening keeps the common form
+        older, newer = ConstraintGraph(), ConstraintGraph()
+        for graph, value in ((older, 1), (newer, 2)):
+            graph.set_const("i", value)
+            graph.add_eq_diff("i", "lb", 0)
+            graph.close()
+        widened = older.widen(older.join(newer))
+        assert widened.equivalents(L("lb")) == frozenset({L("lb"), L("i")})
 
-    def test_widen_empty_is_none(self):
-        assert Bound({L(1)}).widen_with(Bound({L(2)})) is None
+    def test_join_without_a_common_form_keeps_what_both_know(self):
+        # [0..np-5] joined with [0..np-7]: no form is common, and the join
+        # still knows np - 7 <= ub <= np - 5
+        older, newer = ConstraintGraph(), ConstraintGraph()
+        for graph, offset in ((older, -5), (newer, -7)):
+            graph.add_lower("np", 12)
+            graph.add_eq_diff("np", "ub", offset)
+            graph.close()
+        joined = older.join(newer)
+        assert joined.equivalents(L("ub")) == frozenset({L("ub")})
+        assert joined.entails_leq(L("ub"), L("np") - 5) is True
+        assert joined.entails_leq(L("np") - 7, L("ub")) is True
+        assert joined.entails_leq(L("ub"), L("np") - 6) is None
 
     def test_union(self):
-        merged = Bound({L(1)}).union_with(Bound({L("i")}))
-        assert merged.exprs == frozenset({L(1), L("i")})
+        # two descriptions of one bound are both its forms once the graph
+        # knows they are equal
+        g = ConstraintGraph()
+        g.set_const("lb", 1)
+        g.assume_eq(L("lb"), L("i"))
+        assert {L(1), L("i")} <= g.equivalents(L("lb"))
 
     def test_empty_bound_rejected(self):
         with pytest.raises(ValueError):
-            Bound(set())
+            canonical(set())
 
     def test_leq_via_oracle(self, oracle):
-        assert Bound({L("i")}).leq(Bound({L("np") - 1}), oracle) is True
+        assert oracle.entails_leq(L("i"), L("np") - 1) is True
 
     def test_eq_via_shared_expr(self):
-        a = Bound({L("i"), L(5)})
-        b = Bound({L("i")})
-        assert a.eq(b, Order()) is True
+        assert eq(Order(), L("i"), L("i")) is True
+        assert eq(Order(), L("i"), L("j")) is None
+
+    def test_eq_and_lt_via_oracle(self, oracle):
+        assert eq(oracle, L("i"), L(2)) is True
+        assert eq(oracle, L("i"), L(3)) is False
+        assert lt(oracle, L("i"), L(3)) is True
+        assert lt(oracle, L("i"), L("j")) is None
 
     def test_substitute(self):
-        bound = Bound({L("i") + 1}).substitute({"i": L("i") - 1})
-        assert bound.exprs == frozenset({L("i")})
+        # x := x + 1 on a bound equal to i + 1 leaves it equal to the new i
+        g = ConstraintGraph()
+        g.add_lower("i", 0)
+        g.add_eq_diff("i", "lb", 1)
+        g.close()
+        g.assign("i", L("i") + 1)
+        assert L("i") in g.equivalents(L("lb"))
 
     def test_unrelated_bindings_return_the_same_objects(self):
-        bound = Bound({L("i") + 1, L(5)})
-        rng = SymRange(bound, Bound.of("j"))
-        pset = ProcSet([rng, SymRange.make(7, 9)])
-        bindings = {"k": L("i")}
-        assert bound.substitute(bindings) is bound
-        assert rng.substitute(bindings) is rng
-        assert pset.substitute(bindings) is pset
-        moved = pset.substitute({"j": L("k")})
-        assert moved is not pset
-        assert moved.ranges[0].lb is bound
-        assert moved.ranges[0].ub == Bound.of("k")
-        assert moved.ranges[1] is pset.ranges[1]
+        # storing a set whose bounds already are its variables binds
+        # nothing: the set object is shared and the graph is not touched
+        stored = _stored(1, 2)
+        assert _stored(1, 2) is stored
+        g = ConstraintGraph()
+        g.set_const("ps1::.lb0", 0)
+        g.close()
+        before = g.fingerprint()
+        shared = g.copy()
+        assert _store(shared, 1, stored) is stored
+        assert shared._bound is g._bound
+        assert shared.fingerprint() == before
 
 
 class TestSymRange:
@@ -99,7 +143,7 @@ class TestSymRange:
         a = SymRange.make(1, L("np") - 1)
         b = SymRange.point(L("i"))
         inter = a.intersect(b, oracle)
-        assert inter.lb.eq(b.lb, oracle) is True
+        assert eq(oracle, inter.lb, b.lb) is True
 
     def test_intersect_unknown_is_none(self, oracle):
         a = SymRange.make("j", 10)
@@ -111,8 +155,8 @@ class TestSymRange:
         pieces = a.difference(SymRange.point(L("i")), oracle)
         assert len(pieces) == 2
         low, high = pieces
-        assert low.ub.eq(Bound({L("i") - 1}), oracle) is True
-        assert high.lb.eq(Bound({L("i") + 1}), oracle) is True
+        assert eq(oracle, low.ub, L("i") - 1) is True
+        assert eq(oracle, high.lb, L("i") + 1) is True
 
     def test_difference_disjoint(self, oracle):
         a = SymRange.make(5, 9)
@@ -159,21 +203,41 @@ class TestProcSet:
         merged = a.union_with(b, oracle)
         assert merged.single_range() is not None
 
+    def test_sets_compare_by_value(self):
+        assert ProcSet.range(1, L("np") - 1) == ProcSet.range(1, L("np") - 1)
+        assert ProcSet.range(1, 2) != ProcSet.range(1, 3)
+        assert len({ProcSet.point(0), ProcSet.point(0)}) == 1
+
     def test_widen_positional(self):
-        a = ProcSet([SymRange(Bound({L(1), L("i")}), Bound({L(5)}))])
-        b = ProcSet([SymRange(Bound({L(2), L("i")}), Bound({L(5)}))])
-        widened = a.widen_with(b)
-        assert widened.single_range().lb.exprs == frozenset({L("i")})
+        # the client pairs sets by position and ranges by index, so range k
+        # of both states is the same pair of graph variables; widening the
+        # joined graph keeps the loop counter form of the lower bound
+        def state(value):
+            cg = ConstraintGraph()
+            cg.set_const("ps1::i", value)
+            pset = _store(cg, 1, ProcSet.range(L("ps1::i"), 5))
+            return SymbolicState(cg, (PSetEntry(1, pset),), (), 2)
+
+        client = SimpleSymbolicClient()
+        older = state(1)
+        widened = client.widen(older, client.join(older, state(2)))
+        (rng,) = widened.psets[0].pset.ranges
+        assert L("ps1::i") in widened.cg.equivalents(rng.lb)
+        assert L(5) in widened.cg.equivalents(rng.ub)
 
     def test_widen_shape_mismatch(self):
-        a = ProcSet([SymRange.make(1, 2)])
-        b = ProcSet([SymRange.make(1, 2), SymRange.make(4, 5)])
-        assert a.widen_with(b) is None
+        def state(pset):
+            cg = ConstraintGraph()
+            return SymbolicState(cg, (PSetEntry(1, _store(cg, 1, pset)),), (), 2)
+
+        one = state(ProcSet([SymRange.make(1, 2)]))
+        two = state(ProcSet([SymRange.make(1, 2), SymRange.make(4, 5)]))
+        assert SimpleSymbolicClient().join(one, two) is None
 
     def test_shift_and_translate(self):
         pset = ProcSet([SymRange.make(1, 3)])
         assert pset.shift(2).enumerate({}) == [3, 4, 5]
-        assert pset.translate(L("np")).enumerate({"np": 10}) == [11, 12, 13]
+        assert pset.shift(L("np")).enumerate({"np": 10}) == [11, 12, 13]
 
     def test_enumerate_dedupes(self):
         pset = ProcSet([SymRange.make(1, 3), SymRange.make(3, 4)])

@@ -1,6 +1,7 @@
 """Public API surface tests."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 class TestPublicAPI:
     def test_version(self):
         assert repro.__version__
+
+    def test_version_agrees_with_the_package_metadata(self):
+        # the result cache folds ``__version__`` into every key, so the two
+        # must move together; a regex keeps this test free of tomllib (3.11+)
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+        assert declared and declared.group(1) == repro.__version__
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:
