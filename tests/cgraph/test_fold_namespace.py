@@ -9,11 +9,17 @@ two namespaces, a third one and the global ``np``, closed or with pending
 edges, built under the optimized lattice and under both ablations (random
 edges make some of them infeasible), plus a fixed widened graph and a fixed
 infeasible one.
+
+``bind`` gives the merged set's bound variables their values in the same
+pass.  Its reference is the composition it replaces: in a copy of the
+graph, each bound waits in a temporary outside every namespace while the
+namespaces fold (without ``bind``), then takes its name.
 """
 
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.cgraph.constraint_graph import _WIDENED, ZERO, ConstraintGraph
+from repro.expr.linear import LinearExpr
 
 NODES = [ZERO, "np", "ps1::x", "ps1::y", "ps2::x", "ps2::z", "ps3::x"]
 FLAGS = [{}, {"naive_closure": True}, {"naive_copy": True}]
@@ -35,9 +41,9 @@ def reference_fold(graph: ConstraintGraph, survivor, doomed) -> ConstraintGraph:
     return mine.join(theirs)
 
 
-def _graph(edges, flags) -> ConstraintGraph:
+def _graph(edges, flags, nodes=NODES) -> ConstraintGraph:
     g = ConstraintGraph(**flags)
-    for name in NODES[1:]:
+    for name in nodes[1:]:
         g.add_var(name)
     for x, y, c in edges:
         g.add_diff(x, y, c)
@@ -137,3 +143,119 @@ def test_each_survivor_variable_joins_its_doomed_twin():
     # ps3::x was 4 beside a survivor 1 and a doomed 4: the fold keeps both
     assert fold.diff_bound("ps1::x", "ps3::x") == 3
     assert fold.diff_bound("ps3::x", "ps1::x") == 0
+
+
+# the old sets' bound variables: the merged set's bounds read them, and the
+# survivor's are the names the merged bounds take
+BIND_NODES = NODES + ["ps1::.lb0", "ps1::.ub0", "ps2::.lb0", "ps2::.ub0"]
+BIND_TARGETS = ["lb0", "ub0", "lb1"]
+
+
+def reference_bind_fold(graph: ConstraintGraph, survivor, doomed, bind) -> ConstraintGraph:
+    keep, drop = f"ps{survivor}::", f"ps{doomed}::"
+    g = graph.copy()
+    temps = {}
+    for index, (name, form) in enumerate(sorted(bind.items())):
+        temps[f".t{index}"] = name
+        g.assign(f".t{index}", form)
+    # a bound's name and its doomed twin are replaced, not folded
+    g.remove_vars(set(bind) | {drop + name[len(keep):] for name in bind})
+    fold = g.fold_namespace(survivor, doomed)
+    fold.rename(temps)
+    return fold
+
+
+def _assert_same_bind_fold(graph: ConstraintGraph, survivor, doomed, bind) -> None:
+    before = graph.copy()
+    ref = reference_bind_fold(graph.copy(), survivor, doomed, bind)
+    fold = graph.fold_namespace(survivor, doomed, bind)
+    assert fold._closed == ref._closed
+    assert fold.infeasible == ref.infeasible
+    if graph._closed is _WIDENED:
+        # the reference's assignments close the widened matrix through each
+        # form's variable, so only the meanings compare: close both
+        fold, ref = fold.copy(), ref.copy()
+        fold.close()
+        ref.close()
+    assert fold.equivalent_to(ref)
+    assert graph.equivalent_to(before)  # the input keeps its constraints
+
+
+forms = st.one_of(
+    st.integers(-2, 3).map(LinearExpr.const),
+    st.tuples(st.sampled_from(BIND_NODES[1:]), st.integers(-2, 2)).map(
+        lambda pair: LinearExpr.var(pair[0]) + pair[1]
+    ),
+)
+bind_edges = st.lists(
+    st.tuples(st.sampled_from(BIND_NODES), st.sampled_from(BIND_NODES), st.integers(-1, 4)),
+    max_size=10,
+)
+targets = st.lists(st.sampled_from(BIND_TARGETS), min_size=1, max_size=3, unique=True)
+
+
+def _bind(survivor, names, drawn) -> dict:
+    return {f"ps{survivor}::.{name}": form for name, form in zip(names, drawn)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edges=bind_edges,
+    flags=st.sampled_from(FLAGS),
+    order=st.sampled_from([(1, 2), (2, 1)]),
+    closed=st.booleans(),
+    names=targets,
+    drawn=st.lists(forms, min_size=3, max_size=3),
+)
+def test_bind_equals_the_bounds_folded_through_temporaries(
+    edges, flags, order, closed, names, drawn
+):
+    graph = _graph(edges, flags, BIND_NODES)
+    if closed:
+        graph.close()
+    _assert_same_bind_fold(graph, *order, _bind(order[0], names, drawn))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    edges=bind_edges,
+    order=st.sampled_from([(1, 2), (2, 1)]),
+    names=targets,
+    drawn=st.lists(forms, min_size=3, max_size=3),
+)
+def test_the_bind_fold_of_a_closed_graph_is_closed(edges, order, names, drawn):
+    graph = _graph(edges, {}, BIND_NODES)
+    graph.close()
+    assume(not graph.infeasible)
+    fold = graph.fold_namespace(*order, _bind(order[0], names, drawn))
+    reclosed = fold.copy()
+    reclosed.close()
+    assert fold._closed is True
+    assert reclosed._edge_items() == fold._edge_items()
+
+
+def test_bind_on_a_widened_graph_and_on_an_infeasible_one():
+    bind = {"ps1::.lb0": LinearExpr.var("ps2::x") + 1, "ps1::.ub0": LinearExpr.const(3)}
+    widened = _widened()
+    for order in [(1, 2), (2, 1)]:
+        named = {f"ps{order[0]}::.{name[6:]}": form for name, form in bind.items()}
+        _assert_same_bind_fold(widened, *order, named)
+        assert widened.fold_namespace(*order, named)._closed is _WIDENED
+    for flags in FLAGS:
+        graph = _graph([("ps1::x", "ps2::x", 1), ("ps2::x", "ps1::x", -2)], flags)
+        assert graph.infeasible
+        _assert_same_bind_fold(graph, 1, 2, bind)
+        assert graph.fold_namespace(1, 2, bind).infeasible
+
+
+def test_a_merged_bound_keeps_its_value_on_both_sides_of_the_fold():
+    graph = ConstraintGraph()
+    graph.set_const("ps1::.ub0", 2)  # the survivor's old bound
+    graph.add_eq_diff("np", "ps2::.ub0", -1)  # the doomed set ends at np - 1
+    fold = graph.fold_namespace(1, 2, {"ps1::.ub0": LinearExpr.var("ps2::.ub0")})
+    assert fold.entails_eq(LinearExpr.var("ps1::.ub0"), LinearExpr.var("np") - 1) is True
+    assert "ps2::.ub0" not in fold.variables()
+    # a form the graph cannot bind leaves the bound unconstrained
+    fold = graph.fold_namespace(1, 2, {"ps1::.ub0": LinearExpr.var("np") * 2})
+    assert fold.diff_bound("ps1::.ub0", ZERO) is None
+    assert fold.diff_bound(ZERO, "ps1::.ub0") is None

@@ -13,7 +13,10 @@ moves an answer on purpose regenerates the file in the same commit::
 
 The tier-1 test covers the 18 registered programs; the ``ladder_slow``
 twin covers the 100 service programs (base seed 4242) and the 50
-smoke-manifest programs.
+smoke-manifest programs.  ``tests/data/match_descriptions.json`` pins, for
+the 18 registered programs at default limits, the printed match records
+(``send:[set] -> recv:[set]``) a reader of ``explain`` sees; the same
+command regenerates it.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from repro.lang import programs
 from tests.core.test_ladder_routing import LIMIT_SETS, _wide_corpus
 
 LOCK_PATH = Path(__file__).resolve().parent.parent / "data" / "engine_lock.json"
+DESCRIPTIONS_PATH = LOCK_PATH.parent / "match_descriptions.json"
 
 
 def lock_entry(program, limits) -> dict:
@@ -43,6 +47,12 @@ def lock_entry(program, limits) -> dict:
         "nodes": result.explored.node_count(),
         "edges": result.explored.edge_count(),
     }
+
+
+def match_descriptions(program) -> list:
+    """The sorted printed match records of one default-limits run."""
+    report = analyze_with_fallback(program)
+    return sorted(str(record) for record in report.result.topology.records)
 
 
 def _paper_programs():
@@ -84,6 +94,12 @@ def test_paper_programs_match_the_lock():
     assert _differences("paper", _paper_programs()) == []
 
 
+def test_paper_match_descriptions_match_the_lock():
+    locked = json.loads(DESCRIPTIONS_PATH.read_text())
+    current = {name: match_descriptions(program) for name, program in _paper_programs()}
+    assert current == locked
+
+
 @pytest.mark.ladder_slow
 def test_corpus_programs_match_the_lock():
     assert _differences("corpus", _corpus_programs()) == []
@@ -104,6 +120,11 @@ def write_lock() -> None:
     lines.append("}")
     LOCK_PATH.parent.mkdir(parents=True, exist_ok=True)
     LOCK_PATH.write_text("\n".join(lines) + "\n")
+    described = {name: match_descriptions(program) for name, program in _paper_programs()}
+    body = ",\n".join(
+        f"  {json.dumps(name)}: {json.dumps(described[name])}" for name in sorted(described)
+    )
+    DESCRIPTIONS_PATH.write_text("{\n" + body + "\n}\n")
 
 
 if __name__ == "__main__":
