@@ -119,6 +119,15 @@ step "resume-smoke: step-tripped topology run" bash -c '
       --checkpoint-dir .ci-ckpt > /dev/null || true; } &&
   python -m repro resume transpose_square --no-validate \
       --checkpoint-dir .ci-ckpt > .ci-ckpt/resumed.txt &&
+  diff .ci-ckpt/clean.txt .ci-ckpt/resumed.txt'
+step "resume-smoke: step-tripped degraded run" bash -c '
+  python -c "from repro.corpus.generator import generate_from_id; print(generate_from_id(\"mplg1-dbf3eb4e\").source, end=\"\")" \
+      > .ci-ckpt/degraded.mpl &&
+  { python -m repro .ci-ckpt/degraded.mpl --no-validate > .ci-ckpt/clean.txt || [ $? -eq 1 ]; } &&
+  { python -m repro .ci-ckpt/degraded.mpl --no-validate --max-steps 8 \
+      --checkpoint-dir .ci-ckpt > /dev/null || [ $? -eq 1 ]; } &&
+  { python -m repro resume .ci-ckpt/degraded.mpl --no-validate \
+      --checkpoint-dir .ci-ckpt > .ci-ckpt/resumed.txt || [ $? -eq 1 ]; } &&
   diff .ci-ckpt/clean.txt .ci-ckpt/resumed.txt &&
   rm -rf .ci-ckpt'
 step "explain-smoke: budget-tripped run explains itself" bash -c '

@@ -294,7 +294,6 @@ class CartesianClient(SimpleSymbolicClient):
             recv_node=recv_node.node_id,
             sender_desc=_describe(cg, s_entry.pset),
             receiver_desc=_describe(cg, r_entry.pset),
-            pending_index=pending[0] if pending else None,
             mtype_send=send_stmt.mtype,
             mtype_recv=recv_stmt.mtype,
         )

@@ -799,7 +799,6 @@ class SimpleSymbolicClient(ClientAnalysis):
             receiver_desc=_describe(self._shown_cg, r_matched),
             sender_residue=residue_positions[0],
             recv_residue=residue_positions[1],
-            pending_index=pending[0] if pending else None,
             mtype_send=send_stmt.mtype,
             mtype_recv=recv_stmt.mtype,
         )
@@ -1345,24 +1344,9 @@ def _register_snapshot_codecs() -> None:
     """
     from repro.core.checkpoint import register_codec
 
-    register_codec(
-        PSetEntry,
-        "pset_entry",
-        lambda entry: [entry.uid, entry.pset],
-        lambda data: PSetEntry(data[0], data[1]),
-    )
-    register_codec(
-        Pending,
-        "pending_send",
-        lambda p: [p.send_node, p.origin_uid, p.pset, p.dest, p.value, p.mtype],
-        lambda d: Pending(d[0], d[1], d[2], d[3], d[4], d[5]),
-    )
-    register_codec(
-        SymbolicState,
-        "symbolic_state",
-        lambda s: [s.cg, list(s.psets), list(s.pendings), s.next_uid],
-        lambda d: SymbolicState(d[0], tuple(d[1]), tuple(d[2]), d[3]),
-    )
+    register_codec(PSetEntry, "pset_entry")
+    register_codec(Pending, "pending_send")
+    register_codec(SymbolicState, "symbolic_state")
 
 
 _register_snapshot_codecs()

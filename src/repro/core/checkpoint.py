@@ -2,27 +2,32 @@
 
 A long fixpoint over a large pCFG is the dominant cost of an analysis run
 (ROADMAP: production scale).  Before this module, any budget trip, SIGKILL
-or host crash discarded every converged configuration.  A *snapshot* now
-captures the engine's full fixpoint state — the priority worklist, the
-per-node ``(dfState, pSets)`` map, visit counts, step accounting, the
-partial topology, and the accumulated diagnostics — so a later run can
-continue exactly where the interrupted one stopped and converge to the
-identical :class:`~repro.core.engine.AnalysisResult`.
+or host crash discarded every converged configuration.  A *snapshot* is
+the engine's :class:`~repro.core.engine.Run`, encoded: the worklist heap
+and its sequence counter, visit counts, and the
+:class:`~repro.core.engine.AnalysisResult` being built (per-node
+``(dfState, pSets)`` map, step count, partial topology, diagnostics) — so
+a later run can continue exactly where the interrupted one stopped and
+converge to the identical result.
 
-Snapshot format (``repro-ckpt/2``)
+Snapshot format (``repro-ckpt/3``)
 ----------------------------------
 
 One JSON document::
 
-    {"format": "repro-ckpt/2", "checksum": "<sha256 of payload>", "payload": {...}}
+    {"format": "repro-ckpt/3", "checksum": "<sha256 of payload>", "payload": {...}}
 
 The payload is produced by a *structural codec*: plain scalars pass
 through, containers are tagged (``{"__t__": "tuple", "v": [...]}``), and
-domain objects — constraint graphs, interval process sets, HSM terms,
-client states — go through serializers registered per type with
-:func:`register_codec`.  Client analyses register codecs for their own
-state types (``repro.analyses.simple_symbolic`` registers the Section VII
-state; subclasses inherit it) and may persist client-side accumulators via
+domain objects — the run itself, constraint graphs, interval process
+sets, HSM terms, client states — go through serializers registered per
+type with :func:`register_codec`.  A dataclass registers with its tag
+alone and is encoded as its ``__init__`` fields in order; other types
+supply an encoder and a decoder.  The tag registry is also the decode
+allow-list: a payload can only build the types registered in it.  Client
+analyses register codecs for their own state types
+(``repro.analyses.simple_symbolic`` registers the Section VII state;
+subclasses inherit it) and may persist client-side accumulators via
 :meth:`~repro.core.client.ClientAnalysis.checkpoint_extra`.
 
 Integrity and identity
@@ -39,12 +44,13 @@ snapshot can never crash or taint an analysis.
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import hashlib
+import heapq
 import json
 import os
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
 
@@ -57,7 +63,7 @@ from repro.obs import context
 from repro.obs import recorder as obs
 
 #: snapshot format version; bump on any incompatible payload change
-FORMAT = "repro-ckpt/2"
+FORMAT = "repro-ckpt/3"
 
 
 class SnapshotError(Exception):
@@ -80,7 +86,7 @@ class SnapshotError(Exception):
 #: type -> (tag, encode); exact-type lookup with an isinstance fallback so
 #: client-state subclasses reuse their base codec
 _ENCODERS: Dict[type, Tuple[str, Callable[[Any], Any]]] = {}
-#: tag -> decode
+#: tag -> decode; also the decode allow-list
 _DECODERS: Dict[str, Callable[[Any], Any]] = {}
 
 _TAG = "__t__"
@@ -89,16 +95,22 @@ _TAG = "__t__"
 def register_codec(
     cls: type,
     tag: str,
-    encode_fn: Callable[[Any], Any],
-    decode_fn: Callable[[Any], Any],
+    encode_fn: Optional[Callable[[Any], Any]] = None,
+    decode_fn: Optional[Callable[[Any], Any]] = None,
 ) -> None:
     """Register a stable serializer for one domain type.
 
-    ``encode_fn`` must return JSON-able-after-:func:`encode` data;
-    ``decode_fn`` receives the decoded data back.  Round-trip stability
-    (``decode(encode(x))`` semantically equal to ``x``) is what the
-    Hypothesis property tests enforce per codec.
+    A dataclass needs only its tag: it encodes as the list of its
+    ``__init__`` fields in order and decodes by calling ``cls`` on them.
+    Otherwise ``encode_fn`` must return JSON-able-after-:func:`encode`
+    data and ``decode_fn`` receives the decoded data back.  Round-trip
+    stability (``decode(encode(x))`` semantically equal to ``x``) is what
+    the Hypothesis property tests enforce per codec.
     """
+    if encode_fn is None:
+        names = [f.name for f in dataclasses.fields(cls) if f.init]
+        encode_fn = lambda obj: [getattr(obj, name) for name in names]  # noqa: E731
+        decode_fn = lambda values: cls(*values)  # noqa: E731
     _ENCODERS[cls] = (tag, encode_fn)
     _DECODERS[tag] = decode_fn
 
@@ -192,7 +204,7 @@ def cfg_fingerprint(cfg) -> str:
 # -- the snapshot object ------------------------------------------------------
 
 
-@dataclass
+@dataclasses.dataclass
 class Snapshot:
     """One captured fixpoint state, held in its encoded (JSON-able) form.
 
@@ -213,7 +225,7 @@ class Snapshot:
 
     @property
     def steps(self) -> int:
-        return self.payload.get("engine", {}).get("steps", 0)
+        return self.payload.get("steps", 0)
 
     def describe(self) -> str:
         """Short human-readable identity for ``resumed_from`` reporting."""
@@ -269,38 +281,29 @@ def load_snapshot(path) -> Snapshot:
 # -- engine-state capture / restore -------------------------------------------
 
 
-def capture_run(engine, result, states, visits, worklist, seq_next) -> Snapshot:
-    """Encode the engine's live fixpoint state into a :class:`Snapshot`.
+def capture_run(engine, run) -> Snapshot:
+    """Encode the engine's :class:`~repro.core.engine.Run` into a Snapshot.
 
-    ``result.steps`` must already reflect only *completed* iterations (the
-    engine subtracts the no-op iteration that tripped a budget), so a
-    resumed run's final step count matches an uninterrupted run's.
+    A capture inside an iteration (``run.open``) rolls it back to the last
+    step boundary: its step is uncounted, and the key it popped, if any, is
+    back on the worklist with its visit undone.  A resumed run replays that
+    iteration, so its final step count matches an uninterrupted run's.
     """
+    if run.open:
+        worklist, visits = list(run.worklist), run.visits
+        if run.inflight is not None:
+            key = run.inflight
+            heapq.heappush(worklist, (engine._priority(key), run.seq, key))
+            visits = {**visits, key: visits[key] - 1}
+        result = dataclasses.replace(run.result, steps=run.result.steps - 1)
+        run = dataclasses.replace(run, result=result, visits=visits, worklist=worklist)
     client = engine.client
     payload = {
         "format": FORMAT,
         "cfg": cfg_fingerprint(engine.cfg),
         "client": type(client).__name__,
-        "engine": {
-            "steps": result.steps,
-            "seq": seq_next,
-            "worklist": encode(list(worklist)),
-            "states": encode(states),
-            "visits": encode(visits),
-        },
-        "result": {
-            "topology": encode(result.topology),
-            "gave_up": result.gave_up,
-            "give_up_reason": result.give_up_reason,
-            "final_states": encode(result.final_states),
-            "vacuous_blocks": list(result.vacuous_blocks),
-            "explored": encode(result.explored),
-            "blocked_at_giveup": encode(
-                [tuple(item) for item in result.blocked_at_giveup]
-            ),
-            "diagnostics": encode(result.diagnostics),
-            "top_nodes": encode(result.top_nodes),
-        },
+        "steps": run.result.steps,
+        "run": encode(run),
         "client_extra": encode(client.checkpoint_extra()),
     }
     prov = context.current().provenance
@@ -311,31 +314,8 @@ def capture_run(engine, result, states, visits, worklist, seq_next) -> Snapshot:
     return Snapshot(payload=payload)
 
 
-@dataclass
-class RestoredRun:
-    """Decoded fixpoint state, ready to drop into the engine loop."""
-
-    steps: int
-    seq: int
-    worklist: list
-    states: dict
-    visits: dict
-    topology: StaticTopology
-    gave_up: bool
-    give_up_reason: str
-    final_states: list
-    vacuous_blocks: list
-    explored: ExploredPCFG
-    blocked_at_giveup: list
-    diagnostics: list
-    top_nodes: set
-    #: flight-recorder journal captured with the snapshot (None when the
-    #: interrupted run had provenance disabled, or for older snapshots)
-    provenance: Optional[dict] = None
-
-
-def restore_run(snapshot: Snapshot, engine) -> RestoredRun:
-    """Verify a snapshot against the engine's CFG/client and decode it.
+def restore_run(snapshot: Snapshot, engine):
+    """Verify a snapshot against the engine's CFG/client and decode its run.
 
     Raises :class:`SnapshotError` on any mismatch or decoding failure; the
     engine turns that into a diagnostic plus a cold start.
@@ -364,25 +344,7 @@ def restore_run(snapshot: Snapshot, engine) -> RestoredRun:
             f"snapshot client {payload.get('client')!r} != {client_name!r}",
         )
     try:
-        engine_part = payload["engine"]
-        result_part = payload["result"]
-        restored = RestoredRun(
-            steps=int(engine_part["steps"]),
-            seq=int(engine_part["seq"]),
-            worklist=decode(engine_part["worklist"]),
-            states=decode(engine_part["states"]),
-            visits=decode(engine_part["visits"]),
-            topology=decode(result_part["topology"]),
-            gave_up=bool(result_part["gave_up"]),
-            give_up_reason=str(result_part["give_up_reason"]),
-            final_states=decode(result_part["final_states"]),
-            vacuous_blocks=list(result_part["vacuous_blocks"]),
-            explored=decode(result_part["explored"]),
-            blocked_at_giveup=list(decode(result_part["blocked_at_giveup"])),
-            diagnostics=decode(result_part["diagnostics"]),
-            top_nodes=decode(result_part["top_nodes"]),
-            provenance=payload.get("provenance"),
-        )
+        run = decode(payload["run"])
         engine.client.restore_extra(decode(payload.get("client_extra")))
     except SnapshotError:
         raise
@@ -390,7 +352,7 @@ def restore_run(snapshot: Snapshot, engine) -> RestoredRun:
         raise SnapshotError(
             diagnostics.CHECKPOINT_CORRUPT, f"snapshot payload undecodable: {exc}"
         ) from exc
-    return restored
+    return run
 
 
 # -- the on-disk checkpointer -------------------------------------------------
@@ -544,12 +506,7 @@ def _register_builtin_codecs() -> None:
         lambda e: {"c": e.constant, "k": sorted(e.coeffs.items())},
         lambda d: LinearExpr(d["c"], dict(d["k"])),
     )
-    register_codec(
-        SymRange,
-        "symrange",
-        lambda r: [r.lb, r.ub],
-        lambda d: SymRange(d[0], d[1]),
-    )
+    register_codec(SymRange, "symrange")
     register_codec(
         ProcSet,
         "procset",
@@ -574,65 +531,12 @@ def _register_builtin_codecs() -> None:
         lambda p: sorted(p.terms.items(), key=lambda item: str(item[0])),
         lambda items: Poly(dict(items)),
     )
-    register_codec(
-        HSM,
-        "hsm",
-        lambda h: [h.base, h.rep, h.stride],
-        lambda d: HSM(d[0], d[1], d[2]),
-    )
-    register_codec(
-        MatchRecord,
-        "match_record",
-        lambda r: {
-            "send_node": r.send_node,
-            "recv_node": r.recv_node,
-            "sender_desc": r.sender_desc,
-            "receiver_desc": r.receiver_desc,
-            "send_label": r.send_label,
-            "recv_label": r.recv_label,
-            "mtype_send": r.mtype_send,
-            "mtype_recv": r.mtype_recv,
-        },
-        lambda d: MatchRecord(**d),
-    )
-    register_codec(
-        StaticTopology,
-        "topology",
-        lambda t: {"edges": sorted(t.edges), "records": list(t.records)},
-        lambda d: StaticTopology(edges=set(d["edges"]), records=list(d["records"])),
-    )
-    register_codec(
-        PCFGEdge,
-        "pcfg_edge",
-        lambda e: [e.src, e.dst, e.kind, e.detail],
-        lambda d: PCFGEdge(d[0], d[1], d[2], d[3]),
-    )
-    register_codec(
-        ExploredPCFG,
-        "explored_pcfg",
-        lambda g: {
-            "nodes": sorted(g.nodes),
-            "edges": list(g.edges),
-            "entry": g.entry,
-        },
-        lambda d: ExploredPCFG(
-            nodes=set(d["nodes"]), edges=list(d["edges"]), entry=d["entry"]
-        ),
-    )
-    register_codec(
-        Diagnostic,
-        "diagnostic",
-        lambda diag: {
-            "code": diag.code,
-            "message": diag.message,
-            "severity": diag.severity,
-            "node_key": diag.node_key,
-            "blocked": diag.blocked,
-            "callback": diag.callback,
-            "provenance_id": diag.provenance_id,
-        },
-        lambda d: Diagnostic(**d),
-    )
+    register_codec(HSM, "hsm")
+    register_codec(MatchRecord, "match_record")
+    register_codec(StaticTopology, "topology")
+    register_codec(PCFGEdge, "pcfg_edge")
+    register_codec(ExploredPCFG, "explored_pcfg")
+    register_codec(Diagnostic, "diagnostic")
 
 
 _register_builtin_codecs()

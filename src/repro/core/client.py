@@ -77,7 +77,7 @@ class MatchResult:
     propagated into the receiving set's namespace.
 
     For a match against a *buffered* (in-flight) send, ``sender_pos`` is
-    None and ``pending_index`` names the consumed pending-send record.
+    None.
     """
 
     state: ClientState
@@ -89,7 +89,6 @@ class MatchResult:
     receiver_desc: str
     sender_residue: Optional[int] = None
     recv_residue: Optional[int] = None
-    pending_index: Optional[int] = None
     mtype_send: str = "int"
     mtype_recv: str = "int"
 

@@ -54,19 +54,23 @@ abort-on-first-failure behavior; in either mode ``run()`` never raises.
 Checkpoint/resume
 -----------------
 
-The engine's fixpoint state is *capturable*: a budget trip snapshots the
-live worklist, per-node states, visit counts and step accounting into
-``AnalysisResult.snapshot`` (see :mod:`repro.core.checkpoint`), and a
-configured :class:`~repro.core.checkpoint.Checkpointer` additionally
-persists snapshots to disk — periodically (``every_steps``), at every
-budget trip, and from an ``atexit`` hook when the interpreter dies with a
-run in flight.  ``run(resume=...)`` warm-starts from a snapshot object or
-file after verifying the CFG fingerprint and client class; any rejected
-snapshot degrades to a cold start with a ``CHECKPOINT_CORRUPT`` /
-``CHECKPOINT_MISMATCH`` diagnostic.  Budget-trip snapshots are taken at a
-step boundary, so a resumed run replays the remaining schedule exactly and
-converges to the identical result (same topology, states and step count)
-as an uninterrupted run.
+All of one ``run()``'s fixpoint state lives in one :class:`Run`: the
+:class:`AnalysisResult` being built (its ``node_states`` is the live
+per-node state table), the visit counts, and the worklist heap with its
+sequence counter.  A snapshot is that object, encoded (see
+:mod:`repro.core.checkpoint`): a budget trip stores one in
+``AnalysisResult.snapshot``, and a configured
+:class:`~repro.core.checkpoint.Checkpointer` also persists them to disk —
+periodically (``every_steps``), at every budget trip, and from an
+``atexit`` hook when the interpreter dies with a run in flight.  A capture
+taken inside an iteration (the budget trip's, or an ``atexit`` flush
+mid-step) rolls that iteration back to the last step boundary, so a
+resumed run replays the remaining schedule exactly and converges to the
+identical result (same topology, states, diagnostics and step count) as
+an uninterrupted run.  ``run(resume=...)`` decodes a snapshot object or
+file into the run the loop continues, after verifying the CFG fingerprint
+and client class; any rejected snapshot degrades to a cold start with a
+``CHECKPOINT_CORRUPT`` / ``CHECKPOINT_MISMATCH`` diagnostic.
 """
 
 from __future__ import annotations
@@ -90,7 +94,7 @@ from repro.core.client import (
     MatchResult,
     Split,
 )
-from repro.core.diagnostics import EXACT, Diagnostic
+from repro.core.diagnostics import EXACT, INFO, Diagnostic
 from repro.core.errors import ClientFault, GiveUp, MalformedCFG
 from repro.core.pcfg import ExploredPCFG, PCFGEdge, PCFGNodeKey
 from repro.core.topology import MatchRecord, StaticTopology
@@ -144,18 +148,12 @@ class AnalysisResult:
     """Everything the analysis established."""
 
     topology: StaticTopology
-    #: True when any degradation occurred (the result is not exact)
-    gave_up: bool = False
-    #: first degradation's message (see ``diagnostics`` for all of them)
-    give_up_reason: str = ""
     #: configurations where every process set reached the CFG exit
     final_states: List[ClientState] = field(default_factory=list)
     #: configurations that were blocked but only by possibly-empty psets
     vacuous_blocks: List[str] = field(default_factory=list)
     explored: ExploredPCFG = field(default_factory=ExploredPCFG)
     steps: int = 0
-    #: (CFG node id, process-set description) pairs blocked when giving up
-    blocked_at_giveup: List = field(default_factory=list)
     #: states per pCFG node (for inspecting loop invariants etc.)
     node_states: Dict[PCFGNodeKey, ClientState] = field(default_factory=dict)
     #: structured degradation records, in occurrence order
@@ -181,6 +179,23 @@ class AnalysisResult:
     checkpoint_path: Optional[str] = None
 
     @property
+    def gave_up(self) -> bool:
+        """True when any degradation occurred (the result is not exact)."""
+        return any(diag.severity != INFO for diag in self.diagnostics)
+
+    @property
+    def give_up_reason(self) -> str:
+        """The first degradation's message ("" when none occurred)."""
+        return next(
+            (diag.message for diag in self.diagnostics if diag.severity != INFO), ""
+        )
+
+    @property
+    def blocked_at_giveup(self) -> List[Tuple[int, str]]:
+        """(CFG node id, process-set description) pairs blocked when giving up."""
+        return [pair for diag in self.diagnostics for pair in diag.blocked]
+
+    @property
     def matches(self):
         """The (send CFG node, recv CFG node) match relation."""
         return self.topology.node_edges()
@@ -189,6 +204,50 @@ class AnalysisResult:
     def match_records(self) -> List[MatchRecord]:
         """Symbolic match records."""
         return self.topology.records
+
+
+@dataclass
+class Run:
+    """The fixpoint state of one ``run()``; a snapshot is this, encoded.
+
+    ``result.node_states`` is the live per-node state table.  The worklist
+    is a heap of ``(priority, seq, key)``: the sequence number breaks
+    priority ties FIFO, and ``pending`` (its key set) suppresses duplicate
+    enqueues.  ``open`` marks an iteration whose step is counted but not
+    finished, and ``inflight`` the key it popped: a capture rolls both back
+    (see :func:`repro.core.checkpoint.capture_run`).
+    """
+
+    result: AnalysisResult
+    visits: Dict[PCFGNodeKey, int] = field(default_factory=dict)
+    worklist: List[Tuple[tuple, int, PCFGNodeKey]] = field(default_factory=list)
+    seq: int = 0
+    pending: Set[PCFGNodeKey] = field(init=False)
+    open: bool = field(default=False, init=False)
+    inflight: Optional[PCFGNodeKey] = field(default=None, init=False)
+
+    def __post_init__(self) -> None:
+        heapq.heapify(self.worklist)  # a decoded heap: cheap re-check
+        self.pending = {key for _, _, key in self.worklist}
+
+    def push(self, key: PCFGNodeKey, priority: tuple) -> None:
+        if key in self.pending:
+            obs.incr("engine.worklist.dedup")
+            return
+        self.pending.add(key)
+        heapq.heappush(self.worklist, (priority, self.seq, key))
+        self.seq += 1
+
+    def pop(self) -> PCFGNodeKey:
+        _, _, key = heapq.heappop(self.worklist)
+        self.pending.discard(key)
+        self.inflight = key
+        self.visits[key] = self.visits.get(key, 0) + 1
+        return key
+
+
+checkpoint_mod.register_codec(AnalysisResult, "analysis_result")
+checkpoint_mod.register_codec(Run, "run")
 
 
 class PCFGEngine:
@@ -222,8 +281,8 @@ class PCFGEngine:
         self._progress = context.current().progress
         #: per-run hash-consing table: state fingerprint -> canonical state
         self._intern: Dict[Any, ClientState] = {}
-        #: live fixpoint state while a run is in flight (the atexit hook's view)
-        self._live: Optional[tuple] = None
+        #: the run in flight (the atexit hook's view)
+        self._live_run: Optional[Run] = None
         #: CFG node id -> reverse-postorder rank (worklist priority domain)
         self._rpo: Dict[int, int] = cfg.rpo_index()
         #: the provenance flight recorder active for the current run (None
@@ -254,7 +313,6 @@ class PCFGEngine:
 
     def _run(self, resume=None) -> AnalysisResult:
         limits = self.limits
-        result = AnalysisResult(topology=StaticTopology())
         client = self.client
         prov = self._prov = context.current().provenance
         self._plane = faults.active()
@@ -274,119 +332,44 @@ class PCFGEngine:
         deadline = None
         if limits.deadline_sec is not None:
             deadline = time.monotonic() + limits.deadline_sec
-
-        states: Dict[PCFGNodeKey, ClientState] = {}
-        visits: Dict[PCFGNodeKey, int] = {}
         self._intern = {}
         self._widened = False
 
-        # Priority worklist: process configurations in reverse-postorder of
-        # their CFG locations so predecessors stabilize before successors.
-        # The sequence number breaks priority ties FIFO.
-        worklist: List[Tuple[tuple, int, PCFGNodeKey]] = []
-        pending = set()
-        seq_box = [0]
-
-        def enqueue(key: PCFGNodeKey) -> None:
-            if key in pending:
-                obs.incr("engine.worklist.dedup")
-                return
-            pending.add(key)
-            heapq.heappush(worklist, (self._priority(key), seq_box[0], key))
-            seq_box[0] += 1
-
-        restored = None
+        run = Run(AnalysisResult(topology=StaticTopology()))
         if resume is not None:
-            restored = self._try_resume(resume, result)
-        if restored is not None:
-            restored_run, source = restored
-            result.steps = restored_run.steps
-            seq_box[0] = restored_run.seq
-            worklist = restored_run.worklist
-            heapq.heapify(worklist)  # serialized in heap order; cheap re-check
-            states = restored_run.states
-            visits = restored_run.visits
-            result.topology = restored_run.topology
-            result.final_states = restored_run.final_states
-            result.vacuous_blocks = restored_run.vacuous_blocks
-            result.explored = restored_run.explored
-            result.blocked_at_giveup = restored_run.blocked_at_giveup
-            result.top_nodes = restored_run.top_nodes
-            # Budget diagnostics describe only the interrupted run — the
-            # resumed run re-evaluates its own budgets — so strip them and
-            # recompute the give-up summary from what remains.
-            kept = [
-                diag
-                for diag in restored_run.diagnostics
-                if diag.code not in diagnostics.BUDGET_CODES
-            ]
-            result.diagnostics.extend(kept)
-            result.gave_up = any(
-                diag.severity != diagnostics.INFO for diag in kept
-            )
-            result.give_up_reason = next(
-                (
-                    diag.message
-                    for diag in kept
-                    if diag.severity != diagnostics.INFO
-                ),
-                "",
-            )
-            # re-intern restored states so identity fast paths fire again
-            for key in list(states):
-                states[key] = self._interned(states[key])
-            pending.update(key for _, _, key in worklist)
-            result.resumed_from = source
-            obs.incr("engine.ckpt.resumes")
-            if prov is not None:
-                # splice the interrupted run's journal in front of ours so
-                # the resumed causal history is seamless, then record the
-                # stitch point
-                if restored_run.provenance:
-                    prov.preload(restored_run.provenance)
-                self._run_event = prov.emit(
-                    "checkpoint_resume",
-                    parents=(prov.last_event_id,),
-                    detail=source,
-                    step=result.steps,
-                )
-            slog.info("engine.resume", source=source, steps=result.steps)
-        else:
+            run = self._resume(resume, run.result) or run
+        result = run.result
+        if not result.resumed_from:
             try:
                 initial = self._call("initial", client.initial)
-            except RECOVERABLE as failure:
-                self._degrade(result, None, failure)
-                self._finalize(result, aborted=True)
-                return result
-            try:
                 entry_key = self._canonicalize(
-                    states, visits, None, [self.cfg.entry], initial, "entry", "",
-                    result,
+                    run, None, [self.cfg.entry], initial, "entry", ""
                 )
             except RECOVERABLE as failure:
-                # a client raising from is_empty/merge_psets/join on the very
-                # first state must yield a gave_up result, not a traceback
+                # a client raising from initial, or from is_empty/merge_psets/
+                # join on the very first state, yields a gave_up result
                 self._degrade(result, None, failure)
-                result.node_states = states
                 self._finalize(result, aborted=True)
                 return result
             if entry_key is not None:
-                enqueue(entry_key)
+                run.push(entry_key, self._priority(entry_key))
 
-        #: key popped for the current iteration, not yet fully processed —
-        #: an atexit flush must put it back to capture a consistent boundary
-        inflight_box: List[Optional[PCFGNodeKey]] = [None]
         if self.checkpointer is not None:
-            self._live = (result, states, visits, worklist, seq_box, inflight_box)
+            self._live_run = run
             atexit.register(self._atexit_flush)
 
         aborted = False
         tripped = False
         try:
-            while worklist:
+            while run.worklist:
+                # open the iteration: a capture from here until it finishes
+                # rolls it back.  A degraded iteration ends in ``continue``
+                # unfinished, so its key is cleared here; left set, a trip
+                # on this iteration would put it back on the heap twice
                 result.steps += 1
+                run.open, run.inflight = True, None
                 obs.incr("engine.steps")
-                obs.observe("engine.worklist.length", len(worklist))
+                obs.observe("engine.worklist.length", len(run.worklist))
                 if self._progress is not None and (
                     result.steps == 1
                     or result.steps % HEARTBEAT_EVERY_STEPS == 0
@@ -396,7 +379,7 @@ class PCFGEngine:
                             "event": "progress",
                             "phase": "engine",
                             "steps": result.steps,
-                            "worklist": len(worklist),
+                            "worklist": len(run.worklist),
                         })
                     except Exception:
                         self._progress = None
@@ -421,7 +404,7 @@ class PCFGEngine:
                     limits.max_state_bytes is not None
                     and result.steps % max(1, limits.memory_check_every) == 0
                 ):
-                    usage = self._state_bytes(states)
+                    usage = self._state_bytes(result.node_states)
                     if usage > limits.max_state_bytes:
                         self._record_budget(
                             result,
@@ -431,14 +414,10 @@ class PCFGEngine:
                         )
                         tripped = True
                         break
-                _, _, key = heapq.heappop(worklist)
-                pending.discard(key)
-                inflight_box[0] = key
-                visits[key] = visits.get(key, 0) + 1
-                state = states[key]
+                key = run.pop()
                 try:
                     with obs.span("engine.step"):
-                        successors = self._step(key, state, result)
+                        successors = self._step(key, result.node_states[key], result)
                 except RECOVERABLE as failure:
                     if self._degrade(result, key, failure):
                         continue
@@ -447,8 +426,7 @@ class PCFGEngine:
                 for locs, succ_state, kind, detail in successors:
                     try:
                         succ_key = self._canonicalize(
-                            states, visits, key, locs, succ_state, kind, detail,
-                            result,
+                            run, key, locs, succ_state, kind, detail
                         )
                     except RECOVERABLE as failure:
                         # poison the producing node: this successor is lost,
@@ -458,42 +436,30 @@ class PCFGEngine:
                         aborted = True
                         break
                     if succ_key is not None:
-                        enqueue(succ_key)
+                        run.push(succ_key, self._priority(succ_key))
                 if aborted:
                     break
-                inflight_box[0] = None
+                run.open = False
                 if (
                     self.checkpointer is not None
                     and self.checkpointer.every_steps > 0
                     and result.steps % self.checkpointer.every_steps == 0
                 ):
                     with obs.span("engine.checkpoint"):
-                        snap = self._capture(
-                            result, states, visits, worklist, seq_box[0]
-                        )
+                        snap = self._capture(run)
                         if snap is not None:
                             self._write_checkpoint(snap, result)
         finally:
             if self.checkpointer is not None:
                 atexit.unregister(self._atexit_flush)
-                self._live = None
+                self._live_run = None
         if tripped:
-            # The tripping iteration popped nothing, so the snapshot records
-            # one step fewer: a resumed run then completes with exactly the
-            # step count an uninterrupted run would report.
-            snap = self._capture(
-                result,
-                states,
-                visits,
-                worklist,
-                seq_box[0],
-                steps_override=result.steps - 1,
-            )
-            if snap is not None:
-                result.snapshot = snap
-                if self.checkpointer is not None:
-                    self._write_checkpoint(snap, result)
-        result.node_states = states
+            # the capture uncounts the tripping iteration, which popped
+            # nothing: a resumed run then completes with exactly the step
+            # count an uninterrupted run would report
+            result.snapshot = self._capture(run)
+            if result.snapshot is not None and self.checkpointer is not None:
+                self._write_checkpoint(result.snapshot, result)
         self._finalize(result, aborted)
         return result
 
@@ -767,17 +733,15 @@ class PCFGEngine:
 
     def _absorb(
         self,
-        states: Dict[PCFGNodeKey, ClientState],
-        visits: Dict[PCFGNodeKey, int],
+        run: Run,
         key: PCFGNodeKey,
         state: ClientState,
         src_key: Optional[PCFGNodeKey],
         kind: str,
         detail: str,
-        result,
         src_event: Optional[int] = None,
     ) -> Optional[PCFGNodeKey]:
-        """Merge a canonical ``(key, state)`` into a state table.
+        """Merge a canonical ``(key, state)`` into the run's state table.
 
         First visit inserts; revisits join (then widen past ``widen_after``
         visits) and detect the per-node fixed point.  Returns the key when
@@ -786,6 +750,8 @@ class PCFGEngine:
         represent the combination.
         """
         prov = self._prov
+        result = run.result
+        states = result.node_states
         state = self._interned(state)
         if key not in states:
             states[key] = state
@@ -815,7 +781,7 @@ class PCFGEngine:
                 code=diagnostics.GIVEUP_PSET_BOUND,
             )
         widened_here = False
-        if visits.get(key, 0) >= self.limits.widen_after:
+        if run.visits.get(key, 0) >= self.limits.widen_after:
             self._widened = True
             with obs.span("engine.widen"):
                 widened = self._call("widen", self.client.widen, old, combined)
@@ -850,21 +816,20 @@ class PCFGEngine:
 
     def _canonicalize(
         self,
-        states: Dict[PCFGNodeKey, ClientState],
-        visits: Dict[PCFGNodeKey, int],
+        run: Run,
         src_key: Optional[PCFGNodeKey],
         locs: Sequence[int],
         state: ClientState,
         kind: str,
         detail: str,
-        result,
     ) -> Optional[PCFGNodeKey]:
-        """Canonicalize a raw successor and absorb it into ``states``."""
+        """Canonicalize a raw successor and absorb it into the run."""
         with obs.span("engine.canonicalize"):
             formed = self._canonical_form(locs, state)
             if formed is None:
                 return None
             key, state, merges = formed
+            result = run.result
             if src_key is not None:
                 result.explored.add_edge(PCFGEdge(src_key, key, kind, detail))
             else:
@@ -891,9 +856,7 @@ class PCFGEngine:
                         step=result.steps,
                     )
 
-            return self._absorb(
-                states, visits, key, state, src_key, kind, detail, result, src_event
-            )
+            return self._absorb(run, key, state, src_key, kind, detail, src_event)
 
     def _priority(self, key: PCFGNodeKey) -> tuple:
         """Worklist priority of a pCFG node: the sorted tuple of RPO ranks
@@ -947,13 +910,12 @@ class PCFGEngine:
 
     # -- checkpoint/resume plumbing ---------------------------------------------
 
-    def _try_resume(self, resume, result: AnalysisResult):
-        """Validate and decode a resume source.
+    def _resume(self, resume, result: AnalysisResult) -> Optional[Run]:
+        """Decode a resume source into the run the loop continues.
 
-        Returns ``(RestoredRun, source_description)`` on success, None on
-        any failure — recording an INFO-severity ``CHECKPOINT_*``
-        diagnostic so the cold start that follows is still ``exact`` if
-        nothing else degrades.
+        Returns None on any failure, recording an INFO-severity
+        ``CHECKPOINT_*`` diagnostic on ``result`` (the cold start's) so the
+        cold start that follows is still ``exact`` if nothing else degrades.
         """
         try:
             if isinstance(resume, (str, Path)):
@@ -967,7 +929,12 @@ class PCFGEngine:
                     diagnostics.CHECKPOINT_MISMATCH,
                     f"unsupported resume source {type(resume).__name__}",
                 )
-            restored_run = checkpoint_mod.restore_run(snapshot, self)
+            run = checkpoint_mod.restore_run(snapshot, self)
+            if not isinstance(run, Run):
+                raise checkpoint_mod.SnapshotError(
+                    diagnostics.CHECKPOINT_CORRUPT,
+                    f"snapshot holds a {type(run).__name__}, not a run",
+                )
         except checkpoint_mod.SnapshotError as exc:
             prov = self._prov
             event_id = None
@@ -991,29 +958,52 @@ class PCFGEngine:
                 obs.incr("engine.ckpt.mismatch")
             slog.warning("engine.resume_rejected", code=exc.code, error=str(exc))
             return None
-        return restored_run, source
+        result = run.result
+        # Budget diagnostics describe only the interrupted run (the resumed
+        # run re-evaluates its own budgets), and the facts about how the
+        # interrupted run was started or persisted are not this run's.
+        result.diagnostics = [
+            diag
+            for diag in result.diagnostics
+            if diag.code not in diagnostics.BUDGET_CODES
+        ]
+        result.resumed_from = source
+        result.giveup_before_widening = False
+        result.checkpoint_path = None
+        # re-intern restored states so identity fast paths fire again
+        states = result.node_states
+        for key in list(states):
+            states[key] = self._interned(states[key])
+        obs.incr("engine.ckpt.resumes")
+        prov = self._prov
+        journal = snapshot.payload.get("provenance")
+        if prov is not None:
+            # splice the interrupted run's journal in front of ours so the
+            # resumed causal history is seamless, then record the stitch
+            # point
+            if journal:
+                prov.preload(journal)
+            self._run_event = prov.emit(
+                "checkpoint_resume",
+                parents=(prov.last_event_id,),
+                detail=source,
+                step=result.steps,
+            )
+        slog.info("engine.resume", source=source, steps=result.steps)
+        return run
 
-    def _capture(
-        self, result, states, visits, worklist, seq_next, steps_override=None
-    ):
-        """Best-effort snapshot of the live fixpoint state (None on failure).
+    def _capture(self, run: Run):
+        """Best-effort snapshot of the run (None on failure).
 
         Capture exercises the client's snapshot codecs; a client without
         registered codecs simply opts out — the run itself is never
         affected by a failed capture.
         """
-        saved = result.steps
-        if steps_override is not None:
-            result.steps = steps_override
         try:
-            return checkpoint_mod.capture_run(
-                self, result, states, visits, worklist, seq_next
-            )
+            return checkpoint_mod.capture_run(self, run)
         except Exception:
             obs.incr("engine.ckpt.capture_errors")
             return None
-        finally:
-            result.steps = saved
 
     def _write_checkpoint(self, snap, result: AnalysisResult) -> None:
         """Persist a snapshot; a failed write never fails the run.
@@ -1056,29 +1046,15 @@ class PCFGEngine:
     def _atexit_flush(self) -> None:
         """Interpreter exiting with a run in flight: flush a last snapshot.
 
-        The flush may land mid-iteration: the current key is popped, its
-        visit already counted, but its successors not yet enqueued.  The
-        snapshot rolls that iteration back — re-enqueue the key, undo its
-        visit and step — so it captures the last consistent boundary.
+        The flush may land mid-iteration; the capture rolls that iteration
+        back to the last consistent step boundary.
         """
-        live = self._live
-        if live is None or self.checkpointer is None:
+        run = self._live_run
+        if run is None or self.checkpointer is None:
             return
-        result, states, visits, worklist, seq_box, inflight_box = live
-        steps = result.steps
-        inflight = inflight_box[0]
-        if inflight is not None:
-            worklist = list(worklist) + [
-                (self._priority(inflight), seq_box[0], inflight)
-            ]
-            visits = dict(visits)
-            visits[inflight] = visits.get(inflight, 1) - 1
-            steps -= 1
-        snap = self._capture(
-            result, states, visits, worklist, seq_box[0], steps_override=steps
-        )
+        snap = self._capture(run)
         if snap is not None:
-            self._write_checkpoint(snap, result)
+            self._write_checkpoint(snap, run.result)
             obs.incr("engine.ckpt.atexit_writes")
 
     # -- degradation and budgets ---------------------------------------------------
@@ -1128,9 +1104,8 @@ class PCFGEngine:
                 blocked=tuple((nid, desc) for nid, desc in failure.blocked),
                 provenance_id=event_id,
             )
-            result.blocked_at_giveup.extend(failure.blocked)
         if not result.gave_up and not result.resumed_from and not self._widened:
-            # the run's first non-INFO diagnostic (gave_up is still unset)
+            # the run's first non-INFO diagnostic (``diag`` is not yet recorded)
             result.giveup_before_widening = diag.code == diagnostics.GIVEUP_NO_MATCH
         result.diagnostics.append(diag)
         slog.warning(
@@ -1141,9 +1116,6 @@ class PCFGEngine:
             strict=self.limits.strict,
             message=diag.message,
         )
-        result.gave_up = True
-        if not result.give_up_reason:
-            result.give_up_reason = diag.message
         if self.limits.strict:
             return False
         if key is not None:
@@ -1174,9 +1146,6 @@ class PCFGEngine:
                 provenance_id=event_id,
             )
         )
-        result.gave_up = True
-        if not result.give_up_reason:
-            result.give_up_reason = message
         obs.incr(f"engine.budget.{code.split('_', 1)[1].lower()}")
         slog.warning(
             "engine.budget", code=code, step=result.steps, message=message
@@ -1185,12 +1154,7 @@ class PCFGEngine:
     def _finalize(self, result: AnalysisResult, aborted: bool) -> None:
         # INFO diagnostics (e.g. a rejected checkpoint followed by a cold
         # start) record noteworthy events without degrading the result
-        meaningful = [
-            diag
-            for diag in result.diagnostics
-            if diag.severity != diagnostics.INFO
-        ]
-        if not meaningful:
+        if not result.gave_up:
             result.confidence = diagnostics.EXACT
         elif aborted:
             result.confidence = diagnostics.GAVE_UP

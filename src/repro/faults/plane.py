@@ -128,7 +128,6 @@ class FaultSchedule:
         self.plans = list(plans)
         self.label = label
         self.focus = focus
-        self.points = sorted({plan.point for plan in self.plans})
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultSchedule({self.label!r}, focus={self.focus!r}, plans={self.plans!r})"

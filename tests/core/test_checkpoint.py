@@ -9,7 +9,8 @@ Three layers of guarantees:
    and resuming from the budget-trip snapshot converges to a result
    byte-identical to the uninterrupted run (topology, constants, step
    count, confidence) on the Fig. 2 ping-pong and NAS-CG transpose
-   corpus.
+   corpus, and to the same diagnostics and give-up summary on generated
+   programs whose runs degrade to a local ``T`` and keep draining.
 3. **Corruption safety**: a truncated, tampered, version-skewed, or
    wrong-program snapshot never raises — the engine records a
    ``CHECKPOINT_CORRUPT`` / ``CHECKPOINT_MISMATCH`` diagnostic, cold
@@ -193,6 +194,46 @@ def test_kill_at_every_step_then_resume_is_identical(name, client_factory):
         assert _identity(resumed) == _identity(clean), f"killed at step {k}"
 
 
+def _degraded_identity(result):
+    """What a resumed run of a degraded (non-exact) run must reproduce."""
+    return (
+        result.confidence,
+        sorted(result.matches),
+        [
+            (d.code, d.message, d.node_key, d.blocked)
+            for d in result.diagnostics
+        ],
+        result.steps,
+        result.give_up_reason,
+        sorted(result.blocked_at_giveup),
+        sorted(result.top_nodes),
+    )
+
+
+#: generated programs whose clean Cartesian run degrades (a local ``T``)
+#: and keeps draining, so a trip can land right after a degraded iteration
+DEGRADED_CORPUS_IDS = ["mplg1-c526ffdb", "mplg1-47091e57", "mplg1-dbf3eb4e"]
+
+
+@pytest.mark.parametrize("corpus_id", DEGRADED_CORPUS_IDS)
+def test_kill_at_every_step_of_a_degraded_run_then_resume_is_identical(corpus_id):
+    from repro.corpus.generator import generate_from_id
+
+    cfg = build_cfg(generate_from_id(corpus_id).parse())
+
+    def run(limits=None, resume=None):
+        return PCFGEngine(cfg, CartesianClient(), limits).run(resume=resume)
+
+    clean = run()
+    assert clean.confidence != diagnostics.EXACT and clean.top_nodes
+    expected = _degraded_identity(clean)
+    for k in range(1, clean.steps):
+        tripped = run(EngineLimits(max_steps=k))
+        assert tripped.snapshot is not None, f"k={k}: no snapshot captured"
+        resumed = run(resume=tripped.snapshot)
+        assert _degraded_identity(resumed) == expected, f"killed at step {k}"
+
+
 def test_constants_report_identical_after_resume():
     program = programs.get("pingpong").parse()
     clean_report, clean_result, _ = propagate_constants(program)
@@ -320,6 +361,15 @@ def test_tampered_payload_is_rejected(tmp_path):
     _assert_cold_start_with(result, diagnostics.CHECKPOINT_CORRUPT)
 
 
+def test_a_checksummed_payload_that_holds_no_run_is_rejected(tmp_path):
+    ckpt = _tripped_checkpoint(tmp_path)
+    snap = ckpt.load()
+    snap.payload["run"] = encode(("not", "a", "run"))
+    ckpt.path.write_text(snap.to_json())  # the checksum covers the edit
+    result = _run("pingpong", SimpleSymbolicClient, resume=ckpt.path)
+    _assert_cold_start_with(result, diagnostics.CHECKPOINT_CORRUPT)
+
+
 def test_truncated_snapshot_degrades_to_cold_start(tmp_path):
     ckpt = _tripped_checkpoint(tmp_path)
     ckpt.path.write_text(ckpt.path.read_text()[:40])
@@ -345,18 +395,20 @@ def test_version_skew_degrades_to_cold_start(tmp_path):
 
 
 def test_a_first_format_snapshot_is_rejected_and_the_run_cold_starts(tmp_path):
-    # repro-ckpt/1 stored each set bound as a list of equal expressions;
-    # its payload means nothing to this client, so the run starts over
-    assert FORMAT == "repro-ckpt/2"
-    ckpt = _tripped_checkpoint(tmp_path)
-    document = json.loads(ckpt.path.read_text())
-    document["format"] = "repro-ckpt/1"
-    ckpt.path.write_text(json.dumps(document))
-    result = _run("pingpong", SimpleSymbolicClient, resume=ckpt.path)
-    _assert_cold_start_with(result, diagnostics.CHECKPOINT_MISMATCH)
+    # repro-ckpt/1 stored each set bound as a list of equal expressions and
+    # repro-ckpt/2 listed the engine's state field by field; neither payload
+    # means anything to this engine, so the run starts over
+    assert FORMAT == "repro-ckpt/3"
     cold = _run("pingpong", SimpleSymbolicClient)
-    assert sorted(result.matches) == sorted(cold.matches)
-    assert result.steps == cold.steps
+    for old_format in ("repro-ckpt/1", "repro-ckpt/2"):
+        ckpt = _tripped_checkpoint(tmp_path)
+        document = json.loads(ckpt.path.read_text())
+        document["format"] = old_format
+        ckpt.path.write_text(json.dumps(document))
+        result = _run("pingpong", SimpleSymbolicClient, resume=ckpt.path)
+        _assert_cold_start_with(result, diagnostics.CHECKPOINT_MISMATCH)
+        assert sorted(result.matches) == sorted(cold.matches)
+        assert result.steps == cold.steps
 
 
 def test_wrong_program_snapshot_degrades_to_cold_start(tmp_path):
