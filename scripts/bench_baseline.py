@@ -45,11 +45,10 @@ amortized over the default interval; the target is <= 5%
 (``"target": 0.05``).  See :func:`measure_checkpoint_overhead`.
 
 ``--out`` documents also record ``"provenance_overhead"``: every tracked
-workload re-timed in the flight recorder's three operating modes —
-``off`` (the default; every emit site is behind one ``is not None``
-check), ``ring`` (in-memory ring buffer at the default capacity), and
-``spill`` (a deliberately tiny ring that spills evicted events to a
-JSONL journal) — as paired-window ratios against ``off``.  With
+workload re-timed in the flight recorder's two modes — ``off`` (the
+default; every emit site is behind one ``is not None`` check) and
+``on`` (recording every event of the run in memory) — as a
+paired-window ratio against ``off``.  With
 ``--prov-pre-tree WORKTREE`` (a checkout of the commit before the
 flight recorder existed), the disabled mode is additionally compared
 against that tree by paired subprocesses (``disabled_vs_tree``): the
@@ -322,16 +321,13 @@ def measure_checkpoint_overhead() -> dict:
     }
 
 
-#: tiny ring capacity for the spill-mode measurement — small enough that
-#: every tracked workload overflows it and exercises the JSONL spill path
-PROV_SPILL_CAPACITY = 16
 PROV_OFF_TARGET = 0.02
 
 
 def measure_provenance_overhead() -> dict:
     """Cost of the provenance flight recorder per workload, per mode.
 
-    Paired-window ratios (:func:`_paired_ratios`) of three variants of
+    Paired-window ratios (:func:`_paired_ratios`) of two variants of
     every tracked workload:
 
     * ``off`` — provenance disabled, the default.  This is the baseline
@@ -340,48 +336,29 @@ def measure_provenance_overhead() -> dict:
       guards the engine now carries) is measured separately against a
       pre-instrumentation checkout by :func:`measure_disabled_vs_tree`
       (``--prov-pre-tree``) — target <= 2%.
-    * ``ring`` — recording into the default in-memory ring buffer.
-    * ``spill`` — recording into a deliberately tiny ring
-      (``PROV_SPILL_CAPACITY`` events) with evicted events appended to a
-      JSONL journal: the worst case, every event eventually hits the disk.
-
-    Journals land in a temporary directory that is removed afterwards.
+    * ``on`` — recording every event of the run in memory.
     """
     workloads: Dict[str, dict] = {}
-    with tempfile.TemporaryDirectory(prefix="repro-bench-prov-") as tmp:
-        for name, workload in WORKLOADS.items():
-            spill_path = Path(tmp) / f"{name}.jsonl"
+    for name, workload in WORKLOADS.items():
 
-            def ring_run(workload=workload):
-                with provenance.recording():
-                    workload()
-
-            def spill_run(workload=workload, spill_path=spill_path):
-                # each recorder truncates its spill file: a fresh journal per run
-                with provenance.recording(
-                    capacity=PROV_SPILL_CAPACITY, spill_path=str(spill_path)
-                ):
-                    workload()
-
-            inner = _inner_for(workload)
-            medians, ratios = _paired_ratios(
-                [workload, ring_run, spill_run], inner
-            )
-            _reset()
-            with provenance.recording() as prov:
+        def recorded_run(workload=workload):
+            with provenance.recording():
                 workload()
-                events = prov.total_events
-            entry = {
-                "events": events,
-                "off_s": medians[0],
-                "ring_s": medians[1],
-                "spill_s": medians[2],
-                "ring_overhead": ratios[1] - 1.0,
-                "spill_overhead": ratios[2] - 1.0,
-            }
-            workloads[name] = entry
+
+        medians, ratios = _paired_ratios(
+            [workload, recorded_run], _inner_for(workload)
+        )
+        _reset()
+        with provenance.recording() as prov:
+            workload()
+            events = prov.total_events
+        workloads[name] = {
+            "events": events,
+            "off_s": medians[0],
+            "on_s": medians[1],
+            "on_overhead": ratios[1] - 1.0,
+        }
     return {
-        "spill_capacity": PROV_SPILL_CAPACITY,
         "off_target": PROV_OFF_TARGET,
         "workloads": workloads,
     }
@@ -863,8 +840,7 @@ def main(argv=None) -> int:
         for name, entry in sorted(prov["workloads"].items()):
             print(
                 f"{name:28s} provenance overhead "
-                f"ring {100 * entry['ring_overhead']:+.2f}% "
-                f"spill {100 * entry['spill_overhead']:+.2f}% "
+                f"on {100 * entry['on_overhead']:+.2f}% "
                 f"({entry['events']} events)"
             )
         tree = prov.get("disabled_vs_tree")

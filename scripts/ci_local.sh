@@ -19,8 +19,8 @@
 #                  against an uninterrupted run (must be byte-identical)
 #   explain-smoke> budget-trip a run under `repro explain --why-top`, require
 #                  the causal chain back to run_start, and schema-check the
-#                  exported Chrome trace; then spill a 16-event ring into one
-#                  journal twice (ids unique, chain still reaches #1 run_start)
+#                  exported Chrome trace; then write one journal twice (its
+#                  ids are exactly 1..n, the chain still reaches #1 run_start)
 #   sweep-smoke -> differential corpus sweep over the pinned smoke manifest
 #                  and over the 400-program stream of seed 1337 (analyzer
 #                  vs concrete interpreter; fails on divergence), then the
@@ -145,18 +145,17 @@ document = json.load(open(\"explain-trace.json\"))
 validate_chrome_trace(document)
 assert [e for e in document[\"traceEvents\"] if e[\"ph\"] == \"X\"]
 " && rm -f explain-trace.json'
-step "explain-smoke: spilling ring keeps one run per journal" bash -c '
+step "explain-smoke: the journal holds one whole run, written fresh" bash -c '
   for run in 1 2; do
-    python -m repro explain exchange_with_root --max-steps 15 --capacity 16 \
-        --journal explain-journal.jsonl --why-top > explain-spill.txt || exit 1
+    python -m repro explain exchange_with_root --max-steps 15 \
+        --journal explain-journal.jsonl --why-top > explain-journal.txt || exit 1
   done
-  grep -q "#1 run_start" explain-spill.txt &&
+  grep -q "#1 run_start" explain-journal.txt &&
   python -c "
 from repro.obs.export import read_journal
 ids = [e.event_id for e in read_journal(\"explain-journal.jsonl\")]
-assert len(ids) > 16, \"the ring never evicted\"
-assert len(ids) == len(set(ids)), \"the journal repeats event ids\"
-" && rm -f explain-spill.txt explain-journal.jsonl'
+assert ids == list(range(1, len(ids) + 1)), \"the journal ids are not 1..n\"
+" && rm -f explain-journal.txt explain-journal.jsonl'
 step "sweep-smoke: differential corpus sweep" bash -c '
   python -m repro sweep --tier smoke --seed 1337 --jobs 4 \
       --report sweep-smoke.jsonl &&

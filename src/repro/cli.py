@@ -13,7 +13,7 @@ Examples::
     python -m repro resume mdcask_full             # continue an interrupted run
     python -m repro explain pingpong --why-match   # causal chain of a match
     python -m repro explain bad --why-top          # why did a node fall to T?
-    python -m repro profile pingpong --trace t.json  # Perfetto timeline
+    python -m repro explain pingpong --trace t.json  # Perfetto timeline
 """
 
 from __future__ import annotations
@@ -192,15 +192,6 @@ def build_profile_parser() -> argparse.ArgumentParser:
         "--naive", action="store_true",
         help="profile the naive full-reclosure strategy instead",
     )
-    parser.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="also record provenance and export a Chrome trace (load in "
-             "chrome://tracing or ui.perfetto.dev)",
-    )
-    parser.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="also record provenance and export the JSONL event journal",
-    )
     _add_log_level(parser)
     return parser
 
@@ -211,20 +202,7 @@ def profile_main(argv) -> int:
         slog.configure(args.log_level)
     program, spec = _load(args.target)
     name = spec.name if spec else Path(args.target).stem
-    if args.trace or args.journal:
-        # spill evicted events straight into the journal file so the
-        # exported history is complete even past the ring capacity
-        with provenance.recording(spill_path=args.journal) as prov:
-            profile, result = profile_program(program, name=name, naive=args.naive)
-        if args.trace:
-            export.write_chrome_trace(args.trace, prov, process_name=name)
-            print(f"wrote Chrome trace: {args.trace} "
-                  f"({prov.total_events} events)")
-        if args.journal:
-            export.write_journal(args.journal, prov)
-            print(f"wrote event journal: {args.journal}")
-    else:
-        profile, result = profile_program(program, name=name, naive=args.naive)
+    profile, result = profile_program(program, name=name, naive=args.naive)
     print(profile.table())
     if not args.no_json:
         Path(args.json_path).write_text(profile.to_json())
@@ -276,10 +254,6 @@ def build_explain_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--journal", default=None, metavar="FILE",
         help="export the run's JSONL event journal",
-    )
-    parser.add_argument(
-        "--capacity", type=int, default=provenance.DEFAULT_CAPACITY,
-        metavar="N", help="flight-recorder ring capacity in events",
     )
     parser.add_argument(
         "--strict", action="store_true",
@@ -335,7 +309,7 @@ def explain_main(argv) -> int:
     if args.max_steps is not None:
         limits.max_steps = args.max_steps
     client = _explain_client(args.client)
-    with provenance.recording(capacity=args.capacity, spill_path=args.journal) as prov:
+    with provenance.recording() as prov:
         result, cfg, client = analyze_program(program, client, limits)
 
     print(
@@ -366,8 +340,7 @@ def explain_main(argv) -> int:
             )
             if not ok:
                 print(f"why-top: [{diag.code}] provenance event "
-                      f"#{diag.provenance_id} no longer resolvable "
-                      "(evicted without a spill file)")
+                      f"#{diag.provenance_id} is not in this run's journal")
                 status = 1
     if args.why_match:
         explained = True
@@ -397,8 +370,7 @@ def explain_main(argv) -> int:
                              f"node ids, got {args.node!r}")
         events = prov.events_for_node(locs)
         if not events:
-            print(f"node {locs}: no recorded events (node never reached, or "
-                  "evicted from the ring — raise --capacity)")
+            print(f"node {locs}: no recorded events (node never reached)")
             status = 1
         else:
             _print_chain(

@@ -978,9 +978,8 @@ class PCFGEngine:
         prov = self._prov
         journal = snapshot.payload.get("provenance")
         if prov is not None:
-            # splice the interrupted run's journal in front of ours so the
-            # resumed causal history is seamless, then record the stitch
-            # point
+            # take the interrupted run's journal as ours so the resumed
+            # causal history is seamless, then record the stitch point
             if journal:
                 prov.preload(journal)
             self._run_event = prov.emit(

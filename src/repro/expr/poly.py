@@ -245,10 +245,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def divisible_by(self, divisor: PolyLike) -> bool:
-        """True iff exact division by ``divisor`` yields a polynomial."""
-        return self.exact_div(divisor) is not None
-
     def exact_div(self, divisor: PolyLike) -> Optional["Poly"]:
         """Exact polynomial division, or ``None`` when not exact.
 

@@ -15,7 +15,7 @@ ncols``, ``ncols = 2 * nrows``) normalize ``np`` all the way to
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 from repro.expr.poly import Poly, PolyLike
 
@@ -33,16 +33,6 @@ class InvariantSystem:
     def __init__(self) -> None:
         self._subst: Dict[str, Poly] = {}
         self._positive: set = set()
-
-    @classmethod
-    def from_equalities(
-        cls, equalities: Iterable[Tuple[str, PolyLike]]
-    ) -> "InvariantSystem":
-        """Build a system from ``(var, poly)`` pairs, e.g. ``("np", nrows*ncols)``."""
-        system = cls()
-        for name, poly in equalities:
-            system.add_equality(name, poly)
-        return system
 
     def add_equality(self, name: str, poly: PolyLike) -> None:
         """Register the invariant ``name = poly``.

@@ -13,7 +13,8 @@ well-formedness.  This module provides the two halves of that workflow:
   generated or minimized program be persisted as ordinary ``.mpl`` text.
 
 Expressions unparse through ``Expr.__str__`` (already fully
-parenthesized, hence re-parseable); statements are emitted with the
+parenthesized, hence re-parseable) and simple statements through
+``Stmt.__str__``; compound statements are emitted with the
 ``if/elif/else/end`` surface syntax the recursive-descent parser accepts.
 """
 
@@ -172,11 +173,7 @@ _INDENT = "    "
 
 def _emit_stmt(stmt: Stmt, depth: int, lines: list) -> None:
     pad = _INDENT * depth
-    if isinstance(stmt, Skip):
-        lines.append(f"{pad}skip")
-    elif isinstance(stmt, Assign):
-        lines.append(f"{pad}{stmt.target} = {stmt.value}")
-    elif isinstance(stmt, If):
+    if isinstance(stmt, If):
         _emit_if(stmt, depth, lines)
     elif isinstance(stmt, While):
         lines.append(f"{pad}while {stmt.cond} do")
@@ -188,18 +185,9 @@ def _emit_stmt(stmt: Stmt, depth: int, lines: list) -> None:
         for inner in stmt.body:
             _emit_stmt(inner, depth + 1, lines)
         lines.append(f"{pad}end")
-    elif isinstance(stmt, Send):
-        suffix = f" : {stmt.mtype}" if stmt.mtype != "int" else ""
-        lines.append(f"{pad}send {stmt.value} -> {stmt.dest}{suffix}")
-    elif isinstance(stmt, Recv):
-        suffix = f" : {stmt.mtype}" if stmt.mtype != "int" else ""
-        lines.append(f"{pad}receive {stmt.target} <- {stmt.src}{suffix}")
-    elif isinstance(stmt, Print):
-        lines.append(f"{pad}print {stmt.value}")
-    elif isinstance(stmt, Assert):
-        lines.append(f"{pad}assert {stmt.cond}")
     else:
-        raise TypeError(f"cannot unparse statement {type(stmt).__name__}")
+        # a simple statement's ``__str__`` is its source text
+        lines.append(f"{pad}{stmt}")
 
 
 def _emit_if(stmt: If, depth: int, lines: list) -> None:

@@ -29,8 +29,8 @@ per-process span shards, which :mod:`repro.obs.trace` stitches back into
 one Chrome trace.
 
 The same context carries the causal flight recorder behind ``repro
-explain`` (:mod:`repro.obs.provenance`; ``provenance.recording()`` binds
-one), and the constraint graph's closure and copy-on-write events are
+explain``, its one exporter (:mod:`repro.obs.provenance`;
+``provenance.recording()`` binds one, holding one whole run), and the constraint graph's closure and copy-on-write events are
 plain ``cgraph.*`` counters, histograms and spans on the recorder, from
 which :func:`repro.obs.profile.closure_summary` builds the Section IX
 closure block.  One sink stands on its own: :mod:`repro.obs.slog`

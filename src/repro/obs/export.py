@@ -11,8 +11,8 @@ derivation DAG:
   ``args`` of every slice carry the event id, parents, node key and
   client delta, so the causal DAG survives the export.
 * :func:`to_jsonl` / :func:`write_journal` — one event per line, the
-  archival/streaming form (also what the ring buffer spills on overflow,
-  so the two are concatenable); :func:`read_journal` parses either back.
+  archival form, written fresh once per run; :func:`read_journal` parses
+  it back.
 
 :func:`chrome_trace` is the one Chrome-trace writer: it also builds the
 stitched request traces of :func:`repro.obs.trace.stitch`.
@@ -27,8 +27,7 @@ import math
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-# read_journal lives with the spill writer it reads back; it is re-exported here
-from repro.obs.provenance import ProvenanceEvent, ProvenanceRecorder, read_journal  # noqa: F401
+from repro.obs.provenance import ProvenanceEvent, ProvenanceRecorder
 
 #: event kind -> named track (Chrome trace "thread"); unknown kinds land
 #: on the "other" track so the vocabulary stays open
@@ -183,20 +182,26 @@ def to_jsonl(source: _EventsSource) -> str:
 
 
 def write_journal(path, source: _EventsSource) -> Path:
-    """Write the JSONL event journal; returns the path.
-
-    When the source recorder spills evicted events to the same path, the
-    journal is appended so the file holds the run's complete history (the
-    recorder truncated it when it was created); otherwise the file is
-    created fresh.
-    """
+    """Write the JSONL event journal fresh; returns the path."""
     path = Path(path)
-    spill = (
-        source.spill_path
-        if isinstance(source, ProvenanceRecorder)
-        else None
-    )
-    mode = "a" if spill is not None and Path(spill) == path else "w"
-    with open(path, mode, encoding="utf-8") as handle:
-        handle.write(to_jsonl(source))
+    path.write_text(to_jsonl(source), encoding="utf-8")
     return path
+
+
+def read_journal(path) -> List[ProvenanceEvent]:
+    """Parse a JSONL journal back into events (malformed lines skipped)."""
+    events: List[ProvenanceEvent] = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            continue
+        try:
+            document = json.loads(line)
+        except ValueError:
+            continue
+        if not isinstance(document, dict):
+            continue
+        try:
+            events.append(ProvenanceEvent.from_dict(document))
+        except (ValueError, KeyError):
+            continue
+    return events

@@ -16,13 +16,10 @@ state-changing engine event as a :class:`ProvenanceEvent` carrying
 * monotonic timing (``ts``/``dur``), which is what the Chrome-trace
   exporter (:mod:`repro.obs.export`) turns into a timeline.
 
-Memory is bounded: events live in a ring buffer of ``capacity`` entries;
-when the ring overflows, the oldest event is either dropped (counted in
-``evicted``) or appended to a JSONL *spill file* so the full journal
-survives (``spill_path``; a new recorder truncates it, so the file only
-ever holds one run).  Lookups transparently fall back to the spill file,
-read by :func:`read_journal`, so causal chains remain resolvable after
-eviction.
+The recorder keeps every event of one run, in emission order.  The
+engine's step budget already bounds that record, as it bounds the
+run's explored pCFG edges: the largest corpus run emits about a hundred
+events.
 
 The flight recorder is a field of the thread's :mod:`repro.obs.context`,
 installed for a scope by :func:`recording` and absent by default.  It is
@@ -33,18 +30,12 @@ check.
 
 from __future__ import annotations
 
-import json
-from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import context, slog
-
-#: default ring capacity (events); explain runs may raise it
-DEFAULT_CAPACITY = 65536
 
 #: recursion cap for :func:`_plain` (client deltas are shallow in practice)
 _PLAIN_DEPTH = 6
@@ -91,7 +82,7 @@ class ProvenanceEvent:
     step: int = 0
     #: pCFG node key whose state this event (re)defined, if any
     node_key: Optional[tuple] = None
-    #: causal parent event ids (may reference spilled/evicted events)
+    #: causal parent event ids
     parents: Tuple[int, ...] = ()
     detail: str = ""
     #: JSON-plain client delta (constraint edge diffs, prover traces, ...)
@@ -153,29 +144,16 @@ class ProvenanceEvent:
         return f"#{self.event_id} {self.kind}{where} [step {self.step}]{detail}"
 
 
-@dataclass
 class ProvenanceRecorder:
-    """Ring buffer of provenance events with optional spill-to-JSONL."""
+    """Every provenance event of one run, in emission order (ids 1, 2, ...)."""
 
-    capacity: int = DEFAULT_CAPACITY
-    #: overflow sink: evicted events are appended here as JSONL (None: drop)
-    spill_path: Optional[str] = None
-    evicted: int = field(default=0, init=False)
-    #: id of the most recently emitted event (None before the first)
-    last_event_id: Optional[int] = field(default=None, init=False)
-    #: pCFG node key -> id of the event that last defined its state
-    node_event: Dict[tuple, int] = field(default_factory=dict, init=False)
-
-    def __post_init__(self) -> None:
-        self.capacity = max(16, int(self.capacity))
-        self._events: "OrderedDict[int, ProvenanceEvent]" = OrderedDict()
-        self._next_id = 1
+    def __init__(self) -> None:
+        self._events: Dict[int, ProvenanceEvent] = {}
+        #: id of the most recently recorded event (None before the first)
+        self.last_event_id: Optional[int] = None
+        #: pCFG node key -> id of the event that last defined its state
+        self.node_event: Dict[tuple, int] = {}
         self._start = perf_counter()
-        self._spill_cache: Optional[Dict[int, ProvenanceEvent]] = None
-        if self.spill_path is not None:
-            # the spill file is this run's: a previous run's events would
-            # duplicate ids in the journal and answer stale lookups
-            open(self.spill_path, "w", encoding="utf-8").close()
 
     # -- recording -------------------------------------------------------------
 
@@ -190,10 +168,8 @@ class ProvenanceRecorder:
         dur: float = 0.0,
     ) -> int:
         """Record one event; returns its id (the DAG handle)."""
-        event_id = self._next_id
-        self._next_id += 1
         event = ProvenanceEvent(
-            event_id=event_id,
+            event_id=(self.last_event_id or 0) + 1,
             kind=kind,
             step=step,
             node_key=node_key,
@@ -203,55 +179,36 @@ class ProvenanceRecorder:
             ts=perf_counter() - self._start,
             dur=dur,
         )
-        self._events[event_id] = event
-        self.last_event_id = event_id
-        if node_key is not None:
-            self.node_event[node_key] = event_id
-        if len(self._events) > self.capacity:
-            _, evictee = self._events.popitem(last=False)
-            self.evicted += 1
-            if self.spill_path is not None:
-                self._spill(evictee)
+        self._record(event)
         if slog.enabled_for("debug"):
-            slog.debug(f"prov.{kind}", id=event_id, step=step,
+            slog.debug(f"prov.{kind}", id=event.event_id, step=step,
                        node=list(node_key[0]) if node_key else None,
                        detail=detail or None)
-        return event_id
+        return event.event_id
 
-    def _spill(self, event: ProvenanceEvent) -> None:
-        with open(self.spill_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-        if self._spill_cache is not None:
-            self._spill_cache[event.event_id] = event
+    def _record(self, event: ProvenanceEvent) -> None:
+        self._events[event.event_id] = event
+        self.last_event_id = event.event_id
+        if event.node_key is not None:
+            self.node_event[event.node_key] = event.event_id
 
     # -- queries ---------------------------------------------------------------
 
     @property
     def total_events(self) -> int:
-        """Events ever emitted (live + evicted)."""
-        return self._next_id - 1
+        """Events recorded in this run."""
+        return len(self._events)
 
     def events(self) -> List[ProvenanceEvent]:
-        """The live (in-ring) events, oldest first."""
+        """Every recorded event, oldest first."""
         return list(self._events.values())
 
     def get(self, event_id: int) -> Optional[ProvenanceEvent]:
-        """Resolve an event id — from the ring, then from the spill file."""
-        event = self._events.get(event_id)
-        if event is not None:
-            return event
-        if self.spill_path is None:
-            return None
-        if self._spill_cache is None:
-            try:
-                spilled = read_journal(self.spill_path)
-            except OSError:
-                spilled = []
-            self._spill_cache = {event.event_id: event for event in spilled}
-        return self._spill_cache.get(event_id)
+        """The event with this id, or None when the run recorded none."""
+        return self._events.get(event_id)
 
     def events_for_node(self, locs: tuple) -> List[ProvenanceEvent]:
-        """Live events whose node key has the given CFG-location tuple."""
+        """Events whose node key has the given CFG-location tuple."""
         locs = tuple(locs)
         return [
             event
@@ -264,9 +221,7 @@ class ProvenanceRecorder:
 
         Walks the parent DAG backward (breadth-first, deduplicated) and
         returns the events in causal order (oldest first, the queried event
-        last).  ``limit`` bounds the walk for pathological fan-in; ancestry
-        through evicted events resolves via the spill file when configured,
-        and silently truncates otherwise.
+        last).  ``limit`` bounds the walk for pathological fan-in.
         """
         seen = set()
         frontier = [event_id]
@@ -286,66 +241,35 @@ class ProvenanceRecorder:
     # -- checkpoint integration -------------------------------------------------
 
     def snapshot_state(self) -> dict:
-        """JSON-plain journal for a checkpoint snapshot (live events only)."""
-        return {
-            "next_id": self._next_id,
-            "evicted": self.evicted,
-            "events": [event.to_dict() for event in self._events.values()],
-        }
+        """JSON-plain journal for a checkpoint snapshot."""
+        return {"events": [event.to_dict() for event in self._events.values()]}
 
     def preload(self, state: dict) -> None:
-        """Reinstall a journal captured by :meth:`snapshot_state`.
+        """Take a journal captured by :meth:`snapshot_state` as this run's.
 
         Used on resume so the recovered run continues the interrupted
-        run's causal history seamlessly: event ids keep counting from
-        where the snapshot stopped and the per-node defining events are
-        rebuilt, so new events link into the restored DAG.
+        run's causal history: the snapshot's events replace the journal,
+        the per-node defining events are rebuilt, and new ids continue
+        after them, so new events link into the restored DAG.
         """
-        events = [ProvenanceEvent.from_dict(doc) for doc in state.get("events", [])]
-        events.sort(key=lambda event: event.event_id)
-        for event in events[-self.capacity:]:
-            self._events[event.event_id] = event
-            if event.node_key is not None:
-                self.node_event[event.node_key] = event.event_id
-            self.last_event_id = event.event_id
-        self.evicted += int(state.get("evicted", 0))
-        top = max((event.event_id for event in events), default=0)
-        self._next_id = max(self._next_id, int(state.get("next_id", 1)), top + 1)
+        self._events = {}
+        self.node_event = {}
+        self.last_event_id = None
+        for doc in state.get("events", ()):
+            self._record(ProvenanceEvent.from_dict(doc))
 
     def kind_counts(self) -> Dict[str, int]:
-        """Tally of live events by kind (summary output)."""
+        """Tally of events by kind (summary output)."""
         counts: Dict[str, int] = {}
         for event in self._events.values():
             counts[event.kind] = counts.get(event.kind, 0) + 1
         return counts
 
 
-def read_journal(path) -> List[ProvenanceEvent]:
-    """Parse a JSONL journal back into events (malformed lines skipped)."""
-    events: List[ProvenanceEvent] = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            document = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(document, dict):
-            continue
-        try:
-            events.append(ProvenanceEvent.from_dict(document))
-        except (ValueError, KeyError):
-            continue
-    return events
-
-
 @contextmanager
-def recording(
-    capacity: int = DEFAULT_CAPACITY, spill_path: Optional[str] = None
-) -> Iterator[ProvenanceRecorder]:
+def recording() -> Iterator[ProvenanceRecorder]:
     """Bind a fresh flight recorder into this thread's context for the
-    scope of the ``with`` — how ``repro explain`` / ``repro profile
-    --trace`` isolate their journals."""
-    recorder = ProvenanceRecorder(capacity=capacity, spill_path=spill_path)
+    scope of the ``with`` — how ``repro explain`` isolates its journal."""
+    recorder = ProvenanceRecorder()
     with context.bound(provenance=recorder):
         yield recorder

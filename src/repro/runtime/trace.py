@@ -36,16 +36,6 @@ class Topology:
     proc_edges: FrozenSet[Tuple[int, int]]
     node_edges: FrozenSet[Tuple[int, int]]
 
-    def degree_histogram(self) -> Dict[int, int]:
-        """Histogram of out-degree over sender ranks (topology shape)."""
-        degree: Dict[int, int] = {}
-        for src, _dst in self.proc_edges:
-            degree[src] = degree.get(src, 0) + 1
-        histogram: Dict[int, int] = {}
-        for count in degree.values():
-            histogram[count] = histogram.get(count, 0) + 1
-        return histogram
-
 
 @dataclass
 class Trace:

@@ -191,7 +191,7 @@ class ResultCache:
     def _load_index(self) -> None:
         """Rebuild the in-memory index from the entry files on disk.
 
-        Unreadable, malformed, or corrupt files are skipped or evicted
+        Unreadable, malformed, or corrupt files are skipped or removed
         (counted), never fatal: a half-written entry cannot exist (atomic
         rename), but a damaged disk can still hand us garbage and the
         cache must shrug it off.
@@ -214,7 +214,7 @@ class ResultCache:
     def lookup(self, key: str) -> Optional[dict]:
         """The cached result document for ``key``, or None.
 
-        Falls back to disk when the LRU mirror evicted the entry, so the
+        Falls back to disk when the LRU mirror dropped the entry, so the
         resident-set bound never turns into a correctness miss.
         """
         with self._lock:

@@ -1,4 +1,4 @@
-"""On-disk cache corruption: damaged entries miss and are evicted.
+"""On-disk cache corruption: damaged entries miss and are removed.
 
 The cache's promise under fault is *integrity, not availability*: a
 bit-flipped or truncated entry file may cost a recomputation, but it
@@ -46,7 +46,7 @@ def test_bit_flipped_entry_misses_and_evicts(tmp_path):
         assert _fresh(tmp_path).lookup("k1") is None
         counters = dict(obs.active_recorder().counters)
     assert counters["serve.cache.corrupt_evictions"] >= 1
-    assert not path.exists(), "corrupt entry must be evicted from disk"
+    assert not path.exists(), "corrupt entry must be removed from disk"
 
 
 def test_truncated_entry_misses_and_evicts(tmp_path):

@@ -1,4 +1,4 @@
-"""Provenance flight recorder: ring buffer, spill, chains, engine wiring."""
+"""Provenance flight recorder: one whole run, chains, engine wiring."""
 
 from __future__ import annotations
 
@@ -82,43 +82,6 @@ class TestRecorder:
         assert rec.node_event[key] == latest
         assert [e.kind for e in rec.events_for_node((1,))] == ["entry", "transfer"]
 
-    def test_ring_evicts_oldest_without_spill(self):
-        rec = ProvenanceRecorder(capacity=16)
-        for _ in range(20):
-            rec.emit("transfer")
-        assert rec.evicted == 4
-        assert rec.get(1) is None  # dropped, no spill configured
-        assert rec.get(20) is not None
-        assert len(rec.events()) == 16
-
-    def test_spill_keeps_evicted_events_resolvable(self, tmp_path):
-        spill = tmp_path / "journal.jsonl"
-        rec = ProvenanceRecorder(capacity=16, spill_path=str(spill))
-        parent = rec.emit("run_start")
-        for _ in range(20):
-            rec.emit("transfer", parents=(parent,))
-        assert rec.evicted > 0
-        evicted = rec.get(1)
-        assert evicted is not None and evicted.kind == "run_start"
-        # the spill file itself holds the evicted prefix as JSONL
-        lines = spill.read_text().splitlines()
-        assert len(lines) == rec.evicted
-        assert json.loads(lines[0])["kind"] == "run_start"
-
-    def test_get_skips_non_object_spill_lines(self, tmp_path):
-        spill = tmp_path / "journal.jsonl"
-        rec = ProvenanceRecorder(capacity=16, spill_path=str(spill))
-        spill.write_text('[1, 2]\n"text"\n7\nnot json\n{"kind": "x"}\n')
-        assert rec.get(1) is None
-
-    def test_a_new_recorder_starts_its_spill_file_empty(self, tmp_path):
-        spill = tmp_path / "journal.jsonl"
-        stale = ProvenanceEvent(event_id=1, kind="transfer")
-        spill.write_text(json.dumps(stale.to_dict()) + "\n")
-        rec = ProvenanceRecorder(capacity=16, spill_path=str(spill))
-        assert spill.read_text() == ""
-        assert rec.get(1) is None
-
     def test_chain_is_causal_order_and_deduplicated(self):
         rec = ProvenanceRecorder()
         root = rec.emit("run_start")
@@ -127,25 +90,6 @@ class TestRecorder:
         joined = rec.emit("join", parents=(a, b))  # diamond: a reachable twice
         chain = rec.chain(joined)
         assert [e.event_id for e in chain] == [root, a, b, joined]
-
-    def test_chain_resolves_through_spill(self, tmp_path):
-        spill = tmp_path / "journal.jsonl"
-        rec = ProvenanceRecorder(capacity=16, spill_path=str(spill))
-        previous = rec.emit("run_start")
-        for _ in range(40):
-            previous = rec.emit("transfer", parents=(previous,))
-        chain = rec.chain(previous)
-        assert chain[0].kind == "run_start"
-        assert len(chain) == 41
-
-    def test_chain_truncates_silently_without_spill(self):
-        rec = ProvenanceRecorder(capacity=16)
-        previous = rec.emit("run_start")
-        for _ in range(40):
-            previous = rec.emit("transfer", parents=(previous,))
-        chain = rec.chain(previous)
-        assert chain[-1].event_id == previous
-        assert len(chain) == 16  # only the live suffix is reachable
 
     def test_kind_counts(self):
         rec = ProvenanceRecorder()
@@ -171,14 +115,16 @@ class TestSnapshotPreload:
         next_id = fresh.emit("checkpoint_resume", parents=(2,))
         assert next_id == 3  # ids continue past the restored journal
 
-    def test_preload_respects_capacity(self):
-        rec = ProvenanceRecorder()
-        for _ in range(40):
-            rec.emit("transfer")
-        small = ProvenanceRecorder(capacity=16)
-        small.preload(rec.snapshot_state())
-        assert len(small.events()) == 16
-        assert small.emit("transfer") == 41
+    def test_preload_replaces_what_the_recorder_held(self):
+        interrupted = ProvenanceRecorder()
+        for kind in ("run_start", "entry", "transfer"):
+            interrupted.emit(kind, node_key=((1,), ()))
+        resumed = ProvenanceRecorder()
+        resumed.emit("run_start", node_key=((9,), ()))
+        resumed.preload(interrupted.snapshot_state())
+        assert [e.kind for e in resumed.events()] == ["run_start", "entry", "transfer"]
+        assert resumed.node_event == {((1,), ()): 3}
+        assert resumed.emit("checkpoint_resume") == 4
 
 
 class TestSwitchboard:

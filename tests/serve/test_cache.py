@@ -116,7 +116,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path, max_entries=1)
         key_a, _ = self._store_one(cache, seed=3)
         key_b, _ = self._store_one(cache, seed=4)
-        # key_a was evicted from the mirror but must still hit via disk
+        # key_a was dropped from the mirror but must still hit via disk
         assert cache.lookup(key_a) is not None
         assert cache.lookup(key_b) is not None
 

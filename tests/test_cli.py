@@ -173,25 +173,6 @@ class TestProfileSubcommand:
             ["profile", "ring_modular", "--json", str(tmp_path / "p.json")]
         ) == 1
 
-    def test_profile_exports_trace_and_journal(self, tmp_path, capsys):
-        from repro.obs.export import read_journal, validate_chrome_trace
-
-        trace = tmp_path / "trace.json"
-        journal = tmp_path / "journal.jsonl"
-        argv = ["profile", "pingpong", "--no-json",
-                "--trace", str(trace), "--journal", str(journal)]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "wrote Chrome trace" in out
-        validate_chrome_trace(json.loads(trace.read_text()))
-        events = read_journal(journal)
-        assert events and events[0].kind == "run_start"
-        # a second run rewrites the journal instead of appending to it
-        assert main(argv) == 0
-        assert [e.event_id for e in read_journal(journal)] == [
-            e.event_id for e in events
-        ]
-
 
 class TestExplainSubcommand:
     def test_why_top_on_budget_tripped_run(self, capsys):
@@ -280,20 +261,35 @@ class TestExplainSubcommand:
         ids = [e.event_id for e in read_journal(journal)]
         assert ids == sorted(ids) and ids  # complete, ordered journal
 
-    def test_explain_capacity_spills_into_journal(self, tmp_path):
+    def test_explain_journal_holds_one_whole_run(self, tmp_path):
         from repro.obs.export import read_journal
 
         journal = tmp_path / "journal.jsonl"
-        argv = ["explain", "exchange_with_root", "--capacity", "16",
-                "--journal", str(journal)]
+        argv = ["explain", "exchange_with_root", "--journal", str(journal)]
         assert main(argv) == 0
         ids = [e.event_id for e in read_journal(journal)]
-        # evicted prefix spilled + live ring appended: gap-free history
         assert ids == list(range(1, len(ids) + 1))
-        assert len(ids) > 16
         # a second run rewrites the journal instead of appending to it
         assert main(argv) == 0
         assert [e.event_id for e in read_journal(journal)] == ids
+
+    def test_explain_simple_symbolic_exports_trace_and_journal(self, tmp_path, capsys):
+        from repro.obs.export import read_journal, validate_chrome_trace
+
+        trace = tmp_path / "trace.json"
+        journal = tmp_path / "journal.jsonl"
+        argv = ["explain", "pingpong", "--client", "simple-symbolic",
+                "--trace", str(trace), "--journal", str(journal)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "wrote Chrome trace" in out
+        validate_chrome_trace(json.loads(trace.read_text()))
+        events = read_journal(journal)
+        assert events and events[0].kind == "run_start"
+        assert main(argv) == 0
+        assert [e.event_id for e in read_journal(journal)] == [
+            e.event_id for e in events
+        ]
 
     def test_explain_recorder_is_torn_down(self):
         from repro.obs import context
